@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .spectra import BoundResult, EigenPair, FGScalars, SpectrumPair, fg_scalars
+from .spectra import (BoundResult, EigenPair, NumericalRangeError, SpectrumPair,
+                      check_range, fg_scalars)
 
 SQRT2 = math.sqrt(2.0)
 LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
@@ -98,46 +99,35 @@ def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="li-sun", coefficient=c)
 
 
+def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
+             upper: bool) -> Tuple[BoundResult, KRatioTable]:
+    """Square root of the max (upper) or min of the ratio table over k."""
+    table = _ratio_table(pair, numden)
+    k = table.argmax if upper else table.argmin
+    if k is None:
+        raise NumericalRangeError(f"{theorem_id}: every k is 0/0")
+    c = math.sqrt(table.values[k])
+    return BoundResult(theorem_id=theorem_id, coefficient=c, optimal_index=k), table
+
+
 def q_upper_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
-    table = _ratio_table(pair, lambda k: q_upper_numden(pair, k))
-    assert table.argmax is not None, "all k indeterminate; impossible for a valid pair"
-    c = math.sqrt(table.values[table.argmax])
-    return (BoundResult(theorem_id="q-upper", coefficient=c,
-                        optimal_index=table.argmax), table)
+    return _q_coeff(pair, "q-upper", lambda k: q_upper_numden(pair, k), upper=True)
 
 
 def q_lower_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
-    table = _ratio_table(pair, lambda k: q_lower_numden(pair, k))
-    assert table.argmin is not None, "all k indeterminate; impossible for a valid pair"
-    c = math.sqrt(table.values[table.argmin])
-    return (BoundResult(theorem_id="q-lower", coefficient=c,
-                        optimal_index=table.argmin), table)
+    return _q_coeff(pair, "q-lower", lambda k: q_lower_numden(pair, k), upper=False)
 
 
 def refined_li_sun_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
-    """Equal-rank sharpening of the classical subunitary bound (max over k >= 1)."""
-    if pair.r != pair.s:
-        raise RankMismatchError(f"equal ranks required, got r={pair.r}, s={pair.s}")
-    sig, sigt = pair.sigma, pair.sigma_tilde
-    r = pair.r
+    """Equal-rank sharpening of the classical subunitary bound: q-upper over k >= 1."""
+    classical = li_sun_coeff(pair).coefficient   # raises unless r == s
 
-    def numden(k):
-        if k == 0:
-            return 0.0, 0.0      # marked indeterminate; the max ranges over k >= 1
-        num = float(4 * k)
-        den = math.fsum(
-            [(sig[j] - sigt[j]) ** 2 for j in range(r - k)]
-            + [(sig[r - 1 - j] + sigt[r - k + j]) ** 2 for j in range(k)])
-        return num, den
+    def numden(k):   # (0, 0) marks k = 0 indeterminate, which drops it from the max
+        return (0.0, 0.0) if k == 0 else q_upper_numden(pair, k)
 
-    table = _ratio_table(pair, numden)
-    best = max((v, -k) for k, v in enumerate(table.values) if v is not None and k >= 1)
-    k_star = -best[1]
-    c = math.sqrt(best[0])
-    classical = li_sun_coeff(pair).coefficient
-    assert c <= classical * (1 + 1e-12), f"refined {c} exceeds classical {classical}"
-    return (BoundResult(theorem_id="refined-li-sun", coefficient=c,
-                        optimal_index=k_star), table)
+    result, table = _q_coeff(pair, "refined-li-sun", numden, upper=True)
+    check_range("refined-li-sun", result.coefficient, 0.0, classical * (1 + 1e-12))
+    return result, table
 
 
 def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
@@ -146,16 +136,21 @@ def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
     F, G = fg.F, fg.G
     disc = max(F * F - 2.0 * G * F, 0.0)
     c = math.sqrt((F - math.sqrt(disc)) / G)
-    assert c <= SQRT2 * (1 + 1e-12)
+    check_range("h-upper", c, 0.0, SQRT2 * (1 + 1e-12))
     return BoundResult(theorem_id="h-upper", coefficient=c)
+
+
+def _fg_lower(pair: SpectrumPair, theorem_id: str) -> BoundResult:
+    """sqrt((F - 2G) / (F + 2G)), the h-lower and lee-lower constant."""
+    fg = fg_scalars(pair)
+    c = math.sqrt(max(fg.F - 2.0 * fg.G, 0.0) / (fg.F + 2.0 * fg.G))
+    check_range(theorem_id, c, 0.0, 1.0)
+    return BoundResult(theorem_id=theorem_id, coefficient=c)
 
 
 def h_lower_coeff(pair: SpectrumPair) -> BoundResult:
     """Sharp lower constant for the positive-factor difference."""
-    fg = fg_scalars(pair)
-    c = math.sqrt(max(fg.F - 2.0 * fg.G, 0.0) / (fg.F + 2.0 * fg.G))
-    assert 0.0 <= c <= 1.0
-    return BoundResult(theorem_id="h-lower", coefficient=c)
+    return _fg_lower(pair, "h-lower")
 
 
 def lee_upper_coeff(pair: SpectrumPair) -> BoundResult:
@@ -163,16 +158,13 @@ def lee_upper_coeff(pair: SpectrumPair) -> BoundResult:
     fg = fg_scalars(pair)
     F, G = fg.F, fg.G
     c = math.sqrt(G / (math.sqrt(F * F + 2.0 * G * F) - F))
-    assert c <= LEE_CLASSICAL * (1 + 1e-12)
+    check_range("lee-upper", c, 0.0, LEE_CLASSICAL * (1 + 1e-12))
     return BoundResult(theorem_id="lee-upper", coefficient=c)
 
 
 def lee_lower_coeff(pair: SpectrumPair) -> BoundResult:
     """Sharp lower constant relating ||A + A~|| to ||H + H~||."""
-    fg = fg_scalars(pair)
-    c = math.sqrt(max(fg.F - 2.0 * fg.G, 0.0) / (fg.F + 2.0 * fg.G))
-    assert 0.0 <= c <= 1.0
-    return BoundResult(theorem_id="lee-lower", coefficient=c)
+    return _fg_lower(pair, "lee-lower")
 
 
 def amgm_coeff(pair: SpectrumPair) -> BoundResult:
@@ -181,7 +173,7 @@ def amgm_coeff(pair: SpectrumPair) -> BoundResult:
     cross = math.fsum((x * y) ** 2 for x, y in zip(sig, sigh))
     quarts = math.fsum([x ** 4 for x in sig] + [y ** 4 for y in sigh])
     c = math.sqrt(cross / (quarts + 2.0 * cross))
-    assert c <= 0.5 * (1 + 1e-12)
+    check_range("amgm", c, 0.0, 0.5 * (1 + 1e-12))
     return BoundResult(theorem_id="amgm", coefficient=c)
 
 
@@ -191,7 +183,7 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     cross = math.fsum(x * y for x, y in zip(sig, sigh))
     c = cross / (math.sqrt(math.fsum(x * x for x in sig))
                  * math.sqrt(math.fsum(y * y for y in sigh)))
-    assert c <= 1.0 + 1e-12
+    check_range("cauchy-schwarz", c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 
 
@@ -239,7 +231,7 @@ def kittaneh_lower_coeff(eig: EigenPair, cap: int = DEFAULT_ENUM_CAP) -> BoundRe
         return BoundResult(theorem_id="kittaneh-lower", coefficient=1.0,
                            degenerate=True)
     c = math.sqrt(max(best, 0.0))
-    assert c <= 1.0 + 1e-12
+    check_range("kittaneh-lower", c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id="kittaneh-lower", coefficient=min(c, 1.0),
                        optimal_tuple=best_tuple)
 
@@ -276,6 +268,6 @@ def kittaneh_upper_coeff(eig: EigenPair, n: int,
         return BoundResult(theorem_id="kittaneh-upper", coefficient=1.0,
                            degenerate=True)
     c = math.sqrt(max(best, 0.0))
-    assert c <= 1.0 + 1e-12
+    check_range("kittaneh-upper", c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id="kittaneh-upper", coefficient=min(c, 1.0),
                        optimal_tuple=best_tuple)

@@ -193,8 +193,10 @@ def cmd_witness(args) -> int:
     _atomic_write(path_b, fileio.write_matrix_text(w.A_tilde))
 
     # round-trip: reload from disk and verify the identities from scratch
-    a = fileio.read_matrix_text(open(path_a).read())
-    at = fileio.read_matrix_text(open(path_b).read())
+    with open(path_a) as fh:
+        a = fileio.read_matrix_text(fh.read())
+    with open(path_b) as fh:
+        at = fileio.read_matrix_text(fh.read())
     reloaded = extremal.ExtremalWitness(
         bound_id=w.bound_id, A=a, A_tilde=at, couple=w.couple,
         target_coefficient=w.target_coefficient, diagnostics=w.diagnostics,
@@ -263,7 +265,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("text", "structured"), default="structured")
         p.add_argument("--out", default=None, help="write the report to PATH")
-        p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
 
     p = sub.add_parser("bounds", help="coefficients for each record of a spectra file")
     p.add_argument("input")
@@ -279,6 +280,7 @@ def build_parser() -> _Parser:
     p.add_argument("record", help="record id inside the spectra file")
     p.add_argument("bound", choices=extremal.BOUND_IDS)
     common(p)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_witness)
     # witness writes matrices into a directory
     for act in p._actions:
@@ -299,6 +301,7 @@ def build_parser() -> _Parser:
     p.add_argument("--field", choices=("complex", "real"), default="complex")
     p.add_argument("--slack-tol", dest="slack_tol", type=float, default=1e-9)
     common(p)
+    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_verify)
 
     return parser

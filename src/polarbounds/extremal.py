@@ -92,6 +92,22 @@ def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
     return M, N
 
 
+def _achieved_ratio(bound_id: str, A: np.ndarray, A_tilde: np.ndarray,
+                    pf, pf_t) -> Tuple[float, float, float]:
+    """(||A~ - A||, factor gap norm, achieved ratio) of a pair for its bound family."""
+    e_norm = frobenius(A_tilde - A)
+    if bound_id.startswith("q"):
+        gap = frobenius(pf.Q - pf_t.Q)
+        achieved = gap / e_norm
+    elif bound_id.startswith("h"):
+        gap = frobenius(pf.H - pf_t.H)
+        achieved = gap / e_norm
+    else:
+        gap = frobenius(pf.H + pf_t.H)
+        achieved = frobenius(A + A_tilde) / gap
+    return e_norm, gap, achieved
+
+
 def _build_witness(bound_id: str, pair: SpectrumPair, U: np.ndarray,
                    V: np.ndarray, target: float,
                    rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
@@ -104,17 +120,7 @@ def _build_witness(bound_id: str, pair: SpectrumPair, U: np.ndarray,
 
     pf = polar_decompose(A, rank_tol)
     pf_t = polar_decompose(A_tilde, rank_tol)
-    E = A_tilde - A
-    e_norm = frobenius(E)
-    if bound_id.startswith("q"):
-        gap = frobenius(pf.Q - pf_t.Q)
-        achieved = gap / e_norm
-    elif bound_id.startswith("h"):
-        gap = frobenius(pf.H - pf_t.H)
-        achieved = gap / e_norm
-    else:
-        gap = frobenius(pf.H + pf_t.H)
-        achieved = frobenius(A + A_tilde) / gap
+    e_norm, gap, achieved = _achieved_ratio(bound_id, A, A_tilde, pf, pf_t)
 
     M, N = couple_scalars(pair, U, V)
     diag = WitnessDiagnostics(M=M, N=N, E_norm=e_norm, factor_gap_norm=gap,
@@ -282,15 +288,6 @@ def verify_witness(w: ExtremalWitness,
             raise WitnessVerificationError(
                 f"{name}: direct {direct} vs closed form {closed}")
 
-    e_norm = frobenius(w.A_tilde - w.A)
-    if w.bound_id.startswith("q"):
-        gap = frobenius(pf.Q - pf_t.Q)
-        achieved = gap / e_norm
-    elif w.bound_id.startswith("h"):
-        gap = frobenius(pf.H - pf_t.H)
-        achieved = gap / e_norm
-    else:
-        gap = frobenius(pf.H + pf_t.H)
-        achieved = frobenius(w.A + w.A_tilde) / gap
+    e_norm, gap, achieved = _achieved_ratio(w.bound_id, w.A, w.A_tilde, pf, pf_t)
     return WitnessDiagnostics(M=M, N=N, E_norm=e_norm, factor_gap_norm=gap,
                               achieved_ratio=achieved)

@@ -7,7 +7,7 @@ sampling. Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,11 +26,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, "fro"))
 
 
-def frobenius_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product <a, b> = tr(b* a)."""
-    return complex(np.vdot(b, a))
-
-
 @dataclass(frozen=True)
 class SvdResult:
     U: np.ndarray            # m x m unitary
@@ -44,6 +39,10 @@ class SvdResult:
         k = len(self.singular_values)
         sigma[:k, :k] = np.diag(self.singular_values)
         return self.U @ sigma @ self.V.conj().T
+
+    def adjoint(self) -> "SvdResult":
+        """SVD of A*: the unitaries swap roles, so its polar H is |A*| = U1 S1 U1*."""
+        return replace(self, U=self.V, V=self.U)
 
 
 @dataclass(frozen=True)
@@ -63,6 +62,18 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
+def _pivot_phases(cols: np.ndarray) -> np.ndarray:
+    """Unit phase of each column's largest-magnitude entry (1 for a zero column).
+
+    np.hypot rounds like abs() on one complex entry; np.abs on an array may not.
+    """
+    piv = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    mag = np.hypot(piv.real, piv.imag)
+    phase = np.ones(cols.shape[1], dtype=complex)
+    np.divide(piv, mag, out=phase, where=mag > 0)
+    return phase
+
+
 def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     """Full SVD with a deterministic phase convention.
 
@@ -80,36 +91,31 @@ def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
         raise SvdConvergenceError(f"SVD did not converge for {m}x{n} input: {exc}") from exc
     v = vh.conj().T
 
+    # (x.T * p[:, None]).T scales each column as a column times a scalar;
+    # other layouts select a complex multiply loop that rounds differently.
     k = min(m, n)
-    for j in range(m):
-        col = u[:, j]
-        p = int(np.argmax(np.abs(col)))
-        mag = abs(col[p])
-        if mag == 0.0:
-            continue
-        phase = col[p] / mag
-        u[:, j] = col * np.conj(phase)
-        if j < k:
-            v[:, j] = v[:, j] * np.conj(phase)
+    rot = np.conj(_pivot_phases(u))[:, None]
+    u[:] = (u.T * rot).T
+    v[:, :k] = (v[:, :k].T * rot[:k]).T
     # remaining null-space columns of V get the same convention on their own
-    for j in range(k, n):
-        col = v[:, j]
-        p = int(np.argmax(np.abs(col)))
-        mag = abs(col[p])
-        if mag > 0.0:
-            v[:, j] = col * np.conj(col[p] / mag)
+    tail = v[:, k:]
+    v[:, k:] = (tail.T * np.conj(_pivot_phases(tail))[:, None]).T
 
     rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
     return SvdResult(U=u, singular_values=sv, V=v, rank=rank)
 
 
 def polar_decompose(a, rank_tol: float = DEFAULT_RANK_TOL) -> PolarFactors:
-    """Generalized polar decomposition A = Q H.
+    """Generalized polar decomposition A = Q H."""
+    return polar_from_svd(svd(a, rank_tol))
+
+
+def polar_from_svd(res: SvdResult) -> PolarFactors:
+    """Polar factors of the matrix whose SVD is `res`.
 
     Q = U1 V1*, H = V1 S1 V1* from the rank-truncated SVD; Q is a partial
     isometry of the same rank as A and H is the Hermitian PSD factor |A|.
     """
-    res = svd(a, rank_tol)
     m, n = res.U.shape[0], res.V.shape[0]
     r = res.rank
     if r == 0:
@@ -193,17 +199,21 @@ def unitary_completion(partial, zero_rows=()) -> np.ndarray:
     return out
 
 
-def haar_random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-distributed n x n unitary, bit-identical for identical seeds.
+def haar_random_unitary(n: int, seed, fld: str = "complex") -> np.ndarray:
+    """Haar-distributed n x n unitary (orthogonal for fld="real").
 
-    QR of a complex Ginibre matrix with the phases of R's diagonal divided
-    out, which corrects the QR factorization to the Haar measure.
+    QR of a Ginibre matrix with the phases of R's diagonal divided out, which
+    corrects the QR factorization to the Haar measure (Mezzadri 2007). `seed`
+    is an int (bit-identical output per seed) or a Generator, drawn in place.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if fld not in ("complex", "real"):
+        raise ValueError(f"fld must be 'complex' or 'real', got {fld!r}")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    z = rng.standard_normal((n, n))
+    if fld == "complex":
+        z = (z + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)
-    q = q * (d / np.abs(d))
-    return q
+    return q * (d / np.abs(d))

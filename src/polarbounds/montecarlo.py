@@ -8,7 +8,6 @@ reporting.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -16,10 +15,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bounds
-from .linalg import frobenius, polar_decompose
+from .linalg import frobenius, haar_random_unitary, polar_decompose, polar_from_svd, svd
 from .spectra import validate_eigen_pair, validate_spectrum_pair
-
-SQRT2 = math.sqrt(2.0)
 
 INEQUALITY_IDS = (
     "q-lower", "q-upper",
@@ -89,16 +86,6 @@ class SuiteReport:
         }
 
 
-def _haar_factor(n: int, rng: np.random.Generator, fld: str) -> np.ndarray:
-    if fld == "complex":
-        z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    else:
-        z = rng.standard_normal((n, n))
-    q, rmat = np.linalg.qr(z)
-    d = np.diag(rmat)
-    return q * (d / np.abs(d))
-
-
 def random_matrix_with_spectrum(sigma, m: int, n: int, seed: int,
                                 fld: str = "complex") -> np.ndarray:
     """Matrix with the given singular values and Haar-random singular vectors."""
@@ -107,8 +94,8 @@ def random_matrix_with_spectrum(sigma, m: int, n: int, seed: int,
     if k > min(m, n):
         raise ValueError(f"{k} singular values do not fit an {m}x{n} matrix")
     rng = np.random.default_rng(seed)
-    u = _haar_factor(m, rng, fld)[:, :k]
-    v = _haar_factor(n, rng, fld)[:, :k]
+    u = haar_random_unitary(m, rng, fld)[:, :k]
+    v = haar_random_unitary(n, rng, fld)[:, :k]
     return (u * sigma) @ v.conj().T
 
 
@@ -153,14 +140,12 @@ def angle_cosines(a: np.ndarray, b: np.ndarray, h_a: np.ndarray,
 def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
                      rank_tol: float) -> None:
     """Assertion families (a)-(f) and (h) on one general matrix pair."""
-    pf = polar_decompose(a, rank_tol)
-    pf_t = polar_decompose(a_tilde, rank_tol)
+    res, res_t = svd(a, rank_tol), svd(a_tilde, rank_tol)
+    pf, pf_t = polar_from_svd(res), polar_from_svd(res_t)
     if pf.degenerate or pf_t.degenerate:
         return
-    sv = np.linalg.svd(a, compute_uv=False)
-    sv_t = np.linalg.svd(a_tilde, compute_uv=False)
-    sig = sv[:pf.rank]
-    sig_t = sv_t[:pf_t.rank]
+    sig = res.singular_values[:pf.rank]
+    sig_t = res_t.singular_values[:pf_t.rank]
     if pf.rank <= pf_t.rank:
         pair = validate_spectrum_pair(sig, sig_t)
     else:
@@ -181,7 +166,7 @@ def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
     h_lo = bounds.h_lower_coeff(pair).coefficient
     rec.upper("h-upper", h_gap, h_up * e_norm, e_norm)
     rec.lower("h-lower", h_gap, h_lo * e_norm, e_norm)
-    rec.upper("h-classical", h_gap, SQRT2 * e_norm, e_norm)
+    rec.upper("h-classical", h_gap, bounds.SQRT2 * e_norm, e_norm)
 
     lee_up = bounds.lee_upper_coeff(pair).coefficient
     lee_lo = bounds.lee_lower_coeff(pair).coefficient
@@ -200,9 +185,9 @@ def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
     rec.upper("cauchy-schwarz", tr, cs * scale, scale)
     rec.upper("cs-classical", tr, scale, scale)
 
-    # two-sided absolute-value perturbation: factors of both A and A*
-    pf_l = polar_decompose(a.conj().T, rank_tol)
-    pf_tl = polar_decompose(a_tilde.conj().T, rank_tol)
+    # two-sided absolute-value perturbation: |A*| = U1 S1 U1* from the same SVD
+    pf_l = polar_from_svd(res.adjoint())
+    pf_tl = polar_from_svd(res_t.adjoint())
     lhs = h_gap ** 2 + frobenius(pf_l.H - pf_tl.H) ** 2
     rec.upper("kittaneh-two-sided", lhs, 2.0 * e_norm ** 2, e_norm ** 2)
 
@@ -262,8 +247,8 @@ def run_trial(config: EnsembleConfig, trial: int) -> _Recorder:
     else:
         lam = moduli_a * rng.choice([-1.0, 1.0], size=rn)
         lam_hat = moduli_b * rng.choice([-1.0, 1.0], size=sn)
-    u = _haar_factor(nn, rng, config.field)
-    w = _haar_factor(nn, rng, config.field)
+    u = haar_random_unitary(nn, rng, config.field)
+    w = haar_random_unitary(nn, rng, config.field)
     a_n = (u * np.concatenate([lam, np.zeros(nn - rn)])) @ u.conj().T
     b_n = (w * np.concatenate([lam_hat, np.zeros(nn - sn)])) @ w.conj().T
     check_normal_pair(rec, a_n, b_n, lam, lam_hat, full_rank_b=(sn == nn),

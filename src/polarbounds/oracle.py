@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 from .bounds import EnumerationCapError, q_lower_numden, q_upper_numden
-from .spectra import BoundResult, EigenPair, SpectrumPair, fg_scalars
+from .spectra import BoundResult, EigenPair, NumericalRangeError, SpectrumPair, fg_scalars
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -124,7 +124,8 @@ def brute_force_f_extrema(pair: SpectrumPair,
             best_max = ev
         if best_min is None or ev.value < best_min.value:
             best_min = ev
-    assert best_max is not None and best_min is not None
+    if best_max is None or best_min is None:
+        raise NumericalRangeError("every extreme point is 0/0, impossible for a valid pair")
     return best_max, best_min
 
 

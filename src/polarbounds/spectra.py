@@ -18,6 +18,18 @@ class SpectrumValidationError(ValueError):
     """Input spectrum violates positivity or decreasing order."""
 
 
+class NumericalRangeError(ArithmeticError):
+    """A computed value (possibly nan) is outside the range its definition
+    guarantees, through overflow, underflow or rounding; unlike `assert`,
+    this check also runs under `python -O`."""
+
+
+def check_range(name: str, value: float, lo: float, hi: float) -> None:
+    """Raise NumericalRangeError unless lo <= value <= hi (nan fails)."""
+    if not lo <= value <= hi:
+        raise NumericalRangeError(f"{name} = {value!r} outside [{lo!r}, {hi!r}]")
+
+
 @dataclass(frozen=True)
 class SpectrumPair:
     """Two validated decreasing positive spectra with ranks r <= s.
@@ -108,8 +120,7 @@ def fg_scalars(pair: SpectrumPair) -> FGScalars:
     """
     F = math.fsum([x * x for x in pair.sigma] + [x * x for x in pair.sigma_tilde])
     G = math.fsum(x * y for x, y in zip(pair.sigma, pair.sigma_tilde))
-    if 2 * G > F * (1 + 1e-13):
-        raise AssertionError(f"Cauchy-Schwarz violated: 2G={2*G} > F={F}")
+    check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
     return FGScalars(F=F, G=G)
 
 

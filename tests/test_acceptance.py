@@ -53,7 +53,8 @@ class _Gate:
 
 def test_criterion_1_golden_table():
     with _Gate("1 golden-table", 1.0):
-        records = parse_spectra_text(open(table1_path()).read())
+        with open(table1_path()) as fh:
+            records = parse_spectra_text(fh.read())
         assert {r.id for r in records} == set(GOLDEN_F_TABLES)
         for rec in records:
             pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)

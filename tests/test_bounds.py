@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polarbounds
 from polarbounds.bounds import (
     EnumerationCapError,
     LEE_CLASSICAL,
@@ -321,3 +326,20 @@ class TestChains:
         assert q_lower_coeff(p)[0].coefficient \
             <= q_upper_coeff(p)[0].coefficient + 1e-10 * (
                 1 + q_upper_coeff(p)[0].coefficient)
+
+
+class TestRangeErrors:
+    def test_typed_error_under_optimize(self):
+        # F * F overflows, inf - inf makes the constant nan, and `python -O`
+        # strips asserts: the range check must still raise
+        code = ("from polarbounds.bounds import h_upper_coeff\n"
+                "from polarbounds.spectra import NumericalRangeError, validate_spectrum_pair\n"
+                "try:\n"
+                "    c = h_upper_coeff(validate_spectrum_pair([1e80], [1e80])).coefficient\n"
+                "except NumericalRangeError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(f'returned {c!r}')\n")
+        src = str(Path(polarbounds.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr

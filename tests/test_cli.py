@@ -75,7 +75,8 @@ class TestBounds:
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
         out = str(tmp_path / "report.json")
         assert main(["bounds", path, "--out", out]) == 0
-        assert json.load(open(out))["command"] == "bounds"
+        with open(out) as fh:
+            assert json.load(fh)["command"] == "bounds"
 
     def test_text_format(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
@@ -115,8 +116,10 @@ class TestWitness:
                                       "--out", outdir])
         assert code == 0
         assert abs(rep["achieved_ratio"] ** 2 - (3 - math.sqrt(3))) < 1e-8
-        a = read_matrix_text(open(rep["files"]["A"]).read())
-        at = read_matrix_text(open(rep["files"]["A_tilde"]).read())
+        with open(rep["files"]["A"]) as fh:
+            a = read_matrix_text(fh.read())
+        with open(rep["files"]["A_tilde"]) as fh:
+            at = read_matrix_text(fh.read())
         ratio = _h_gap_ratio(a, at)
         assert abs(ratio ** 2 - (3 - math.sqrt(3))) < 1e-8
 
@@ -149,7 +152,7 @@ class TestOracle:
 class TestVerify:
     def test_small_campaign(self, capsys):
         code, rep = run_json(capsys, ["verify", "--trials", "25", "--seed", "7",
-                                      "--dims", "4"])
+                                      "--dims", "4", "--rank-tol", "1e-12"])
         assert code == 0
         assert rep["body"]["violations"] == []
 
@@ -177,6 +180,13 @@ class TestUsage:
 
     def test_missing_file(self):
         assert main(["bounds", "/nonexistent/path.spectra"]) == 64
+
+    @pytest.mark.parametrize("command", ["bounds", "table1", "oracle"])
+    def test_rank_tol_only_where_used(self, tmp_path, command):
+        # only witness and verify compute an SVD, so only they take --rank-tol
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        inputs = [] if command == "table1" else [path]
+        assert main([command, *inputs, "--rank-tol", "1e-9"]) == 64
 
 
 def _h_gap_ratio(a, at):

@@ -16,8 +16,8 @@ from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.spectra import validate_spectrum_pair
 
 CAMPAIGN_DIGESTS = {
-    "complex": "05c5c08e8a60553e7df8a64d0a91222cef37798d491356c7113a2dc86276b633",
-    "real": "71127ebdc575da28f96499d34991040cec0ac32aa0649c4131ee7418ad2a5e19",
+    "complex": "e52616f67e47d2175bfa590e2d5da784d8db9a6d3812b2e440e6d3cf3c170238",
+    "real": "6bd578a2a89075792c85c8eb26313f4d542b9061c85c8b0e562f61ca9dbe485f",
 }
 WITNESS_DIGEST = "2b70dfee3e462c3af56cbd3a87abef58b0191405c0854d1f341b3a0d2010a0c8"
 

@@ -6,6 +6,7 @@ from polarbounds.linalg import (
     frobenius,
     haar_random_unitary,
     polar_decompose,
+    polar_from_svd,
     svd,
     unitary_completion,
 )
@@ -62,6 +63,30 @@ class TestSvd:
         with pytest.raises(ValueError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
+    def test_phase_fix_matches_column_loop(self, rng):
+        # reference: the phase convention applied one column at a time
+        for trial in range(200):
+            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+            a = rng.standard_normal((m, n))
+            if trial % 2:
+                a = a + 1j * rng.standard_normal((m, n))
+            u, _, vh = np.linalg.svd(a.astype(complex), full_matrices=True)
+            v = vh.conj().T
+            for j in range(m):
+                col = u[:, j]
+                p = np.argmax(np.abs(col))
+                phase = col[p] / abs(col[p])
+                u[:, j] = col * np.conj(phase)
+                if j < min(m, n):
+                    v[:, j] = v[:, j] * np.conj(phase)
+            for j in range(min(m, n), n):
+                col = v[:, j]
+                p = np.argmax(np.abs(col))
+                v[:, j] = col * np.conj(col[p] / abs(col[p]))
+            res = svd(a)
+            assert res.U.tobytes() == u.tobytes()
+            assert res.V.tobytes() == v.tobytes()
+
 
 class TestPolarDecompose:
     def test_diagonal(self):
@@ -103,6 +128,12 @@ class TestPolarDecompose:
             # column space of Q* equals column space of H
             assert np.linalg.matrix_rank(np.hstack([pf.Q.conj().T, pf.H]),
                                          tol=1e-8) == r
+            # factors of A* from the SVD of A: Q* and |A*| = U1 S1 U1*
+            adj = polar_from_svd(svd(a).adjoint())
+            direct = polar_decompose(a.conj().T)
+            assert adj.rank == direct.rank == r
+            assert frobenius(adj.Q - direct.Q) <= 1e-10
+            assert frobenius(adj.H - direct.H) <= 1e-10 * frobenius(a)
 
 
 class TestUnitaryCompletion:
@@ -143,6 +174,18 @@ class TestUnitaryCompletion:
             unitary_completion(partial)
 
 
+def _seeds(kind, count):
+    """`count` int seeds, or one Generator passed `count` times."""
+    if kind == "int":
+        return range(count)
+    gen = np.random.default_rng(0)
+    return [gen] * count
+
+
+SAMPLER_CASES = pytest.mark.parametrize(
+    "fld,seed_kind", [(f, k) for f in ("complex", "real") for k in ("int", "generator")])
+
+
 class TestHaarSampler:
     def test_scalar(self):
         u = haar_random_unitary(1, 5)
@@ -151,12 +194,25 @@ class TestHaarSampler:
     def test_seed_determinism(self):
         assert np.array_equal(haar_random_unitary(4, 7), haar_random_unitary(4, 7))
 
-    def test_unitary(self):
-        assert unitarity_defect(haar_random_unitary(3, 1)) <= 1e-12 * 3
+    def test_generator_draws_in_place(self):
+        gen = np.random.default_rng(7)
+        first = haar_random_unitary(4, gen)
+        assert np.array_equal(first, haar_random_unitary(4, 7))
+        assert not np.array_equal(haar_random_unitary(4, gen), first)
 
-    def test_first_entry_moment(self):
-        # E|u11|^2 = 1/n for Haar measure
+    def test_rejects_unknown_field(self):
+        with pytest.raises(ValueError):
+            haar_random_unitary(3, 1, fld="quaternion")
+
+    @SAMPLER_CASES
+    def test_unitary(self, fld, seed_kind):
+        for seed in _seeds(seed_kind, 5):
+            assert unitarity_defect(haar_random_unitary(3, seed, fld)) <= 1e-12 * 3
+
+    @SAMPLER_CASES
+    def test_first_entry_moment(self, fld, seed_kind):
+        # E|u11|^2 = 1/n for Haar measure on U(n) and on O(n)
         acc = 0.0
-        for seed in range(10_000):
-            acc += abs(haar_random_unitary(2, seed)[0, 0]) ** 2
+        for seed in _seeds(seed_kind, 10_000):
+            acc += abs(haar_random_unitary(2, seed, fld)[0, 0]) ** 2
         assert abs(acc / 10_000 - 0.5) < 0.02
