@@ -1,8 +1,8 @@
 """Golden SHA-256 digests of deterministic outputs.
 
-Refactors of the linear algebra must leave these bytes unchanged; a change
-that moves a digest on purpose records the old and new values, and the
-largest move per report key, in CHANGES.md.
+Refactors of the linear algebra and of the coefficient kernels must leave
+these bytes unchanged; a change that moves a digest on purpose records the
+old and new values, and the largest move per report key, in CHANGES.md.
 """
 
 import hashlib
@@ -11,15 +11,20 @@ import json
 import numpy as np
 import pytest
 
+from polarbounds.bounds import kittaneh_lower_coeff, kittaneh_upper_coeff
+from polarbounds.cli import main
 from polarbounds.extremal import BOUND_IDS, make_witness
+from polarbounds.fileio import SpectraRecord, format_spectra
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
-from polarbounds.spectra import validate_spectrum_pair
+from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
 CAMPAIGN_DIGESTS = {
     "complex": "e52616f67e47d2175bfa590e2d5da784d8db9a6d3812b2e440e6d3cf3c170238",
     "real": "6bd578a2a89075792c85c8eb26313f4d542b9061c85c8b0e562f61ca9dbe485f",
 }
 WITNESS_DIGEST = "2b70dfee3e462c3af56cbd3a87abef58b0191405c0854d1f341b3a0d2010a0c8"
+BOUNDS_DIGEST = "e295dd62b9ec27a7aed37a62c3938125c950d0dfabcd6c944ac3e5fdd0274a8e"
+KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 
 
 def campaign_digest(field: str) -> str:
@@ -50,6 +55,53 @@ def witness_digest() -> str:
     return h.hexdigest()
 
 
+def _eigenvalues(rng, size, kind):
+    """Generic complex values, or real and quarter-turn values with ties."""
+    if kind == 0:
+        z = rng.uniform(0.2, 3, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+    elif kind == 1:
+        z = rng.choice([-2.0, -1.0, 1.0, 2.0], size)
+    else:
+        z = rng.choice([1.0, 2.0], size) * 1j ** rng.integers(0, 4, size)
+    return [complex(v) for v in z]
+
+
+def bounds_digest(tmp_path, capsys) -> str:
+    """Structured `polarbounds bounds` report on 60 seeded records, with
+    identical spectra and tied eigenvalues among them, sizes up to (4, 4)."""
+    rng = np.random.default_rng(404)
+    records = []
+    for i in range(60):
+        sig = np.sort(np.exp(rng.uniform(-3, 3, int(rng.integers(1, 5)))))[::-1]
+        sigt = sig if i % 5 == 0 else \
+            np.sort(np.exp(rng.uniform(-3, 3, int(rng.integers(1, 5)))))[::-1]
+        rec = SpectraRecord(id=f"r{i}", sigma=list(sig), sigma_tilde=list(sigt))
+        if i % 2 == 0:
+            kind = i % 3
+            rec.eigen = _eigenvalues(rng, int(rng.integers(1, 5)), kind)
+            rec.eigen_hat = _eigenvalues(rng, int(rng.integers(1, 5)), kind)
+        records.append(rec)
+    path = tmp_path / "golden.spectra"
+    path.write_text(format_spectra(records))
+    assert main(["bounds", str(path)]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def kittaneh_digest() -> str:
+    """(coefficient, optimal_tuple, degenerate) of both arrangement bounds on
+    45 seeded eigen pairs, sizes up to (5, 6), ties among them."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(606)
+    for i in range(45):
+        s = int(rng.integers(1, 7))
+        r = int(rng.integers(max(1, s - 2), min(s, 5) + 1))
+        kind = i % 3
+        eig = validate_eigen_pair(_eigenvalues(rng, r, kind), _eigenvalues(rng, s, kind))
+        for res in (kittaneh_lower_coeff(eig), kittaneh_upper_coeff(eig, n=eig.s)):
+            h.update(repr((res.coefficient, res.optimal_tuple, res.degenerate)).encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("field", sorted(CAMPAIGN_DIGESTS))
 def test_campaign_body_digest(field):
     assert campaign_digest(field) == CAMPAIGN_DIGESTS[field]
@@ -57,3 +109,11 @@ def test_campaign_body_digest(field):
 
 def test_witness_matrix_digest():
     assert witness_digest() == WITNESS_DIGEST
+
+
+def test_bounds_report_digest(tmp_path, capsys):
+    assert bounds_digest(tmp_path, capsys) == BOUNDS_DIGEST
+
+
+def test_kittaneh_digest():
+    assert kittaneh_digest() == KITTANEH_DIGEST
