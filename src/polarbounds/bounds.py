@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .spectra import (BoundResult, EigenPair, NumericalRangeError, SpectrumPair,
                       check_range, fg_scalars)
@@ -20,7 +20,7 @@ from .spectra import (BoundResult, EigenPair, NumericalRangeError, SpectrumPair,
 SQRT2 = math.sqrt(2.0)
 LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
 
-DEFAULT_ENUM_CAP = 6
+ENUM_CAP = 6   # largest r or s the arrangement bounds enumerate
 
 
 class RankMismatchError(ValueError):
@@ -43,28 +43,23 @@ class KRatioTable:
     argmin: Optional[int]
 
 
-def _indeterminate_tol(F: float) -> float:
-    return 1e-12 * max(1.0, F)
+def _ratios(F: float, numdens):
+    """num / den for each (num, den); None (0/0) when both are below
+    1e-12 * max(1, F)."""
+    tol = 1e-12 * max(1.0, F)
+    for num, den in numdens:
+        yield None if abs(num) < tol and abs(den) < tol else num / den
 
 
-def _ratio_table(pair: SpectrumPair, numden) -> KRatioTable:
-    F = fg_scalars(pair).F
-    tol = _indeterminate_tol(F)
-    values: List[Optional[float]] = []
-    for k in range(pair.r + 1):
-        num, den = numden(k)
-        if abs(num) < tol and abs(den) < tol:
-            values.append(None)
-        else:
-            values.append(num / den)
-    defined = [(v, k) for k, v in enumerate(values) if v is not None]
-    if not defined:
-        return KRatioTable(values=tuple(values), argmax=None, argmin=None)
-    vmax = max(v for v, _ in defined)
-    vmin = min(v for v, _ in defined)
-    argmax = min(k for v, k in defined if v == vmax)
-    argmin = min(k for v, k in defined if v == vmin)
-    return KRatioTable(values=tuple(values), argmax=argmax, argmin=argmin)
+def _extreme(items, upper: bool):
+    """First (label, value) of `items` with the largest (upper) or smallest
+    value, skipping None values; None when every value is None."""
+    best = None
+    for label, value in items:
+        if value is not None and (best is None or (
+                value > best[1] if upper else value < best[1])):
+            best = (label, value)
+    return best
 
 
 def q_upper_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
@@ -102,12 +97,15 @@ def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
 def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
              upper: bool) -> Tuple[BoundResult, KRatioTable]:
     """Square root of the max (upper) or min of the ratio table over k."""
-    table = _ratio_table(pair, numden)
-    k = table.argmax if upper else table.argmin
-    if k is None:
+    values = tuple(_ratios(fg_scalars(pair).F, map(numden, range(pair.r + 1))))
+    top = _extreme(enumerate(values), upper=True)
+    bottom = _extreme(enumerate(values), upper=False)
+    if top is None:
         raise NumericalRangeError(f"{theorem_id}: every k is 0/0")
-    c = math.sqrt(table.values[k])
-    return BoundResult(theorem_id=theorem_id, coefficient=c, optimal_index=k), table
+    k, value = top if upper else bottom
+    table = KRatioTable(values=values, argmax=top[0], argmin=bottom[0])
+    return BoundResult(theorem_id=theorem_id, coefficient=math.sqrt(value),
+                       optimal_index=k), table
 
 
 def q_upper_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
@@ -187,57 +185,53 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 
 
-def _kittaneh_count(r: int, s: int) -> int:
-    return sum(math.comb(s, k) * math.comb(r, k) * math.factorial(k)
-               for k in range(1, r + 1))
+def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, pairs_of,
+                       upper: bool) -> BoundResult:
+    """Square root of the optimum of (F - 2 sum |l^_i||l_j|) / (F - 2 sum
+    Re l^_i conj(l_j)) over the pairings in `labels`, streamed in order;
+    `pairs_of(label)` gives a pairing's (i, j) indices into (lam_hat, lam).
 
-
-def _check_cap(r: int, s: int, cap: int) -> None:
-    if r > cap or s > cap:
-        count = _kittaneh_count(r, s)
+    0/0 pairings are skipped; if every pairing is skipped the bound is
+    vacuous and the result is flagged degenerate with value 1.
+    """
+    r, s = eig.r, eig.s
+    if r > ENUM_CAP or s > ENUM_CAP:
+        count = sum(math.comb(s, k) * math.comb(r, k) * math.factorial(k)
+                    for k in range(1, r + 1))
         raise EnumerationCapError(
-            f"sizes r={r}, s={s} exceed enumeration cap {cap}; "
+            f"sizes r={r}, s={s} exceed enumeration cap {ENUM_CAP}; "
             f"{count} tuples would be required", count)
+    F = eig.F_hat
+    mods = [[abs(a) * abs(b) for b in eig.lam] for a in eig.lam_hat]
+    reals = [[(a * b.conjugate()).real for b in eig.lam] for a in eig.lam_hat]
+    labels, tabled = itertools.tee(labels)
+    numdens = ((F - 2.0 * math.fsum(mods[i][j] for i, j in pairs_of(label)),
+                F - 2.0 * math.fsum(reals[i][j] for i, j in pairs_of(label)))
+               for label in tabled)
+    best = _extreme(zip(labels, _ratios(F, numdens)), upper)
+    if best is None:
+        return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)
+    label, value = best
+    c = math.sqrt(max(value, 0.0))
+    check_range(theorem_id, c, 0.0, 1.0 + 1e-12)
+    return BoundResult(theorem_id=theorem_id, coefficient=min(c, 1.0),
+                       optimal_tuple=label)
 
 
-def kittaneh_lower_coeff(eig: EigenPair, cap: int = DEFAULT_ENUM_CAP) -> BoundResult:
+def kittaneh_lower_coeff(eig: EigenPair) -> BoundResult:
     """Sharp lower constant for || |A| - |B| || / ||A - B|| on normal pairs.
 
-    Exact minimum over every pairing of k distinct eigenvalues of one matrix
-    with k distinct eigenvalues of the other, 1 <= k <= r. 0/0 pairings are
-    skipped; if every pairing is skipped the bound is vacuous and the result
-    is flagged degenerate with value 1.
+    Exact minimum over every pairing (rows, cols) of k distinct eigenvalues
+    of one matrix with k distinct eigenvalues of the other, 1 <= k <= r.
     """
-    _check_cap(eig.r, eig.s, cap)
-    F = eig.F_hat
-    tol = _indeterminate_tol(F)
-    best = None
-    best_tuple = None
-    for k in range(1, eig.r + 1):
-        for rows in itertools.combinations(range(eig.s), k):
-            for cols in itertools.permutations(range(eig.r), k):
-                num = F - 2.0 * math.fsum(
-                    abs(eig.lam_hat[i]) * abs(eig.lam[j]) for i, j in zip(rows, cols))
-                den = F - 2.0 * math.fsum(
-                    (eig.lam_hat[i] * eig.lam[j].conjugate()).real
-                    for i, j in zip(rows, cols))
-                if abs(num) < tol and abs(den) < tol:
-                    continue
-                val = num / den
-                if best is None or val < best:
-                    best = val
-                    best_tuple = (rows, cols)
-    if best is None:
-        return BoundResult(theorem_id="kittaneh-lower", coefficient=1.0,
-                           degenerate=True)
-    c = math.sqrt(max(best, 0.0))
-    check_range("kittaneh-lower", c, 0.0, 1.0 + 1e-12)
-    return BoundResult(theorem_id="kittaneh-lower", coefficient=min(c, 1.0),
-                       optimal_tuple=best_tuple)
+    labels = ((rows, cols) for k in range(1, eig.r + 1)
+              for rows in itertools.combinations(range(eig.s), k)
+              for cols in itertools.permutations(range(eig.r), k))
+    return _arrangement_coeff(eig, "kittaneh-lower", labels,
+                              lambda rows_cols: zip(*rows_cols), upper=False)
 
 
-def kittaneh_upper_coeff(eig: EigenPair, n: int,
-                         cap: int = DEFAULT_ENUM_CAP) -> BoundResult:
+def kittaneh_upper_coeff(eig: EigenPair, n: int) -> BoundResult:
     """Sharp upper constant on normal pairs when the second matrix has full rank.
 
     Exact maximum over arrangements pairing each of the r eigenvalues of the
@@ -246,28 +240,7 @@ def kittaneh_upper_coeff(eig: EigenPair, n: int,
     if eig.s != n:
         raise RankMismatchError(
             f"full-rank second matrix required: s={eig.s} must equal n={n}")
-    _check_cap(eig.r, n, cap)
-    F = eig.F_hat
-    tol = _indeterminate_tol(F)
-    best = None
-    best_tuple = None
-    for arrangement in itertools.permutations(range(n), eig.r):
-        num = F - 2.0 * math.fsum(
-            abs(eig.lam_hat[i]) * abs(eig.lam[j])
-            for j, i in enumerate(arrangement))
-        den = F - 2.0 * math.fsum(
-            (eig.lam_hat[i] * eig.lam[j].conjugate()).real
-            for j, i in enumerate(arrangement))
-        if abs(num) < tol and abs(den) < tol:
-            continue
-        val = num / den
-        if best is None or val > best:
-            best = val
-            best_tuple = arrangement
-    if best is None:
-        return BoundResult(theorem_id="kittaneh-upper", coefficient=1.0,
-                           degenerate=True)
-    c = math.sqrt(max(best, 0.0))
-    check_range("kittaneh-upper", c, 0.0, 1.0 + 1e-12)
-    return BoundResult(theorem_id="kittaneh-upper", coefficient=min(c, 1.0),
-                       optimal_tuple=best_tuple)
+    return _arrangement_coeff(eig, "kittaneh-upper",
+                              itertools.permutations(range(n), eig.r),
+                              lambda arrangement: zip(arrangement, range(eig.r)),
+                              upper=True)
