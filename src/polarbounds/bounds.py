@@ -129,11 +129,14 @@ def refined_li_sun_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
 
 
 def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
-    """Sharp upper constant for the positive-factor difference."""
+    """Sharp upper constant for the positive-factor difference.
+
+    sqrt((F - sqrt(F^2 - 2GF)) / G), written as sqrt(2 / (1 + sqrt(1 - 2x)))
+    with x = G / F so that nothing cancels when G << F and F^2 is never formed.
+    """
     fg = fg_scalars(pair)
-    F, G = fg.F, fg.G
-    disc = max(F * F - 2.0 * G * F, 0.0)
-    c = math.sqrt((F - math.sqrt(disc)) / G)
+    x = fg.G / fg.F
+    c = math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - 2.0 * x, 0.0))))
     check_range("h-upper", c, 0.0, SQRT2 * (1 + 1e-12))
     return BoundResult(theorem_id="h-upper", coefficient=c)
 
@@ -152,10 +155,14 @@ def h_lower_coeff(pair: SpectrumPair) -> BoundResult:
 
 
 def lee_upper_coeff(pair: SpectrumPair) -> BoundResult:
-    """Sharp upper constant relating ||A + A~|| to ||H + H~||."""
+    """Sharp upper constant relating ||A + A~|| to ||H + H~||.
+
+    sqrt(G / (sqrt(F^2 + 2GF) - F)), written as sqrt((1 + sqrt(1 + 2x)) / 2)
+    with x = G / F so that nothing cancels when G << F and F^2 is never formed.
+    """
     fg = fg_scalars(pair)
-    F, G = fg.F, fg.G
-    c = math.sqrt(G / (math.sqrt(F * F + 2.0 * G * F) - F))
+    x = fg.G / fg.F
+    c = math.sqrt((1.0 + math.sqrt(1.0 + 2.0 * x)) / 2.0)
     check_range("lee-upper", c, 0.0, LEE_CLASSICAL * (1 + 1e-12))
     return BoundResult(theorem_id="lee-upper", coefficient=c)
 

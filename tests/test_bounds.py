@@ -1,5 +1,6 @@
 import math
 import os
+from decimal import Decimal, localcontext
 import subprocess
 import sys
 from pathlib import Path
@@ -328,14 +329,39 @@ class TestChains:
                 1 + q_upper_coeff(p)[0].coefficient)
 
 
+def _upper_references(sig, sigt):
+    """h-upper and lee-upper constants of ((sig,), (sigt,)) to 60 digits,
+    from the defining formulas on the exact values of the two floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = Decimal(sig), Decimal(sigt)
+        F, G = a * a + b * b, a * b
+        h = ((F - (F * F - 2 * G * F).sqrt()) / G).sqrt()
+        lee = (G / ((F * F + 2 * G * F).sqrt() - F)).sqrt()
+    return {h_upper_coeff: h, lee_upper_coeff: lee}
+
+
+class TestSmallOverlap:
+    # G << F: the defining formulas subtract nearly equal numbers, and at
+    # scale 1e100 they square an F near 1e200
+    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    @pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("fn", [h_upper_coeff, lee_upper_coeff],
+                             ids=["h-upper", "lee-upper"])
+    def test_against_decimal(self, fn, t, scale):
+        ref = _upper_references(scale, scale * t)[fn]
+        c = fn(pair_of([scale], [scale * t])).coefficient
+        assert abs(Decimal(c) - ref) <= Decimal(1e-15) * ref
+
+
 class TestRangeErrors:
     def test_typed_error_under_optimize(self):
-        # F * F overflows, inf - inf makes the constant nan, and `python -O`
+        # F and G overflow, inf / inf makes the constant nan, and `python -O`
         # strips asserts: the range check must still raise
         code = ("from polarbounds.bounds import h_upper_coeff\n"
                 "from polarbounds.spectra import NumericalRangeError, validate_spectrum_pair\n"
                 "try:\n"
-                "    c = h_upper_coeff(validate_spectrum_pair([1e80], [1e80])).coefficient\n"
+                "    c = h_upper_coeff(validate_spectrum_pair([1e200], [1e200])).coefficient\n"
                 "except NumericalRangeError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(f'returned {c!r}')\n")

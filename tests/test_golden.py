@@ -19,11 +19,11 @@ from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
 CAMPAIGN_DIGESTS = {
-    "complex": "e52616f67e47d2175bfa590e2d5da784d8db9a6d3812b2e440e6d3cf3c170238",
-    "real": "6bd578a2a89075792c85c8eb26313f4d542b9061c85c8b0e562f61ca9dbe485f",
+    "complex": "3e8ef35f3af6331cc96df564f710143fbfd7c51cd016dee56e2b2d769060bcb0",
+    "real": "26a6b4e7a0fa19c24957dbc61a0af414854a0beaa27a618917dd617e6b3d94bf",
 }
 WITNESS_DIGEST = "2b70dfee3e462c3af56cbd3a87abef58b0191405c0854d1f341b3a0d2010a0c8"
-BOUNDS_DIGEST = "e295dd62b9ec27a7aed37a62c3938125c950d0dfabcd6c944ac3e5fdd0274a8e"
+BOUNDS_DIGEST = "9400596344586ac6d4cff001bec82188eb623fb32d2b0f2114303e11cda6d14b"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 
 
