@@ -9,9 +9,23 @@ Subcommands::
     verify   randomized falsification campaign
     table1   `bounds` on the bundled four-row golden file
 
-Exit codes: 0 success, 2 input rejection, 3 degenerate witness, 4 budget
-exceeded, 64 usage error. Report bodies are byte-deterministic for fixed
-inputs and seeds; timing goes to stderr.
+Exit codes:
+
+    0   success
+    1   a finding: `verify` saw a violation, or `oracle` a disagreement
+        between brute force and closed form
+    2   input rejected: a malformed or non-UTF-8 spectra file, an invalid
+        spectrum, or one whose scale leaves the floating-point range.
+        `bounds` rejects such a record in place, as a `rejected` entry
+        (also a record with more than 6 eigenvalues, the Kittaneh
+        enumeration cap), reports the others, and then exits 2
+    3   degenerate witness (the constant is approached, not attained)
+    4   oracle budget exceeded
+    64  usage error: bad arguments or tolerances, an unreadable input,
+        or an `--out` path that cannot be written
+
+Report bodies are byte-deterministic for fixed inputs and seeds; timing
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -26,7 +40,7 @@ from importlib import resources
 from typing import Optional
 
 from . import __version__, bounds, extremal, fileio, oracle
-from .bounds import RankMismatchError
+from .bounds import EnumerationCapError, RankMismatchError
 from .extremal import DegenerateSupremumError
 from .montecarlo import EnsembleConfig, run_verification_suite
 from .oracle import BudgetExceededError
@@ -56,7 +70,10 @@ def _digest(data: bytes) -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".polarbounds-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".polarbounds-")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -164,8 +181,9 @@ def cmd_bounds(args) -> int:
     for rec in records:
         try:
             entries.append(_record_bounds(rec))
-        except (SpectrumValidationError, RankMismatchError) as exc:
-            entries.append({"id": rec.id, "rejected": str(exc)})
+        except (SpectrumValidationError, RankMismatchError, EnumerationCapError,
+                ArithmeticError) as exc:
+            entries.append({"id": rec.id, "rejected": f"{type(exc).__name__}: {exc}"})
             rejected = True
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "bounds", "input_digest": digest, "records": entries}
@@ -243,11 +261,12 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.dims < 1:
-        raise UsageError("--dims must be >= 1")
-    config = EnsembleConfig(m=args.dims, n=args.dims, trials=args.trials,
-                            seed=args.seed, field=args.field,
-                            rank_tol=args.rank_tol, slack_tol=args.slack_tol)
+    try:
+        config = EnsembleConfig(m=args.dims, n=args.dims, trials=args.trials,
+                                seed=args.seed, field=args.field,
+                                rank_tol=args.rank_tol, slack_tol=args.slack_tol)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     result = run_verification_suite(config)
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "verify", "seed": args.seed, "body": result.body()}
@@ -307,6 +326,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+# (exception type, exit code, stderr prefix) for errors that end a command;
+# ArithmeticError covers NumericalRangeError, OverflowError and
+# ZeroDivisionError on spectra outside the floating-point range
+_EXITS = (
+    (UsageError, EXIT_USAGE, "usage error"),
+    (fileio.SpectraParseError, EXIT_INPUT, "input rejected"),
+    (UnicodeDecodeError, EXIT_INPUT, "input rejected"),
+    (SpectrumValidationError, EXIT_INPUT, "input rejected"),
+    (ArithmeticError, EXIT_INPUT, "input rejected"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -314,18 +345,12 @@ def main(argv=None) -> int:
         if args.command == "table1":
             args.input = table1_path()
         return args.func(args)
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except fileio.SpectraParseError as exc:
-        sys.stderr.write(f"input rejected: {exc}\n")
-        return EXIT_INPUT
-    except SpectrumValidationError as exc:
-        sys.stderr.write(f"input rejected: {exc}\n")
-        return EXIT_INPUT
-    except BudgetExceededError as exc:
-        sys.stderr.write(f"budget exceeded: {exc}\n")
-        return EXIT_BUDGET
+    except Exception as exc:
+        for exc_type, code, prefix in _EXITS:
+            if isinstance(exc, exc_type):
+                sys.stderr.write(f"{prefix}: {exc}\n")
+                return code
+        raise
 
 
 if __name__ == "__main__":

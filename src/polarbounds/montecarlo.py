@@ -59,6 +59,10 @@ class EnsembleConfig:
         lo, hi = self.spectrum_range
         if not (0 < lo <= hi):
             raise ValueError("spectrum_range must be positive and ordered")
+        if not self.rank_tol > 0:
+            raise ValueError(f"rank_tol must be positive, got {self.rank_tol!r}")
+        if not self.slack_tol >= 0:
+            raise ValueError(f"slack_tol must be nonnegative, got {self.slack_tol!r}")
 
 
 @dataclass(frozen=True)

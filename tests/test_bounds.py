@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 from decimal import Decimal, localcontext
@@ -369,3 +370,11 @@ class TestRangeErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_assert_in_library(self):
+        # `python -O` strips assert statements, so no check may rely on one
+        package = Path(polarbounds.__file__).resolve().parent
+        found = [f"{path.name}:{node.lineno}" for path in sorted(package.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []

@@ -22,6 +22,25 @@ def run_json(capsys, argv):
 
 
 GOLDEN_SINGLE = "record one\nsigma 1\nsigma_tilde 1\n"
+GOOD = "record good\nsigma 2 1\nsigma_tilde 1\n"
+OVERFLOW = "record bad\nsigma 1e200\nsigma_tilde 1e200 1\n"
+
+# id: (spectra file contents, argv with {path} and {tmp}, exit code); each
+# of these ended in a traceback and exit 1, the code for a finding
+EXIT_CASES = {
+    "bounds-eigen-cap": (GOOD + "record bad\nsigma 1\nsigma_tilde 1\n"
+                         "eigen 1 1 1 1 1 1 1\neigen_hat 1 2 3 4 5 6 7\n",
+                         ["bounds", "{path}"], 2),
+    "bounds-overflow": (GOOD + OVERFLOW, ["bounds", "{path}"], 2),
+    "bounds-underflow": (GOOD + "record bad\nsigma 1e-200\nsigma_tilde 1e-200 1e-201\n",
+                         ["bounds", "{path}"], 2),
+    "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-max", "--out", "{tmp}/w"], 2),
+    "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
+    "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
+    "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
+    "verify-rank-tol-0": (GOOD, ["verify", "--rank-tol", "0"], 64),
+    "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
+}
 
 
 class TestBounds:
@@ -165,6 +184,20 @@ class TestVerify:
 
     def test_dims_zero_usage_error(self, capsys):
         assert main(["verify", "--dims", "0"]) == 64
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_exit_code(self, tmp_path, capsys, case):
+        content, argv, code = EXIT_CASES[case]
+        path = tmp_path / "in.spectra"
+        path.write_bytes(content.encode() if isinstance(content, str) else content)
+        argv = [a.format(path=path, tmp=tmp_path) for a in argv]
+        assert main(argv) == code
+        if argv[0] == "bounds" and code == 2 and case != "non-utf8":
+            # the bad record is rejected in place, the good one reported
+            good, bad = json.loads(capsys.readouterr().out)["records"]
+            assert "q_upper" in good and set(bad) == {"id", "rejected"}
 
 
 class TestUsage:

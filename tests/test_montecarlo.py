@@ -54,6 +54,9 @@ class TestConfig:
             EnsembleConfig(m=2, n=2, trials=1, seed=0, field="quaternion")
         with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=2, trials=1, seed=0, spectrum_range=(1, 0.5))
+        for tol in ({"rank_tol": 0.0}, {"rank_tol": float("nan")}, {"slack_tol": -1e-9}):
+            with pytest.raises(ValueError):
+                EnsembleConfig(m=2, n=2, trials=1, seed=0, **tol)
 
     def test_report_body_excludes_wall_time(self):
         rep = SuiteReport(trials=3)
