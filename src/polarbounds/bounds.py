@@ -129,11 +129,8 @@ def refined_li_sun_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
 
 
 def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
-    """Sharp upper constant for the positive-factor difference.
-
-    sqrt((F - sqrt(F^2 - 2GF)) / G), written as sqrt(2 / (1 + sqrt(1 - 2x)))
-    with x = G / F so that nothing cancels when G << F and F^2 is never formed.
-    """
+    """Sharp upper constant for the positive-factor difference."""
+    # sqrt((F - sqrt(F^2 - 2GF)) / G) with x = G / F: no cancellation, no F^2
     fg = fg_scalars(pair)
     x = fg.G / fg.F
     c = math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - 2.0 * x, 0.0))))
@@ -155,11 +152,8 @@ def h_lower_coeff(pair: SpectrumPair) -> BoundResult:
 
 
 def lee_upper_coeff(pair: SpectrumPair) -> BoundResult:
-    """Sharp upper constant relating ||A + A~|| to ||H + H~||.
-
-    sqrt(G / (sqrt(F^2 + 2GF) - F)), written as sqrt((1 + sqrt(1 + 2x)) / 2)
-    with x = G / F so that nothing cancels when G << F and F^2 is never formed.
-    """
+    """Sharp upper constant relating ||A + A~|| to ||H + H~||."""
+    # sqrt(G / (sqrt(F^2 + 2GF) - F)) with x = G / F: no cancellation, no F^2
     fg = fg_scalars(pair)
     x = fg.G / fg.F
     c = math.sqrt((1.0 + math.sqrt(1.0 + 2.0 * x)) / 2.0)

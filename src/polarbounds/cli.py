@@ -9,23 +9,14 @@ Subcommands::
     verify   randomized falsification campaign
     table1   `bounds` on the bundled four-row golden file
 
-Exit codes:
-
-    0   success
-    1   a finding: `verify` saw a violation, or `oracle` a disagreement
-        between brute force and closed form
-    2   input rejected: a malformed or non-UTF-8 spectra file, an invalid
-        spectrum, or one whose scale leaves the floating-point range.
-        `bounds` rejects such a record in place, as a `rejected` entry
-        (also a record with more than 6 eigenvalues, the Kittaneh
-        enumeration cap), reports the others, and then exits 2
-    3   degenerate witness (the constant is approached, not attained)
-    4   oracle budget exceeded
-    64  usage error: bad arguments or tolerances, an unreadable input,
-        or an `--out` path that cannot be written
-
-Report bodies are byte-deterministic for fixed inputs and seeds; timing
-goes to stderr.
+Exit codes: 0 success; 1 a finding (a `verify` violation or an `oracle`
+disagreement); 2 input rejected (a malformed or non-UTF-8 file, an invalid
+spectrum, or spectra beyond the floating-point range; `bounds` rejects such
+a record, or one with more than 6 eigenvalues, in place and reports the
+rest); 3 degenerate witness; 4 budget exceeded; 64 usage error (bad
+arguments or tolerances, an unreadable input, an unwritable --out). Report
+bodies are byte-deterministic for fixed inputs and seeds; timing goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -326,15 +317,12 @@ def build_parser() -> _Parser:
     return parser
 
 
-# (exception type, exit code, stderr prefix) for errors that end a command;
-# ArithmeticError covers NumericalRangeError, OverflowError and
-# ZeroDivisionError on spectra outside the floating-point range
+# (exception type, exit code, stderr prefix); ArithmeticError covers the
+# NumericalRangeError, OverflowError and ZeroDivisionError of extreme scales
 _EXITS = (
     (UsageError, EXIT_USAGE, "usage error"),
-    (fileio.SpectraParseError, EXIT_INPUT, "input rejected"),
-    (UnicodeDecodeError, EXIT_INPUT, "input rejected"),
-    (SpectrumValidationError, EXIT_INPUT, "input rejected"),
-    (ArithmeticError, EXIT_INPUT, "input rejected"),
+    ((fileio.SpectraParseError, UnicodeDecodeError, SpectrumValidationError,
+      ArithmeticError), EXIT_INPUT, "input rejected"),
 )
 
 
