@@ -191,9 +191,6 @@ def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, pairs_of,
     """Square root of the optimum of (F - 2 sum |l^_i||l_j|) / (F - 2 sum
     Re l^_i conj(l_j)) over the pairings in `labels`, streamed in order;
     `pairs_of(label)` gives a pairing's (i, j) indices into (lam_hat, lam).
-
-    0/0 pairings are skipped; if every pairing is skipped the bound is
-    vacuous and the result is flagged degenerate with value 1.
     """
     r, s = eig.r, eig.s
     if r > ENUM_CAP or s > ENUM_CAP:
@@ -223,7 +220,9 @@ def kittaneh_lower_coeff(eig: EigenPair) -> BoundResult:
     """Sharp lower constant for || |A| - |B| || / ||A - B|| on normal pairs.
 
     Exact minimum over every pairing (rows, cols) of k distinct eigenvalues
-    of one matrix with k distinct eigenvalues of the other, 1 <= k <= r.
+    of one matrix with k distinct eigenvalues of the other, 1 <= k <= r. 0/0
+    pairings are skipped; if every pairing is skipped the bound is vacuous
+    and the result is flagged degenerate with value 1.
     """
     labels = ((rows, cols) for k in range(1, eig.r + 1)
               for rows in itertools.combinations(range(eig.s), k)
