@@ -8,6 +8,7 @@ sampling. Everything here is a pure function of its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import List
 
 import numpy as np
 
@@ -53,25 +54,52 @@ class PolarFactors:
     degenerate: bool         # True when the input had numerical rank 0
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, ndim: int = 2) -> np.ndarray:
+    """a as a complex matrix (ndim=2) or stack of matrices (ndim=3)."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"expected a 2-d matrix, got shape {a.shape}")
+    if a.ndim != ndim or 0 in a.shape:
+        raise ValueError(f"expected a {ndim}-d array of matrices, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
 
 
 def _pivot_phases(cols: np.ndarray) -> np.ndarray:
-    """Unit phase of each column's largest-magnitude entry (1 for a zero column).
+    """Unit phase of each column's largest-magnitude entry (1 for a zero
+    column), over a stack of matrices: (B, m, c) -> (B, c).
 
     np.hypot rounds like abs() on one complex entry; np.abs on an array may not.
     """
-    piv = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    rows = np.argmax(np.abs(cols), axis=-2)
+    piv = cols[np.arange(rows.shape[0])[:, None], rows, np.arange(rows.shape[1])]
     mag = np.hypot(piv.real, piv.imag)
-    phase = np.ones(cols.shape[1], dtype=complex)
+    phase = np.ones(piv.shape, dtype=complex)
     np.divide(piv, mag, out=phase, where=mag > 0)
     return phase
+
+
+def _scale_columns(x: np.ndarray, p: np.ndarray) -> None:
+    """Multiply column j of each matrix in the stack x by p[..., j], in place.
+
+    Through the transposes numpy scales each column as a column times a
+    scalar; other layouts, and an in-place multiply, can select a complex
+    multiply loop that rounds differently.
+    """
+    x[...] = (np.swapaxes(x, -1, -2) * p[..., :, None]).swapaxes(-1, -2)
+
+
+def _phase_convention(u: np.ndarray, v: np.ndarray) -> None:
+    """Rotate, in place, each left singular vector's largest-magnitude entry
+    to be real positive; the paired right vector takes the conjugate phase,
+    and V's remaining null-space columns get the convention on their own.
+    u is a (B, m, m) stack, v a (B, n, n) stack."""
+    k = min(u.shape[-1], v.shape[-1])
+    rot = np.conj(_pivot_phases(u))
+    _scale_columns(u, rot)
+    _scale_columns(v[..., :k], rot[..., :k])
+    if k < v.shape[-1]:
+        tail = v[..., k:]
+        _scale_columns(tail, np.conj(_pivot_phases(tail)))
 
 
 def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
@@ -81,28 +109,31 @@ def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
     real positive (the paired right singular vector absorbs the conjugate
     phase), so identical inputs always yield bit-identical factors.
     """
-    a = _as_matrix(a)
+    return _svd_stack(_as_matrix(a)[None], rank_tol)[0]
+
+
+def svd_stack(a, rank_tol: float = DEFAULT_RANK_TOL) -> List[SvdResult]:
+    """`svd` of each matrix in a (B, m, n) stack, through one LAPACK call.
+
+    Each result is bit-identical to `svd` of that matrix alone.
+    """
+    return _svd_stack(_as_matrix(a, ndim=3), rank_tol)
+
+
+def _svd_stack(a: np.ndarray, rank_tol: float) -> List[SvdResult]:
     if rank_tol <= 0:
         raise ValueError("rank_tol must be positive")
-    m, n = a.shape
     try:
         u, sv, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
+        m, n = a.shape[1:]
         raise SvdConvergenceError(f"SVD did not converge for {m}x{n} input: {exc}") from exc
-    v = vh.conj().T
-
-    # (x.T * p[:, None]).T scales each column as a column times a scalar;
-    # other layouts select a complex multiply loop that rounds differently.
-    k = min(m, n)
-    rot = np.conj(_pivot_phases(u))[:, None]
-    u[:] = (u.T * rot).T
-    v[:, :k] = (v[:, :k].T * rot[:k]).T
-    # remaining null-space columns of V get the same convention on their own
-    tail = v[:, k:]
-    v[:, k:] = (tail.T * np.conj(_pivot_phases(tail))[:, None]).T
-
-    rank = int(np.sum(sv > rank_tol * sv[0])) if sv[0] > 0 else 0
-    return SvdResult(U=u, singular_values=sv, V=v, rank=rank)
+    v = np.swapaxes(vh.conj(), -1, -2)
+    _phase_convention(u, v)
+    # a zero matrix has every singular value 0, so its count is 0 as well
+    ranks = np.count_nonzero(sv > rank_tol * sv[:, :1], axis=-1).tolist()
+    return [SvdResult(U=u[b], singular_values=sv[b], V=v[b], rank=rank)
+            for b, rank in enumerate(ranks)]
 
 
 def polar_decompose(a, rank_tol: float = DEFAULT_RANK_TOL) -> PolarFactors:
@@ -199,21 +230,33 @@ def unitary_completion(partial, zero_rows=()) -> np.ndarray:
     return out
 
 
+def ginibre(rng: np.random.Generator, n: int, fld: str = "complex") -> np.ndarray:
+    """n x n matrix of independent standard (complex) Gaussians drawn from rng."""
+    z = rng.standard_normal((n, n))
+    if fld == "complex":
+        z = (z + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return z
+
+
+def haar_from_ginibre(z) -> np.ndarray:
+    """Haar unitaries from a (B, n, n) stack of Ginibre matrices, one QR call.
+
+    The phases of R's diagonal are divided out of Q, which corrects the QR
+    factorization to the Haar measure (Mezzadri 2007).
+    """
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
 def haar_random_unitary(n: int, seed, fld: str = "complex") -> np.ndarray:
     """Haar-distributed n x n unitary (orthogonal for fld="real").
 
-    QR of a Ginibre matrix with the phases of R's diagonal divided out, which
-    corrects the QR factorization to the Haar measure (Mezzadri 2007). `seed`
-    is an int (bit-identical output per seed) or a Generator, drawn in place.
+    `seed` is an int (bit-identical output per seed) or a Generator, drawn in
+    place.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if fld not in ("complex", "real"):
         raise ValueError(f"fld must be 'complex' or 'real', got {fld!r}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n))
-    if fld == "complex":
-        z = (z + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return haar_from_ginibre(ginibre(np.random.default_rng(seed), n, fld)[None])[0]

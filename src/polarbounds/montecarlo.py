@@ -15,8 +15,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import bounds
-from .linalg import frobenius, haar_random_unitary, polar_decompose, polar_from_svd, svd
+from .linalg import (SvdResult, frobenius, ginibre, haar_from_ginibre, haar_random_unitary,
+                     polar_decompose, polar_from_svd, svd, svd_stack)
 from .spectra import validate_eigen_pair, validate_spectrum_pair
+
+_CHUNK = 32   # trials per stacked QR and SVD; larger chunks grow memory, not speed
 
 INEQUALITY_IDS = (
     "q-lower", "q-upper",
@@ -98,9 +101,14 @@ def random_matrix_with_spectrum(sigma, m: int, n: int, seed: int,
     if k > min(m, n):
         raise ValueError(f"{k} singular values do not fit an {m}x{n} matrix")
     rng = np.random.default_rng(seed)
-    u = haar_random_unitary(m, rng, fld)[:, :k]
-    v = haar_random_unitary(n, rng, fld)[:, :k]
-    return (u * sigma) @ v.conj().T
+    return _with_spectrum(sigma, haar_random_unitary(m, rng, fld),
+                          haar_random_unitary(n, rng, fld))
+
+
+def _with_spectrum(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """U[:, :k] diag(sigma) V[:, :k]* for the k = len(sigma) leading columns."""
+    k = len(sigma)
+    return (u[:, :k] * sigma) @ v[:, :k].conj().T
 
 
 def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int):
@@ -144,7 +152,12 @@ def angle_cosines(a: np.ndarray, b: np.ndarray, h_a: np.ndarray,
 def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
                      rank_tol: float) -> None:
     """Assertion families (a)-(f) and (h) on one general matrix pair."""
-    res, res_t = svd(a, rank_tol), svd(a_tilde, rank_tol)
+    _check_polar_svds(rec, a, a_tilde, svd(a, rank_tol), svd(a_tilde, rank_tol))
+
+
+def _check_polar_svds(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
+                      res: SvdResult, res_t: SvdResult) -> None:
+    """`check_polar_pair` given the SVDs of a and a_tilde."""
     pf, pf_t = polar_from_svd(res), polar_from_svd(res_t)
     if pf.degenerate or pf_t.degenerate:
         return
@@ -202,8 +215,14 @@ def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
 def check_normal_pair(rec: _Recorder, a: np.ndarray, b: np.ndarray,
                       lam, lam_hat, full_rank_b: bool, rank_tol: float) -> None:
     """Assertion family (g): the normal-matrix channel."""
-    h_a = polar_decompose(a, rank_tol).H
-    h_b = polar_decompose(b, rank_tol).H
+    _check_normal_factors(rec, a, b, polar_decompose(a, rank_tol).H,
+                          polar_decompose(b, rank_tol).H, lam, lam_hat, full_rank_b)
+
+
+def _check_normal_factors(rec: _Recorder, a: np.ndarray, b: np.ndarray,
+                          h_a: np.ndarray, h_b: np.ndarray, lam, lam_hat,
+                          full_rank_b: bool) -> None:
+    """`check_normal_pair` given the positive factors |a| and |b|."""
     gap = frobenius(h_a - h_b)
     diff = frobenius(a - b)
     eig = validate_eigen_pair(lam, lam_hat)
@@ -222,22 +241,26 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
                                                         spawn_key=(trial,)))
 
 
-def run_trial(config: EnsembleConfig, trial: int) -> _Recorder:
-    """One independent sample; deterministic given (config.seed, trial)."""
+def _draw(config: EnsembleConfig, trial: int):
+    """The trial's random draws, in the order of its streams, as five pairs:
+    the spectra of A and A~, the Ginibre matrices for their left and their
+    right singular vectors, the normal pair's eigenvalues and the Ginibre
+    matrices for its two bases."""
     rng = _trial_rng(config.seed, trial)
-    rec = _Recorder(trial, config.slack_tol)
+    fld = config.field
     cap = config.max_rank or min(config.m, config.n)
     r = config.r if config.r is not None else int(rng.integers(1, cap + 1))
     s = config.s if config.s is not None else int(rng.integers(r, cap + 1))
     lo, hi = config.spectrum_range
-    sig = _log_uniform(rng, lo, hi, r)
-    sig_t = _log_uniform(rng, lo, hi, s)
+    spectra = (_log_uniform(rng, lo, hi, r), _log_uniform(rng, lo, hi, s))
 
-    sub = rng.integers(0, 2 ** 63 - 1, size=2)
-    a = random_matrix_with_spectrum(sig, config.m, config.n, int(sub[0]), config.field)
-    a_tilde = random_matrix_with_spectrum(sig_t, config.m, config.n, int(sub[1]),
-                                          config.field)
-    check_polar_pair(rec, a, a_tilde, config.rank_tol)
+    # each matrix's singular vectors come from a generator of its own, as in
+    # random_matrix_with_spectrum
+    lefts, rights = [], []
+    for seed in rng.integers(0, 2 ** 63 - 1, size=2):
+        sub = np.random.default_rng(int(seed))
+        lefts.append(ginibre(sub, config.m, fld))
+        rights.append(ginibre(sub, config.n, fld))
 
     # normal-matrix channel at small size so the arrangement optimum is exact
     nn = config.normal_dim
@@ -245,30 +268,68 @@ def run_trial(config: EnsembleConfig, trial: int) -> _Recorder:
     sn = int(rng.integers(rn, nn + 1))
     moduli_a = rng.uniform(0.5, 2.0, size=rn)
     moduli_b = rng.uniform(0.5, 2.0, size=sn)
-    if config.field == "complex":
+    if fld == "complex":
         lam = moduli_a * np.exp(2j * np.pi * rng.uniform(size=rn))
         lam_hat = moduli_b * np.exp(2j * np.pi * rng.uniform(size=sn))
     else:
         lam = moduli_a * rng.choice([-1.0, 1.0], size=rn)
         lam_hat = moduli_b * rng.choice([-1.0, 1.0], size=sn)
-    u = haar_random_unitary(nn, rng, config.field)
-    w = haar_random_unitary(nn, rng, config.field)
-    a_n = (u * np.concatenate([lam, np.zeros(nn - rn)])) @ u.conj().T
-    b_n = (w * np.concatenate([lam_hat, np.zeros(nn - sn)])) @ w.conj().T
-    check_normal_pair(rec, a_n, b_n, lam, lam_hat, full_rank_b=(sn == nn),
-                      rank_tol=config.rank_tol)
-    return rec
+    bases = (ginibre(rng, nn, fld), ginibre(rng, nn, fld))
+    return spectra, lefts, rights, (lam, lam_hat), bases
+
+
+def _normal_matrix(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """U diag(lam, 0, ..., 0) U*."""
+    nn = u.shape[0]
+    return (u * np.concatenate([lam, np.zeros(nn - len(lam))])) @ u.conj().T
+
+
+def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
+    """Trials run together, each with its own streams and with results
+    bit-identical to running it alone: one QR call per role of the Haar
+    factors and one SVD call per channel for the whole chunk.
+
+    Matrix 2i of every stack below belongs to the i-th trial's first matrix
+    (A, or the normal pair's A), matrix 2i + 1 to its second.
+    """
+    spectra, lefts, rights, eigs, bases = (
+        [x for pair in role for x in pair]
+        for role in zip(*(_draw(config, t) for t in trials)))
+    left, right, basis = (haar_from_ginibre(np.stack(z)) for z in (lefts, rights, bases))
+    general = np.stack([_with_spectrum(x, u, v) for x, u, v in zip(spectra, left, right)])
+    normal = np.stack([_normal_matrix(u, x) for x, u in zip(eigs, basis)])
+    del lefts, rights, bases, left, right, basis   # free them before the SVDs
+    # the SVD sees complex input, as in `svd`; the checks see the matrices as built
+    res = svd_stack(general, config.rank_tol)
+    res_n = svd_stack(normal, config.rank_tol)
+
+    recs = []
+    for i, trial in enumerate(trials):
+        first, second = 2 * i, 2 * i + 1
+        rec = _Recorder(trial, config.slack_tol)
+        _check_polar_svds(rec, general[first], general[second], res[first], res[second])
+        _check_normal_factors(rec, normal[first], normal[second],
+                              polar_from_svd(res_n[first]).H,
+                              polar_from_svd(res_n[second]).H, eigs[first], eigs[second],
+                              full_rank_b=len(eigs[second]) == config.normal_dim)
+        recs.append(rec)
+    return recs
+
+
+def run_trial(config: EnsembleConfig, trial: int) -> _Recorder:
+    """One independent sample; deterministic given (config.seed, trial)."""
+    return _run_chunk(config, range(trial, trial + 1))[0]
 
 
 def run_verification_suite(config: EnsembleConfig) -> SuiteReport:
     start = time.monotonic()
     report = SuiteReport(trials=config.trials)
-    for t in range(config.trials):
-        rec = run_trial(config, t)
-        report.violations.extend(rec.violations)
-        for ineq, ratio in rec.ratios.items():
-            prev = report.max_ratio_to_bound.get(ineq)
-            if prev is None or ratio > prev:
-                report.max_ratio_to_bound[ineq] = ratio
+    for first in range(0, config.trials, _CHUNK):
+        for rec in _run_chunk(config, range(first, min(first + _CHUNK, config.trials))):
+            report.violations.extend(rec.violations)
+            for ineq, ratio in rec.ratios.items():
+                prev = report.max_ratio_to_bound.get(ineq)
+                if prev is None or ratio > prev:
+                    report.max_ratio_to_bound[ineq] = ratio
     report.wall_time = time.monotonic() - start
     return report

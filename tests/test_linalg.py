@@ -4,10 +4,13 @@ import pytest
 from polarbounds.linalg import (
     CompletionInfeasibleError,
     frobenius,
+    ginibre,
+    haar_from_ginibre,
     haar_random_unitary,
     polar_decompose,
     polar_from_svd,
     svd,
+    svd_stack,
     unitary_completion,
 )
 
@@ -86,6 +89,25 @@ class TestSvd:
             res = svd(a)
             assert res.U.tobytes() == u.tobytes()
             assert res.V.tobytes() == v.tobytes()
+
+
+    @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 3), (1, 1), (1, 4)])
+    def test_stack_matches_single(self, rng, m, n):
+        # one LAPACK call for the stack, bit-identical factors and ranks
+        a = rng.standard_normal((9, m, n)) + 1j * rng.standard_normal((9, m, n))
+        a[3] = 0.0
+        a[4, :, 0] = 0.0
+        for one, res in zip(a, svd_stack(a)):
+            ref = svd(one)
+            assert res.U.tobytes() == ref.U.tobytes()
+            assert res.V.tobytes() == ref.V.tobytes()
+            assert res.singular_values.tobytes() == ref.singular_values.tobytes()
+            assert res.rank == ref.rank
+        assert svd_stack(a)[3].rank == 0
+
+    def test_stack_rejects_a_matrix(self):
+        with pytest.raises(ValueError):
+            svd_stack(np.eye(2))
 
 
 class TestPolarDecompose:
@@ -203,6 +225,15 @@ class TestHaarSampler:
     def test_rejects_unknown_field(self):
         with pytest.raises(ValueError):
             haar_random_unitary(3, 1, fld="quaternion")
+
+    @pytest.mark.parametrize("fld", ["complex", "real"])
+    def test_stack_matches_single(self, fld):
+        # one QR for the stack; each unitary as if sampled alone from its seed
+        for n in (1, 3, 7):
+            z = np.stack([ginibre(np.random.default_rng(seed), n, fld) for seed in range(12)])
+            for seed, u in enumerate(haar_from_ginibre(z)):
+                ref = haar_random_unitary(n, seed, fld)
+                assert u.dtype == ref.dtype and u.tobytes() == ref.tobytes()
 
     @SAMPLER_CASES
     def test_unitary(self, fld, seed_kind):

@@ -109,3 +109,44 @@ class TestWitnessReplay:
             check_polar_pair(rec, w.A, w.A_tilde, rank_tol=1e-12)
             assert rec.violations == []
             assert rec.ratios[ineq] > 1.0 - 1e-6, bound_id
+
+
+def merged_trials_body(config, trials):
+    """The report body assembled from `run_trial` one trial at a time."""
+    ratios, violations = {}, []
+    for t in range(trials):
+        rec = run_trial(config, t)
+        violations += [(v.trial, v.inequality, v.margin) for v in rec.violations]
+        for ineq, ratio in rec.ratios.items():
+            ratios[ineq] = max(ratios.get(ineq, ratio), ratio)
+    return {"trials": trials, "max_ratio_to_bound": dict(sorted(ratios.items())),
+            "violations": violations}
+
+
+CHUNK_SHAPES = [(m, n, field, ranks) for m, n in ((7, 7), (5, 8), (8, 3))
+                for field in ("complex", "real") for ranks in ("drawn", "fixed")]
+
+
+class TestChunkedSuite:
+    @pytest.mark.parametrize("m,n,field,ranks", CHUNK_SHAPES)
+    def test_suite_equals_merged_trials(self, m, n, field, ranks):
+        # trial counts below, at and above one chunk of 32, and past two
+        fixed = {"r": 2, "s": min(m, n)} if ranks == "fixed" else {}
+        for trials in (1, 31, 32, 33, 65):
+            config = EnsembleConfig(m=m, n=n, trials=trials, seed=808, field=field,
+                                    **fixed)
+            assert run_verification_suite(config).body() == \
+                merged_trials_body(config, trials), trials
+
+    @pytest.mark.parametrize("m,n,trials", [(7, 7, 65), (5, 8, 32), (3, 3, 1)])
+    def test_lapack_calls_per_chunk(self, monkeypatch, m, n, trials):
+        calls = {"qr": 0, "svd": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        run_verification_suite(EnsembleConfig(m=m, n=n, trials=trials, seed=3))
+        chunks = -(-trials // 32)
+        assert 0 < calls["qr"] <= 3 * chunks
+        assert 0 < calls["svd"] <= 2 * chunks
