@@ -130,18 +130,19 @@ def refined_li_sun_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
 
 def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
     """Sharp upper constant for the positive-factor difference."""
-    # sqrt((F - sqrt(F^2 - 2GF)) / G) with x = G / F: no cancellation, no F^2
+    # sqrt((F - sqrt(F^2 - 2GF)) / G) as sqrt(2 / (1 + sqrt(D / F))) with
+    # D = F - 2G: no cancellation, no F^2
     fg = fg_scalars(pair)
-    x = fg.G / fg.F
-    c = math.sqrt(2.0 / (1.0 + math.sqrt(max(1.0 - 2.0 * x, 0.0))))
+    c = math.sqrt(2.0 / (1.0 + math.sqrt(fg.D / fg.F)))
     check_range("h-upper", c, 0.0, SQRT2 * (1 + 1e-12))
     return BoundResult(theorem_id="h-upper", coefficient=c)
 
 
 def _fg_lower(pair: SpectrumPair, theorem_id: str) -> BoundResult:
-    """sqrt((F - 2G) / (F + 2G)), the h-lower and lee-lower constant."""
+    """sqrt((F - 2G) / (F + 2G)), the h-lower and lee-lower constant, with
+    F - 2G summed as D."""
     fg = fg_scalars(pair)
-    c = math.sqrt(max(fg.F - 2.0 * fg.G, 0.0) / (fg.F + 2.0 * fg.G))
+    c = math.sqrt(fg.D / (fg.F + 2.0 * fg.G))
     check_range(theorem_id, c, 0.0, 1.0)
     return BoundResult(theorem_id=theorem_id, coefficient=c)
 

@@ -13,6 +13,7 @@ rows below index s, and s + r always suffices.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import bounds
 from .linalg import DEFAULT_RANK_TOL, frobenius, polar_decompose, unitary_completion
-from .spectra import SpectrumPair, fg_scalars
+from .spectra import FGScalars, SpectrumPair, check_range, fg_scalars
 
 RATIO_RTOL = 1e-8
 
@@ -90,6 +91,14 @@ def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
     M = float(np.sum(w * st))
     N = float(np.sum(w * np.abs(T[:s, :r]) ** 2))
     return M, N
+
+
+def _witness_scalars(pair: SpectrumPair) -> FGScalars:
+    """F and G of a pair whose witness can be built and checked: F is the
+    squared norm ||A||^2 + ||A~||^2 of the witness, so it must be finite."""
+    fg = fg_scalars(pair)
+    check_range("F = ||A||^2 + ||A~||^2", fg.F, 0.0, sys.float_info.max)
+    return fg
 
 
 def _achieved_ratio(bound_id: str, A: np.ndarray, A_tilde: np.ndarray,
@@ -208,7 +217,7 @@ def h_witness(pair: SpectrumPair, which: str,
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
     r, s = pair.r, pair.s
     m = n = s + r
-    fg = fg_scalars(pair)
+    fg = _witness_scalars(pair)
     if which == "max":
         if fg.F - 2.0 * fg.G <= 1e-12 * fg.F:
             raise DegenerateSupremumError(
@@ -233,7 +242,7 @@ def lee_witness(pair: SpectrumPair, which: str,
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
     r, s = pair.r, pair.s
     m = n = s + r
-    fg = fg_scalars(pair)
+    fg = _witness_scalars(pair)
     U = np.eye(m, dtype=complex)
     U[np.arange(r), np.arange(r)] = -1.0
     if which == "max":
@@ -268,7 +277,7 @@ def verify_witness(w: ExtremalWitness,
     from scratch.
     """
     pair = w.pair
-    fg = fg_scalars(pair)
+    fg = _witness_scalars(pair)
     M, N = couple_scalars(pair, w.couple.S, w.couple.T)
     if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
         raise WitnessVerificationError(f"N = {N} outside [0, G = {fg.G}]")

@@ -54,6 +54,7 @@ class SpectrumPair:
 class FGScalars:
     F: float    # sum of squares of both spectra
     G: float    # top-aligned cross products, first r terms
+    D: float    # F - 2G, summed without cancellation
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,21 @@ def validate_spectrum_pair(sigma, sigma_tilde) -> SpectrumPair:
 
 
 def fg_scalars(pair: SpectrumPair) -> FGScalars:
-    """F = sum of squared singular values, G = top-aligned cross products.
+    """F = sum of squared singular values, G = top-aligned cross products,
+    and D = F - 2G as the sum of squared top-aligned differences and of the
+    squared tail of the longer spectrum, which keeps every digit when the
+    spectra nearly agree.
 
-    math.fsum makes both reproducible across summation orders and platforms.
+    math.fsum makes all three reproducible across summation orders and
+    platforms.
     """
-    F = math.fsum([x * x for x in pair.sigma] + [x * x for x in pair.sigma_tilde])
-    G = math.fsum(x * y for x, y in zip(pair.sigma, pair.sigma_tilde))
+    sig, sigt = pair.sigma, pair.sigma_tilde
+    F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
+    G = math.fsum(x * y for x, y in zip(sig, sigt))
+    D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)]
+                  + [y * y for y in sigt[len(sig):]])
     check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
-    return FGScalars(F=F, G=G)
+    return FGScalars(F=F, G=G, D=D)
 
 
 def validate_eigen_pair(lam, lam_hat) -> EigenPair:

@@ -355,14 +355,40 @@ class TestSmallOverlap:
         assert abs(Decimal(c) - ref) <= Decimal(1e-15) * ref
 
 
+def _near_identical_references(sig, sigt):
+    """h-lower (= lee-lower) and h-upper constants to 60 digits, from the
+    defining formulas on the exact values of the floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        a, b = [Decimal(x) for x in sig], [Decimal(x) for x in sigt]
+        F = sum(x * x for x in a + b)
+        G = sum(x * y for x, y in zip(a, b))
+        lower = ((F - 2 * G) / (F + 2 * G)).sqrt()
+        upper = ((F - (F * F - 2 * G * F).sqrt()) / G).sqrt()
+    return {h_lower_coeff: lower, lee_lower_coeff: lower, h_upper_coeff: upper}
+
+
+class TestNearIdentical:
+    # sigma ~ sigma_tilde: F - 2G cancels almost every digit unless it is
+    # summed as the squared differences
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-12])
+    @pytest.mark.parametrize("fn", [h_lower_coeff, lee_lower_coeff, h_upper_coeff],
+                             ids=["h-lower", "lee-lower", "h-upper"])
+    def test_against_decimal(self, fn, eps):
+        sig, sigt = [3 * (1 + eps), 2.0], [3.0, 2.0]
+        ref = _near_identical_references(sig, sigt)[fn]
+        c = fn(pair_of(sig, sigt)).coefficient
+        assert abs(Decimal(c) - ref) <= Decimal(1e-15) * ref
+
+
 class TestRangeErrors:
     def test_typed_error_under_optimize(self):
-        # F and G overflow, inf / inf makes the constant nan, and `python -O`
+        # F and D overflow, inf / inf makes the constant nan, and `python -O`
         # strips asserts: the range check must still raise
         code = ("from polarbounds.bounds import h_upper_coeff\n"
                 "from polarbounds.spectra import NumericalRangeError, validate_spectrum_pair\n"
                 "try:\n"
-                "    c = h_upper_coeff(validate_spectrum_pair([1e200], [1e200])).coefficient\n"
+                "    c = h_upper_coeff(validate_spectrum_pair([1e200], [1e199])).coefficient\n"
                 "except NumericalRangeError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(f'returned {c!r}')\n")

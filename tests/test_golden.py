@@ -23,7 +23,7 @@ CAMPAIGN_DIGESTS = {
     "real": "26a6b4e7a0fa19c24957dbc61a0af414854a0beaa27a618917dd617e6b3d94bf",
 }
 WITNESS_DIGEST = "2b70dfee3e462c3af56cbd3a87abef58b0191405c0854d1f341b3a0d2010a0c8"
-BOUNDS_DIGEST = "9400596344586ac6d4cff001bec82188eb623fb32d2b0f2114303e11cda6d14b"
+BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 
 
