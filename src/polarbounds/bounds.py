@@ -167,9 +167,20 @@ def lee_lower_coeff(pair: SpectrumPair) -> BoundResult:
     return _fg_lower(pair, "lee-lower")
 
 
+def _unit_scaled(pair: SpectrumPair) -> Tuple[list, list]:
+    """Both spectra divided by the even power of two nearest below
+    max(sigma_1, sigma~_1), which is exact and moves the largest value into
+    [0.5, 2), so the squares and fourth powers of a degree-0 constant can
+    neither overflow nor underflow at any scale of the input."""
+    _, e = math.frexp(max(pair.sigma[0], pair.sigma_tilde[0]))
+    e -= e % 2
+    return ([math.ldexp(x, -e) for x in pair.sigma],
+            [math.ldexp(y, -e) for y in pair.sigma_tilde])
+
+
 def amgm_coeff(pair: SpectrumPair) -> BoundResult:
     """Refined constant for ||A B*|| <= c ||  |A|^2 + |B|^2 ||."""
-    sig, sigh = pair.sigma, pair.sigma_tilde
+    sig, sigh = _unit_scaled(pair)
     cross = math.fsum((x * y) ** 2 for x, y in zip(sig, sigh))
     quarts = math.fsum([x ** 4 for x in sig] + [y ** 4 for y in sigh])
     c = math.sqrt(cross / (quarts + 2.0 * cross))
@@ -179,7 +190,7 @@ def amgm_coeff(pair: SpectrumPair) -> BoundResult:
 
 def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     """Refined constant for |tr B* A| <= c ||A|| ||B||."""
-    sig, sigh = pair.sigma, pair.sigma_tilde
+    sig, sigh = _unit_scaled(pair)
     cross = math.fsum(x * y for x, y in zip(sig, sigh))
     c = cross / (math.sqrt(math.fsum(x * x for x in sig))
                  * math.sqrt(math.fsum(y * y for y in sigh)))

@@ -381,6 +381,20 @@ class TestNearIdentical:
         assert abs(Decimal(c) - ref) <= Decimal(1e-15) * ref
 
 
+class TestAnyScale:
+    # scaled by a power of two, the degree-0 amgm and Cauchy-Schwarz
+    # constants neither overflow nor underflow: at the parent amgm raised
+    # ZeroDivisionError at 1e-150, lost digits at 1e-80 and overflowed from
+    # 1e77, and Cauchy-Schwarz raised NumericalRangeError from 1e160
+    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-80, 1e80, 1e200, 1e300])
+    @pytest.mark.parametrize("fn", [amgm_coeff, cauchy_schwarz_coeff],
+                             ids=["amgm", "cauchy-schwarz"])
+    def test_scale_invariant(self, fn, t):
+        ref = fn(pair_of([3.0, 2.0], [1.5, 1.0, 0.5])).coefficient
+        c = fn(pair_of([3 * t, 2 * t], [1.5 * t, 1.0 * t, 0.5 * t])).coefficient
+        assert abs(c - ref) <= 1e-15 * ref
+
+
 class TestRangeErrors:
     def test_typed_error_under_optimize(self):
         # F and D overflow, inf / inf makes the constant nan, and `python -O`
