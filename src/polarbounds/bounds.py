@@ -198,16 +198,16 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 
 
-def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, pairs_of,
+def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, count, pairs_of,
                        upper: bool) -> BoundResult:
     """Square root of the optimum of (F - 2 sum |l^_i||l_j|) / (F - 2 sum
     Re l^_i conj(l_j)) over the pairings in `labels`, streamed in order;
-    `pairs_of(label)` gives a pairing's (i, j) indices into (lam_hat, lam).
+    `count()` gives their number and `pairs_of(label)` a pairing's (i, j)
+    indices into (lam_hat, lam).
     """
     r, s = eig.r, eig.s
     if r > ENUM_CAP or s > ENUM_CAP:
-        count = sum(math.comb(s, k) * math.comb(r, k) * math.factorial(k)
-                    for k in range(1, r + 1))
+        count = count()
         raise EnumerationCapError(
             f"sizes r={r}, s={s} exceed enumeration cap {ENUM_CAP}; "
             f"{count} tuples would be required", count)
@@ -240,6 +240,8 @@ def kittaneh_lower_coeff(eig: EigenPair) -> BoundResult:
               for rows in itertools.combinations(range(eig.s), k)
               for cols in itertools.permutations(range(eig.r), k))
     return _arrangement_coeff(eig, "kittaneh-lower", labels,
+                              lambda: sum(math.comb(eig.s, k) * math.perm(eig.r, k)
+                                          for k in range(1, eig.r + 1)),
                               lambda rows_cols: zip(*rows_cols), upper=False)
 
 
@@ -254,5 +256,6 @@ def kittaneh_upper_coeff(eig: EigenPair, n: int) -> BoundResult:
             f"full-rank second matrix required: s={eig.s} must equal n={n}")
     return _arrangement_coeff(eig, "kittaneh-upper",
                               itertools.permutations(range(n), eig.r),
+                              lambda: math.perm(n, eig.r),
                               lambda arrangement: zip(arrangement, range(eig.r)),
                               upper=True)

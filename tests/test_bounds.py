@@ -275,6 +275,17 @@ class TestKittaneh:
             kittaneh_lower_coeff(eig)
         assert exc.value.required_count > 0
 
+    def test_cap_counts_each_bound(self):
+        # r = 3, s = n = 7: the lower bound pairs k = 1..3 eigenvalues of each
+        # side, C(7,k) C(3,k) k!, the upper bound arranges 3 of 7, 7!/4!
+        eig = validate_eigen_pair([1, 2, 3], list(range(1, 8)))
+        with pytest.raises(EnumerationCapError) as lower:
+            kittaneh_lower_coeff(eig)
+        with pytest.raises(EnumerationCapError) as upper:
+            kittaneh_upper_coeff(eig, n=7)
+        assert lower.value.required_count == 7 * 3 + 21 * 3 * 2 + 35 * 6 == 357
+        assert upper.value.required_count == 7 * 6 * 5 == 210
+
 
 class TestChains:
     def test_ordering_and_refinement(self, rng):
