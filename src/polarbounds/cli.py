@@ -13,8 +13,10 @@ Exit codes: 0 success; 1 a finding (a `verify` violation or an `oracle`
 disagreement); 2 input rejected (a malformed or non-UTF-8 file, an invalid
 spectrum, or spectra beyond the floating-point range; `bounds` rejects such
 a record, or one with more than 6 eigenvalues, in place and reports the
-rest); 3 degenerate witness; 4 budget exceeded; 64 usage error (bad
-arguments or tolerances, an unreadable input, an unwritable --out). Report
+rest); 3 degenerate witness; 4 budget exceeded; 5 witness construction
+failed (the built pair missed its constant, or a unitary could not be
+completed); 64 usage error (bad arguments or tolerances, an unreadable
+input, an unwritable --out). Report
 bodies are byte-deterministic for fixed inputs and seeds; timing goes to
 stderr.
 """
@@ -32,7 +34,8 @@ from typing import Optional
 
 from . import __version__, bounds, extremal, fileio, oracle
 from .bounds import EnumerationCapError, RankMismatchError
-from .extremal import DegenerateSupremumError
+from .extremal import DegenerateSupremumError, WitnessVerificationError
+from .linalg import CompletionInfeasibleError
 from .montecarlo import EnsembleConfig, run_verification_suite
 from .oracle import BudgetExceededError
 from .spectra import SpectrumValidationError, validate_eigen_pair, validate_spectrum_pair
@@ -41,6 +44,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_BUDGET = 4
+EXIT_WITNESS = 5
 EXIT_USAGE = 64
 
 SCHEMA_VERSION = 1
@@ -321,6 +325,8 @@ def build_parser() -> _Parser:
 # NumericalRangeError, OverflowError and ZeroDivisionError of extreme scales
 _EXITS = (
     (UsageError, EXIT_USAGE, "usage error"),
+    ((WitnessVerificationError, CompletionInfeasibleError), EXIT_WITNESS,
+     "witness construction failed"),
     ((fileio.SpectraParseError, UnicodeDecodeError, SpectrumValidationError,
       ArithmeticError), EXIT_INPUT, "input rejected"),
 )

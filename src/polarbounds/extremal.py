@@ -36,7 +36,7 @@ class DegenerateSupremumError(ValueError):
     """
 
 
-class WitnessVerificationError(AssertionError):
+class WitnessVerificationError(RuntimeError):
     """A recomputed norm identity failed on a constructed witness."""
 
 

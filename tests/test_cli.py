@@ -37,6 +37,8 @@ EXIT_CASES = {
     "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-max", "--out", "{tmp}/w"], 2),
     "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
     "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
+    "witness-missed-constant": ("record wide\nsigma 1e8 1e-8\nsigma_tilde 1e8 1 1e-8\n",
+                                ["witness", "{path}", "wide", "q-max", "--out", "{tmp}/w"], 5),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
     "verify-rank-tol-0": (GOOD, ["verify", "--rank-tol", "0"], 64),
     "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
