@@ -2,7 +2,9 @@
 
 Deterministic SVD (fixed phase convention), generalized polar decomposition,
 unitary completion of partial column blocks, and seeded Haar-random unitary
-sampling. Everything here is a pure function of its inputs.
+sampling. The SVD and the Haar correction also take stacks of matrices, one
+LAPACK call per stack, with results bit-identical to one matrix at a time.
+Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .linalg import (SvdResult, frobenius, ginibre, haar_from_ginibre, haar_rand
                      polar_decompose, polar_from_svd, svd, svd_stack)
 from .spectra import validate_eigen_pair, validate_spectrum_pair
 
-_CHUNK = 32   # trials per stacked QR and SVD; larger chunks grow memory, not speed
+_CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gain little
 
 INEQUALITY_IDS = (
     "q-lower", "q-upper",

@@ -2,7 +2,7 @@
 
 Every coefficient in the library is a function of two decreasing positive
 singular spectra (or two non-zero eigenvalue lists for the normal-matrix
-bounds) through the scalars F, G and F_hat defined here.
+bounds) through the scalars F, G, D = F - 2G and F_hat defined here.
 """
 
 from __future__ import annotations
