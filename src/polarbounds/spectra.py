@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 DECREASING_SLACK = 1e-14
@@ -31,6 +32,13 @@ def check_range(name: str, value: float, lo: float, hi: float) -> None:
 
 
 @dataclass(frozen=True)
+class FGScalars:
+    F: float    # sum of squares of both spectra
+    G: float    # top-aligned cross products, first r terms
+    D: float    # F - 2G, summed without cancellation
+
+
+@dataclass(frozen=True)
 class SpectrumPair:
     """Two validated decreasing positive spectra with ranks r <= s.
 
@@ -49,12 +57,17 @@ class SpectrumPair:
     def s(self) -> int:
         return len(self.sigma_tilde)
 
-
-@dataclass(frozen=True)
-class FGScalars:
-    F: float    # sum of squares of both spectra
-    G: float    # top-aligned cross products, first r terms
-    D: float    # F - 2G, summed without cancellation
+    @cached_property
+    def scalars(self) -> FGScalars:
+        """`fg_scalars` of the pair, computed on first use: the pair is
+        immutable, and every coefficient of a pair reads them."""
+        sig, sigt = self.sigma, self.sigma_tilde
+        F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
+        G = math.fsum(x * y for x, y in zip(sig, sigt))
+        D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)]
+                      + [y * y for y in sigt[len(sig):]])
+        check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
+        return FGScalars(F=F, G=G, D=D)
 
 
 @dataclass(frozen=True)
@@ -123,13 +136,7 @@ def fg_scalars(pair: SpectrumPair) -> FGScalars:
     math.fsum makes all three reproducible across summation orders and
     platforms.
     """
-    sig, sigt = pair.sigma, pair.sigma_tilde
-    F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
-    G = math.fsum(x * y for x, y in zip(sig, sigt))
-    D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)]
-                  + [y * y for y in sigt[len(sig):]])
-    check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
-    return FGScalars(F=F, G=G, D=D)
+    return pair.scalars
 
 
 def validate_eigen_pair(lam, lam_hat) -> EigenPair:
