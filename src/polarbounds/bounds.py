@@ -168,10 +168,10 @@ def lee_lower_coeff(pair: SpectrumPair) -> BoundResult:
 
 
 def _unit_scaled(pair: SpectrumPair) -> Tuple[list, list]:
-    """Both spectra divided by the even power of two nearest below
-    max(sigma_1, sigma~_1), which is exact and moves the largest value into
-    [0.5, 2), so the squares and fourth powers of a degree-0 constant can
-    neither overflow nor underflow at any scale of the input."""
+    """Both spectra divided by the even power of two that brings
+    max(sigma_1, sigma~_1) into [0.5, 2). The division is exact, and the
+    squares and fourth powers of a degree-0 constant then neither overflow
+    nor underflow at any scale of the input."""
     _, e = math.frexp(max(pair.sigma[0], pair.sigma_tilde[0]))
     e -= e % 2
     return ([math.ldexp(x, -e) for x in pair.sigma],

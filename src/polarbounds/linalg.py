@@ -60,7 +60,7 @@ def _as_matrix(a, ndim: int = 2) -> np.ndarray:
     """a as a complex matrix (ndim=2) or stack of matrices (ndim=3)."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != ndim or 0 in a.shape:
-        raise ValueError(f"expected a {ndim}-d array of matrices, got shape {a.shape}")
+        raise ValueError(f"expected a non-empty {ndim}-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return a
