@@ -24,6 +24,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -194,7 +195,7 @@ def cmd_witness(args) -> int:
     rec = matches[0]
     pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)
     try:
-        w = extremal.make_witness(pair, args.bound, rank_tol=args.rank_tol)
+        w = extremal.make_witness(pair, args.bound)
     except DegenerateSupremumError as exc:
         sys.stderr.write(f"degenerate witness: {exc}\n")
         return EXIT_DEGENERATE
@@ -210,11 +211,7 @@ def cmd_witness(args) -> int:
         a = fileio.read_matrix_text(fh.read())
     with open(path_b) as fh:
         at = fileio.read_matrix_text(fh.read())
-    reloaded = extremal.ExtremalWitness(
-        bound_id=w.bound_id, A=a, A_tilde=at, couple=w.couple,
-        target_coefficient=w.target_coefficient, diagnostics=w.diagnostics,
-        m=w.m, n=w.n, pair=w.pair)
-    diag = extremal.verify_witness(reloaded, rank_tol=args.rank_tol)
+    diag = extremal.verify_witness(dataclasses.replace(w, A=a, A_tilde=at))
 
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "witness", "input_digest": digest,
@@ -259,7 +256,7 @@ def cmd_verify(args) -> int:
     try:
         config = EnsembleConfig(m=args.dims, n=args.dims, trials=args.trials,
                                 seed=args.seed, field=args.field,
-                                rank_tol=args.rank_tol, slack_tol=args.slack_tol)
+                                slack_tol=args.slack_tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     result = run_verification_suite(config)
@@ -294,7 +291,6 @@ def build_parser() -> _Parser:
     p.add_argument("record", help="record id inside the spectra file")
     p.add_argument("bound", choices=extremal.BOUND_IDS)
     common(p)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_witness)
     # witness writes matrices into a directory
     for act in p._actions:
@@ -315,7 +311,6 @@ def build_parser() -> _Parser:
     p.add_argument("--field", choices=("complex", "real"), default="complex")
     p.add_argument("--slack-tol", dest="slack_tol", type=float, default=1e-9)
     common(p)
-    p.add_argument("--rank-tol", dest="rank_tol", type=float, default=1e-12)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from . import bounds
-from .linalg import DEFAULT_RANK_TOL, frobenius, polar_decompose, unitary_completion
+from .linalg import frobenius, polar_decompose, unitary_completion
 from .spectra import FGScalars, SpectrumPair, check_range, fg_scalars
 
 RATIO_RTOL = 1e-8
@@ -118,8 +118,7 @@ def _achieved_ratio(bound_id: str, A: np.ndarray, A_tilde: np.ndarray,
 
 
 def _build_witness(bound_id: str, pair: SpectrumPair, U: np.ndarray,
-                   V: np.ndarray, target: float,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
+                   V: np.ndarray, target: float) -> ExtremalWitness:
     r, s = pair.r, pair.s
     m = n = s + r
     sigma = _embed_diag(pair.sigma, m, n)
@@ -127,8 +126,8 @@ def _build_witness(bound_id: str, pair: SpectrumPair, U: np.ndarray,
     A = U @ sigma @ V.conj().T
     A_tilde = sigma_tilde
 
-    pf = polar_decompose(A, rank_tol)
-    pf_t = polar_decompose(A_tilde, rank_tol)
+    pf = polar_decompose(A, r)
+    pf_t = polar_decompose(A_tilde, s)
     e_norm, gap, achieved = _achieved_ratio(bound_id, A, A_tilde, pf, pf_t)
 
     M, N = couple_scalars(pair, U, V)
@@ -177,8 +176,7 @@ def _q_partial_blocks(pair: SpectrumPair, which: str, k: int
     return S_part, T_part
 
 
-def q_witness(pair: SpectrumPair, which: str,
-              rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
+def q_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
     """Pair attaining the subunitary-factor upper ('max') or lower ('min') bound."""
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
@@ -192,7 +190,7 @@ def q_witness(pair: SpectrumPair, which: str,
     band = range(pair.s, m)
     U = unitary_completion(S_part, zero_rows=band)
     V = unitary_completion(T_part, zero_rows=band)
-    return _build_witness(f"q-{which}", pair, U, V, result.coefficient, rank_tol)
+    return _build_witness(f"q-{which}", pair, U, V, result.coefficient)
 
 
 def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
@@ -210,8 +208,7 @@ def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
     return unitary_completion(T_part, zero_rows=range(r, s))
 
 
-def h_witness(pair: SpectrumPair, which: str,
-              rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
+def h_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
     """Pair attaining the positive-factor upper ('max') or lower ('min') bound."""
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
@@ -232,11 +229,10 @@ def h_witness(pair: SpectrumPair, which: str,
         U = np.eye(m, dtype=complex)
         U[np.arange(r), np.arange(r)] = -1.0
         V = np.eye(n, dtype=complex)
-    return _build_witness(f"h-{which}", pair, U, V, target, rank_tol)
+    return _build_witness(f"h-{which}", pair, U, V, target)
 
 
-def lee_witness(pair: SpectrumPair, which: str,
-                rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
+def lee_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
     """Pair attaining the sum-ratio upper ('max') or lower ('min') bound."""
     if which not in ("max", "min"):
         raise ValueError(f"which must be 'max' or 'min', got {which!r}")
@@ -254,27 +250,25 @@ def lee_witness(pair: SpectrumPair, which: str,
     else:
         target = bounds.lee_lower_coeff(pair).coefficient
         V = np.eye(n, dtype=complex)
-    return _build_witness(f"lee-{which}", pair, U, V, target, rank_tol)
+    return _build_witness(f"lee-{which}", pair, U, V, target)
 
 
-def make_witness(pair: SpectrumPair, bound_id: str,
-                 rank_tol: float = DEFAULT_RANK_TOL) -> ExtremalWitness:
+def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
     """Dispatch on one of the six bound ids, e.g. 'q-max' or 'lee-min'."""
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
     family, which = bound_id.split("-")
     builder = {"q": q_witness, "h": h_witness, "lee": lee_witness}[family]
-    return builder(pair, which, rank_tol)
+    return builder(pair, which)
 
 
-def verify_witness(w: ExtremalWitness,
-                   rank_tol: float = DEFAULT_RANK_TOL) -> WitnessDiagnostics:
+def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
     """Recompute every norm two ways and require agreement.
 
     The four squared norms (difference and sum of the matrices, difference
     and sum of the positive factors) must match their closed-form values
     F -+ 2M and F -+ 2N within 1e-10 relative; polar factors are recomputed
-    from scratch.
+    from scratch, at the ranks r of A and s of A~.
     """
     pair = w.pair
     fg = _witness_scalars(pair)
@@ -284,8 +278,8 @@ def verify_witness(w: ExtremalWitness,
     if abs(M) > math.sqrt(max(fg.G * N, 0.0)) + 1e-10 * fg.F:
         raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
 
-    pf = polar_decompose(w.A, rank_tol)
-    pf_t = polar_decompose(w.A_tilde, rank_tol)
+    pf = polar_decompose(w.A, pair.r)
+    pf_t = polar_decompose(w.A_tilde, pair.s)
     checks = {
         "difference-norm": (frobenius(w.A_tilde - w.A) ** 2, fg.F - 2.0 * M),
         "sum-norm": (frobenius(w.A_tilde + w.A) ** 2, fg.F + 2.0 * M),

@@ -14,8 +14,6 @@ from typing import List
 
 import numpy as np
 
-DEFAULT_RANK_TOL = 1e-12
-
 
 class SvdConvergenceError(RuntimeError):
     """SVD backend failed to converge."""
@@ -34,7 +32,6 @@ class SvdResult:
     U: np.ndarray            # m x m unitary
     singular_values: np.ndarray   # length min(m, n), decreasing
     V: np.ndarray            # n x n unitary
-    rank: int                # numerical rank at the requested tolerance
 
     def reconstruct(self) -> np.ndarray:
         m, n = self.U.shape[0], self.V.shape[0]
@@ -53,7 +50,6 @@ class PolarFactors:
     Q: np.ndarray            # m x n subunitary of rank r
     H: np.ndarray            # n x n Hermitian PSD of rank r
     rank: int
-    degenerate: bool         # True when the input had numerical rank 0
 
 
 def _as_matrix(a, ndim: int = 2) -> np.ndarray:
@@ -104,27 +100,25 @@ def _phase_convention(u: np.ndarray, v: np.ndarray) -> None:
         _scale_columns(tail, np.conj(_pivot_phases(tail)))
 
 
-def svd(a, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
+def svd(a) -> SvdResult:
     """Full SVD with a deterministic phase convention.
 
     The largest-magnitude entry of each left singular vector is rotated to be
     real positive (the paired right singular vector absorbs the conjugate
     phase), so identical inputs always yield bit-identical factors.
     """
-    return _svd_stack(_as_matrix(a)[None], rank_tol)[0]
+    return _svd_stack(_as_matrix(a)[None])[0]
 
 
-def svd_stack(a, rank_tol: float = DEFAULT_RANK_TOL) -> List[SvdResult]:
+def svd_stack(a) -> List[SvdResult]:
     """`svd` of each matrix in a (B, m, n) stack, through one LAPACK call.
 
     Each result is bit-identical to `svd` of that matrix alone.
     """
-    return _svd_stack(_as_matrix(a, ndim=3), rank_tol)
+    return _svd_stack(_as_matrix(a, ndim=3))
 
 
-def _svd_stack(a: np.ndarray, rank_tol: float) -> List[SvdResult]:
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+def _svd_stack(a: np.ndarray) -> List[SvdResult]:
     try:
         u, sv, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
@@ -132,36 +126,32 @@ def _svd_stack(a: np.ndarray, rank_tol: float) -> List[SvdResult]:
         raise SvdConvergenceError(f"SVD did not converge for {m}x{n} input: {exc}") from exc
     v = np.swapaxes(vh.conj(), -1, -2)
     _phase_convention(u, v)
-    # a zero matrix has every singular value 0, so its count is 0 as well
-    ranks = np.count_nonzero(sv > rank_tol * sv[:, :1], axis=-1).tolist()
-    return [SvdResult(U=u[b], singular_values=sv[b], V=v[b], rank=rank)
-            for b, rank in enumerate(ranks)]
+    return [SvdResult(U=u[b], singular_values=sv[b], V=v[b]) for b in range(len(sv))]
 
 
-def polar_decompose(a, rank_tol: float = DEFAULT_RANK_TOL) -> PolarFactors:
-    """Generalized polar decomposition A = Q H."""
-    return polar_from_svd(svd(a, rank_tol))
+def polar_decompose(a, rank: int) -> PolarFactors:
+    """Generalized polar decomposition A = Q H of a matrix of the given rank."""
+    return polar_from_svd(svd(a), rank)
 
 
-def polar_from_svd(res: SvdResult) -> PolarFactors:
-    """Polar factors of the matrix whose SVD is `res`.
+def polar_from_svd(res: SvdResult, rank: int) -> PolarFactors:
+    """Polar factors of the rank-`rank` matrix whose SVD is `res`.
 
-    Q = U1 V1*, H = V1 S1 V1* from the rank-truncated SVD; Q is a partial
-    isometry of the same rank as A and H is the Hermitian PSD factor |A|.
+    Q = U1 V1*, H = V1 S1 V1* from the SVD truncated to `rank` terms; Q is a
+    partial isometry of that rank and H is the Hermitian PSD factor |A|. The
+    rank comes from the caller, which built the matrix: a guess from a
+    tolerance on the singular values would drop a small but genuine one.
     """
     m, n = res.U.shape[0], res.V.shape[0]
-    r = res.rank
-    if r == 0:
-        return PolarFactors(Q=np.zeros((m, n), dtype=complex),
-                            H=np.zeros((n, n), dtype=complex),
-                            rank=0, degenerate=True)
-    u1 = res.U[:, :r]
-    v1 = res.V[:, :r]
-    s1 = res.singular_values[:r]
+    if not 1 <= rank <= min(m, n):
+        raise ValueError(f"rank {rank} outside [1, {min(m, n)}] for an {m}x{n} matrix")
+    u1 = res.U[:, :rank]
+    v1 = res.V[:, :rank]
+    s1 = res.singular_values[:rank]
     q = u1 @ v1.conj().T
     h = (v1 * s1) @ v1.conj().T
     h = 0.5 * (h + h.conj().T)   # enforce exact Hermitian symmetry
-    return PolarFactors(Q=q, H=h, rank=r, degenerate=False)
+    return PolarFactors(Q=q, H=h, rank=rank)
 
 
 def unitary_completion(partial, zero_rows=()) -> np.ndarray:

@@ -44,7 +44,6 @@ class EnsembleConfig:
     s: Optional[int] = None
     max_rank: Optional[int] = None    # cap for drawn ranks; default min(m, n)
     spectrum_range: Tuple[float, float] = (1e-2, 1e2)   # log-uniform law
-    rank_tol: float = 1e-12
     slack_tol: float = 1e-9
     normal_dim: int = 3               # square size for the normal-matrix channel
 
@@ -62,8 +61,6 @@ class EnsembleConfig:
         lo, hi = self.spectrum_range
         if not (0 < lo <= hi):
             raise ValueError("spectrum_range must be positive and ordered")
-        if not self.rank_tol > 0:
-            raise ValueError(f"rank_tol must be positive, got {self.rank_tol!r}")
         if not self.slack_tol >= 0:
             raise ValueError(f"slack_tol must be nonnegative, got {self.slack_tol!r}")
 
@@ -150,23 +147,17 @@ def angle_cosines(a: np.ndarray, b: np.ndarray, h_a: np.ndarray,
 
 
 def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
-                     rank_tol: float) -> None:
-    """Assertion families (a)-(f) and (h) on one general matrix pair."""
-    _check_polar_svds(rec, a, a_tilde, svd(a, rank_tol), svd(a_tilde, rank_tol))
+                     r: int, s: int) -> None:
+    """Assertion families (a)-(f) and (h) on one general matrix pair of
+    ranks r and s."""
+    _check_polar_svds(rec, a, a_tilde, svd(a), svd(a_tilde), r, s)
 
 
 def _check_polar_svds(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
-                      res: SvdResult, res_t: SvdResult) -> None:
+                      res: SvdResult, res_t: SvdResult, r: int, s: int) -> None:
     """`check_polar_pair` given the SVDs of a and a_tilde."""
-    pf, pf_t = polar_from_svd(res), polar_from_svd(res_t)
-    if pf.degenerate or pf_t.degenerate:
-        return
-    sig = res.singular_values[:pf.rank]
-    sig_t = res_t.singular_values[:pf_t.rank]
-    if pf.rank <= pf_t.rank:
-        pair = validate_spectrum_pair(sig, sig_t)
-    else:
-        pair = validate_spectrum_pair(sig_t, sig)
+    pf, pf_t = polar_from_svd(res, r), polar_from_svd(res_t, s)
+    pair = validate_spectrum_pair(res.singular_values[:r], res_t.singular_values[:s])
 
     e_norm = frobenius(a_tilde - a)
     q_gap = frobenius(pf.Q - pf_t.Q)
@@ -203,8 +194,8 @@ def _check_polar_svds(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
     rec.upper("cs-classical", tr, scale, scale)
 
     # two-sided absolute-value perturbation: |A*| = U1 S1 U1* from the same SVD
-    pf_l = polar_from_svd(res.adjoint())
-    pf_tl = polar_from_svd(res_t.adjoint())
+    pf_l = polar_from_svd(res.adjoint(), r)
+    pf_tl = polar_from_svd(res_t.adjoint(), s)
     lhs = h_gap ** 2 + frobenius(pf_l.H - pf_tl.H) ** 2
     rec.upper("kittaneh-two-sided", lhs, 2.0 * e_norm ** 2, e_norm ** 2)
 
@@ -213,10 +204,11 @@ def _check_polar_svds(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
 
 
 def check_normal_pair(rec: _Recorder, a: np.ndarray, b: np.ndarray,
-                      lam, lam_hat, full_rank_b: bool, rank_tol: float) -> None:
-    """Assertion family (g): the normal-matrix channel."""
-    _check_normal_factors(rec, a, b, polar_decompose(a, rank_tol).H,
-                          polar_decompose(b, rank_tol).H, lam, lam_hat, full_rank_b)
+                      lam, lam_hat, full_rank_b: bool) -> None:
+    """Assertion family (g): the normal-matrix channel, where a and b have
+    the non-zero eigenvalues lam and lam_hat."""
+    _check_normal_factors(rec, a, b, polar_decompose(a, len(lam)).H,
+                          polar_decompose(b, len(lam_hat)).H, lam, lam_hat, full_rank_b)
 
 
 def _check_normal_factors(rec: _Recorder, a: np.ndarray, b: np.ndarray,
@@ -300,18 +292,21 @@ def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
     normal = np.stack([_normal_matrix(u, x) for x, u in zip(eigs, basis)])
     del lefts, rights, bases, left, right, basis   # free them before the SVDs
     # the SVD sees complex input, as in `svd`; the checks see the matrices as built
-    res = svd_stack(general, config.rank_tol)
-    res_n = svd_stack(normal, config.rank_tol)
+    res = svd_stack(general)
+    res_n = svd_stack(normal)
 
     recs = []
     for i, trial in enumerate(trials):
         first, second = 2 * i, 2 * i + 1
         rec = _Recorder(trial, config.slack_tol)
-        _check_polar_svds(rec, general[first], general[second], res[first], res[second])
+        r, s = len(spectra[first]), len(spectra[second])
+        lam, lam_hat = eigs[first], eigs[second]
+        _check_polar_svds(rec, general[first], general[second], res[first], res[second],
+                          r, s)
         _check_normal_factors(rec, normal[first], normal[second],
-                              polar_from_svd(res_n[first]).H,
-                              polar_from_svd(res_n[second]).H, eigs[first], eigs[second],
-                              full_rank_b=len(eigs[second]) == config.normal_dim)
+                              polar_from_svd(res_n[first], len(lam)).H,
+                              polar_from_svd(res_n[second], len(lam_hat)).H, lam, lam_hat,
+                              full_rank_b=len(lam_hat) == config.normal_dim)
         recs.append(rec)
     return recs
 

@@ -24,19 +24,16 @@ class TestSvd:
     def test_diagonal(self):
         res = svd(np.diag([3.0, 4.0]))
         assert np.allclose(res.singular_values, [4.0, 3.0])
-        assert res.rank == 2
 
     def test_zero_matrix(self):
         res = svd(np.zeros((2, 2)))
         assert np.allclose(res.singular_values, [0.0, 0.0])
-        assert res.rank == 0
 
     def test_unit_row(self):
         a = np.zeros((3, 3))
         a[0] = [0.6, 0.0, 0.8]  # unit row
         res = svd(a)
         assert np.allclose(res.singular_values, [1.0, 0.0, 0.0], atol=1e-12)
-        assert res.rank == 1
 
     def test_factor_invariants(self, rng):
         for _ in range(20):
@@ -93,7 +90,7 @@ class TestSvd:
 
     @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 3), (1, 1), (1, 4)])
     def test_stack_matches_single(self, rng, m, n):
-        # one LAPACK call for the stack, bit-identical factors and ranks
+        # one LAPACK call for the stack, bit-identical factors
         a = rng.standard_normal((9, m, n)) + 1j * rng.standard_normal((9, m, n))
         a[3] = 0.0
         a[4, :, 0] = 0.0
@@ -102,8 +99,6 @@ class TestSvd:
             assert res.U.tobytes() == ref.U.tobytes()
             assert res.V.tobytes() == ref.V.tobytes()
             assert res.singular_values.tobytes() == ref.singular_values.tobytes()
-            assert res.rank == ref.rank
-        assert svd_stack(a)[3].rank == 0
 
     def test_stack_rejects_a_matrix(self):
         with pytest.raises(ValueError):
@@ -112,26 +107,27 @@ class TestSvd:
 
 class TestPolarDecompose:
     def test_diagonal(self):
-        pf = polar_decompose(np.diag([3.0, 4.0]))
+        pf = polar_decompose(np.diag([3.0, 4.0]), 2)
         assert np.allclose(pf.Q, np.eye(2))
         assert np.allclose(pf.H, np.diag([3.0, 4.0]))
 
     def test_rank_one_projector(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        pf = polar_decompose(a)
+        pf = polar_decompose(a, 1)
         assert np.allclose(pf.Q, a)
         assert np.allclose(pf.H, a)
         assert pf.rank == 1
 
     def test_negative_scalar(self):
-        pf = polar_decompose(np.array([[-5.0]]))
+        pf = polar_decompose(np.array([[-5.0]]), 1)
         assert np.allclose(pf.Q, [[-1.0]])
         assert np.allclose(pf.H, [[5.0]])
 
-    def test_zero_is_degenerate(self):
-        pf = polar_decompose(np.zeros((3, 2)))
-        assert pf.degenerate
-        assert pf.rank == 0
+    def test_rejects_rank_out_of_range(self):
+        # the rank comes from the caller and must fit the matrix
+        for a, rank in ((np.zeros((3, 2)), 0), (np.eye(3, 2), 0), (np.eye(3, 2), 3)):
+            with pytest.raises(ValueError):
+                polar_decompose(a, rank)
 
     def test_reconstruction_and_projector(self, rng):
         for _ in range(20):
@@ -140,8 +136,7 @@ class TestPolarDecompose:
             u = haar_random_unitary(m, int(rng.integers(1 << 30)))[:, :r]
             v = haar_random_unitary(n, int(rng.integers(1 << 30)))[:, :r]
             a = (u * rng.uniform(0.5, 3.0, size=r)) @ v.conj().T
-            pf = polar_decompose(a)
-            assert pf.rank == r
+            pf = polar_decompose(a, r)
             assert frobenius(a - pf.Q @ pf.H) <= 1e-10 * frobenius(a)
             proj = pf.Q.conj().T @ pf.Q
             assert frobenius(proj @ proj - proj) <= 1e-10
@@ -151,9 +146,8 @@ class TestPolarDecompose:
             assert np.linalg.matrix_rank(np.hstack([pf.Q.conj().T, pf.H]),
                                          tol=1e-8) == r
             # factors of A* from the SVD of A: Q* and |A*| = U1 S1 U1*
-            adj = polar_from_svd(svd(a).adjoint())
-            direct = polar_decompose(a.conj().T)
-            assert adj.rank == direct.rank == r
+            adj = polar_from_svd(svd(a).adjoint(), r)
+            direct = polar_decompose(a.conj().T, r)
             assert frobenius(adj.Q - direct.Q) <= 1e-10
             assert frobenius(adj.H - direct.H) <= 1e-10 * frobenius(a)
 
