@@ -216,12 +216,12 @@ def h_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
     m = n = s + r
     fg = _witness_scalars(pair)
     if which == "max":
-        if fg.F - 2.0 * fg.G <= 1e-12 * fg.F:
+        if fg.D == 0.0:
             raise DegenerateSupremumError(
                 "identical spectra: the upper constant sqrt(2) is approached "
                 "but not attained by any finite pair")
         target = bounds.h_upper_coeff(pair).coefficient
-        c = fg.F / (fg.F + math.sqrt(fg.F ** 2 - 2.0 * fg.G * fg.F))
+        c = 1.0 / (1.0 + math.sqrt(fg.D / fg.F))
         U = np.eye(m, dtype=complex)
         V = _shrunken_diag_unitary(pair, c)
     else:
@@ -243,7 +243,7 @@ def lee_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
     U[np.arange(r), np.arange(r)] = -1.0
     if which == "max":
         target = bounds.lee_upper_coeff(pair).coefficient
-        c = fg.F / (fg.F + math.sqrt(fg.F ** 2 + 2.0 * fg.G * fg.F))
+        c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * fg.G / fg.F))
         # the shrunken block must carry the same sign as the leading block of
         # U: equality needs the alignment scalar M positive at +sqrt(G N)
         V = _shrunken_diag_unitary(pair, -c)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from polarbounds.cli import main, table1_path
+from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import read_matrix_text
 
 
@@ -37,6 +38,8 @@ EXIT_CASES = {
     "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-max", "--out", "{tmp}/w"], 2),
     "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
     "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
+    "witness-missed-constant": ("record near\nsigma 1\nsigma_tilde 1 1e-20\n",
+                                ["witness", "{path}", "near", "h-max", "--out", "{tmp}/w"], 5),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
     "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
 }
@@ -146,6 +149,16 @@ class TestWitness:
         code = main(["witness", path, "one", "h-max",
                      "--out", str(tmp_path / "w")])
         assert code == 3
+
+    @pytest.mark.parametrize("bound", BOUND_IDS)
+    def test_hard_spectra(self, tmp_path, capsys, bound):
+        path = write(tmp_path, "in.spectra",
+                     "record wide\nsigma 1e8 1e-8\nsigma_tilde 1e8 1 1e-8\n")
+        code, rep = run_json(capsys, ["witness", path, "wide", bound,
+                                      "--out", str(tmp_path / "w")])
+        assert code == 0
+        target = rep["target_coefficient"]
+        assert abs(rep["achieved_ratio"] - target) <= RATIO_RTOL * target
 
     def test_unknown_record_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)

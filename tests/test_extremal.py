@@ -5,6 +5,7 @@ import pytest
 
 from polarbounds.extremal import (
     BOUND_IDS,
+    RATIO_RTOL,
     DegenerateSupremumError,
     couple_scalars,
     h_witness,
@@ -21,6 +22,10 @@ from conftest import random_pair
 
 def pair_of(sig, sigt):
     return validate_spectrum_pair(sig, sigt)
+
+
+# singular values sixteen decades apart; F - 2G rounds to 0 on this pair
+HARD_PAIR = ([1e8, 1e-8], [1e8, 1, 1e-8])
 
 
 class TestQWitness:
@@ -126,6 +131,15 @@ class TestDispatchAndVerification:
         assert w.A.shape == (5, 5) and w.m == w.n == p.s + p.r
         assert np.linalg.matrix_rank(w.A, tol=1e-10) == p.r
         assert np.linalg.matrix_rank(w.A_tilde, tol=1e-10) == p.s
+
+
+class TestHardSpectra:
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_attains_constant(self, bound_id):
+        w = make_witness(pair_of(*HARD_PAIR), bound_id)
+        target = w.target_coefficient
+        for achieved in (w.diagnostics.achieved_ratio, verify_witness(w).achieved_ratio):
+            assert abs(achieved - target) <= RATIO_RTOL * target
 
 
 class TestDiagnosticsOnRandomCouples:

@@ -22,7 +22,7 @@ CAMPAIGN_DIGESTS = {
     "complex": "3e8ef35f3af6331cc96df564f710143fbfd7c51cd016dee56e2b2d769060bcb0",
     "real": "26a6b4e7a0fa19c24957dbc61a0af414854a0beaa27a618917dd617e6b3d94bf",
 }
-WITNESS_DIGEST = "2b70dfee3e462c3af56cbd3a87abef58b0191405c0854d1f341b3a0d2010a0c8"
+WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 
