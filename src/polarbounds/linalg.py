@@ -1,7 +1,7 @@
 """Dense complex linear algebra primitives.
 
-Deterministic SVD (fixed phase convention), generalized polar decomposition,
-unitary completion of partial column blocks, and seeded Haar-random unitary
+Full SVD, generalized polar decomposition at a given rank, unitary
+completion of partial column blocks, and seeded Haar-random unitary
 sampling. The SVD and the Haar correction also take stacks of matrices, one
 LAPACK call per stack, with results bit-identical to one matrix at a time.
 Everything here is a pure function of its inputs.
@@ -62,50 +62,11 @@ def _as_matrix(a, ndim: int = 2) -> np.ndarray:
     return a
 
 
-def _pivot_phases(cols: np.ndarray) -> np.ndarray:
-    """Unit phase of each column's largest-magnitude entry (1 for a zero
-    column), over a stack of matrices: (B, m, c) -> (B, c).
-
-    np.hypot rounds like abs() on one complex entry; np.abs on an array may not.
-    """
-    rows = np.argmax(np.abs(cols), axis=-2)
-    piv = cols[np.arange(rows.shape[0])[:, None], rows, np.arange(rows.shape[1])]
-    mag = np.hypot(piv.real, piv.imag)
-    phase = np.ones(piv.shape, dtype=complex)
-    np.divide(piv, mag, out=phase, where=mag > 0)
-    return phase
-
-
-def _scale_columns(x: np.ndarray, p: np.ndarray) -> None:
-    """Multiply column j of each matrix in the stack x by p[..., j], in place.
-
-    Through the transposes numpy scales each column as a column times a
-    scalar; other layouts, and an in-place multiply, can select a complex
-    multiply loop that rounds differently.
-    """
-    x[...] = (np.swapaxes(x, -1, -2) * p[..., :, None]).swapaxes(-1, -2)
-
-
-def _phase_convention(u: np.ndarray, v: np.ndarray) -> None:
-    """Rotate, in place, each left singular vector's largest-magnitude entry
-    to be real positive; the paired right vector takes the conjugate phase,
-    and V's remaining null-space columns get the convention on their own.
-    u is a (B, m, m) stack, v a (B, n, n) stack."""
-    k = min(u.shape[-1], v.shape[-1])
-    rot = np.conj(_pivot_phases(u))
-    _scale_columns(u, rot)
-    _scale_columns(v[..., :k], rot[..., :k])
-    if k < v.shape[-1]:
-        tail = v[..., k:]
-        _scale_columns(tail, np.conj(_pivot_phases(tail)))
-
-
 def svd(a) -> SvdResult:
-    """Full SVD with a deterministic phase convention.
+    """Full SVD A = U diag(S) V* of a complex matrix.
 
-    The largest-magnitude entry of each left singular vector is rotated to be
-    real positive (the paired right singular vector absorbs the conjugate
-    phase), so identical inputs always yield bit-identical factors.
+    The phases of the singular vectors are LAPACK's; the polar factors built
+    from them do not depend on those phases.
     """
     return _svd_stack(_as_matrix(a)[None])[0]
 
@@ -125,7 +86,6 @@ def _svd_stack(a: np.ndarray) -> List[SvdResult]:
         m, n = a.shape[1:]
         raise SvdConvergenceError(f"SVD did not converge for {m}x{n} input: {exc}") from exc
     v = np.swapaxes(vh.conj(), -1, -2)
-    _phase_convention(u, v)
     return [SvdResult(U=u[b], singular_values=sv[b], V=v[b]) for b in range(len(sv))]
 
 

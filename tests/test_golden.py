@@ -19,8 +19,8 @@ from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
 CAMPAIGN_DIGESTS = {
-    "complex": "3e8ef35f3af6331cc96df564f710143fbfd7c51cd016dee56e2b2d769060bcb0",
-    "real": "26a6b4e7a0fa19c24957dbc61a0af414854a0beaa27a618917dd617e6b3d94bf",
+    "complex": "bc00f8fe6dca10c530b60b429249c7d4075d292dfc351182c9f439c78f547a24",
+    "real": "4e7ea08cab88ace0ed75ec3733e77610af2f733013a27d8f688fb29641f869aa",
 }
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"

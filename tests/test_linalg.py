@@ -48,45 +48,15 @@ class TestSvd:
             assert abs(frobenius(a) ** 2 - np.sum(res.singular_values ** 2)) \
                 <= 1e-10 * max(1.0, frobenius(a) ** 2)
 
-    def test_deterministic_phase(self, rng):
+    def test_deterministic(self, rng):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         r1, r2 = svd(a), svd(a.copy())
-        assert np.array_equal(r1.U, r2.U)
-        assert np.array_equal(r1.V, r2.V)
-        # convention: largest-magnitude entry of each left vector is real positive
-        for j in range(4):
-            p = np.argmax(np.abs(r1.U[:, j]))
-            assert abs(r1.U[p, j].imag) < 1e-14
-            assert r1.U[p, j].real > 0
+        assert r1.U.tobytes() == r2.U.tobytes()
+        assert r1.V.tobytes() == r2.V.tobytes()
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_phase_fix_matches_column_loop(self, rng):
-        # reference: the phase convention applied one column at a time
-        for trial in range(200):
-            m, n = int(rng.integers(1, 8)), int(rng.integers(1, 8))
-            a = rng.standard_normal((m, n))
-            if trial % 2:
-                a = a + 1j * rng.standard_normal((m, n))
-            u, _, vh = np.linalg.svd(a.astype(complex), full_matrices=True)
-            v = vh.conj().T
-            for j in range(m):
-                col = u[:, j]
-                p = np.argmax(np.abs(col))
-                phase = col[p] / abs(col[p])
-                u[:, j] = col * np.conj(phase)
-                if j < min(m, n):
-                    v[:, j] = v[:, j] * np.conj(phase)
-            for j in range(min(m, n), n):
-                col = v[:, j]
-                p = np.argmax(np.abs(col))
-                v[:, j] = col * np.conj(col[p] / abs(col[p]))
-            res = svd(a)
-            assert res.U.tobytes() == u.tobytes()
-            assert res.V.tobytes() == v.tobytes()
-
 
     @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 3), (1, 1), (1, 4)])
     def test_stack_matches_single(self, rng, m, n):
