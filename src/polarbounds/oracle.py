@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
-from .bounds import EnumerationCapError, q_lower_numden, q_upper_numden
+from .bounds import q_lower_numden, q_upper_numden
 from .spectra import BoundResult, EigenPair, NumericalRangeError, SpectrumPair, fg_scalars
 
 DEFAULT_BUDGET = 10 ** 7

@@ -429,3 +429,20 @@ class TestRangeErrors:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+    def test_no_unused_import_in_library(self):
+        # a name a module imports and never uses is left over from deleted code
+        package = Path(polarbounds.__file__).resolve().parent
+        found = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "__init__.py":    # imports there are the public API
+                continue
+            tree = ast.parse(path.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                              if (alias.asname or alias.name).split(".")[0] not in used]
+        assert found == []
