@@ -49,7 +49,6 @@ class SvdResult:
 class PolarFactors:
     Q: np.ndarray            # m x n subunitary of rank r
     H: np.ndarray            # n x n Hermitian PSD of rank r
-    rank: int
 
 
 def _as_matrix(a, ndim: int = 2) -> np.ndarray:
@@ -111,7 +110,7 @@ def polar_from_svd(res: SvdResult, rank: int) -> PolarFactors:
     q = u1 @ v1.conj().T
     h = (v1 * s1) @ v1.conj().T
     h = 0.5 * (h + h.conj().T)   # enforce exact Hermitian symmetry
-    return PolarFactors(Q=q, H=h, rank=rank)
+    return PolarFactors(Q=q, H=h)
 
 
 def unitary_completion(partial, zero_rows=()) -> np.ndarray:

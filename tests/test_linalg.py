@@ -86,7 +86,6 @@ class TestPolarDecompose:
         pf = polar_decompose(a, 1)
         assert np.allclose(pf.Q, a)
         assert np.allclose(pf.H, a)
-        assert pf.rank == 1
 
     def test_negative_scalar(self):
         pf = polar_decompose(np.array([[-5.0]]), 1)
