@@ -13,12 +13,12 @@ Exit codes: 0 success; 1 a finding (a `verify` violation or an `oracle`
 disagreement); 2 input rejected (a malformed or non-UTF-8 file, an invalid
 spectrum, or spectra beyond the floating-point range; `bounds` rejects such
 a record, or one with more than 6 eigenvalues, in place and reports the
-rest); 3 degenerate witness; 4 budget exceeded; 5 witness construction
-failed (the built pair missed its constant, or a unitary could not be
-completed); 64 usage error (bad arguments or tolerances, an unreadable
-input, an unwritable --out). Report
-bodies are byte-deterministic for fixed inputs and seeds; timing goes to
-stderr.
+rest); 3 degenerate witness (h-max on identical spectra); 4 budget
+exceeded; 5 witness construction failed (the built pair missed its
+constant, or a unitary could not be completed); 64 usage error (bad
+arguments or tolerances, an option the command does not take, an
+unreadable input, an unwritable --out). Report bodies are
+byte-deterministic for fixed inputs and seeds; timing goes to stderr.
 """
 
 from __future__ import annotations

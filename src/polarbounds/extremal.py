@@ -268,7 +268,7 @@ def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
     The four squared norms (difference and sum of the matrices, difference
     and sum of the positive factors) must match their closed-form values
     F -+ 2M and F -+ 2N within 1e-10 relative; polar factors are recomputed
-    from scratch, at the ranks r of A and s of A~.
+    from the matrices, at the ranks r of A and s of A~.
     """
     pair = w.pair
     fg = _witness_scalars(pair)
