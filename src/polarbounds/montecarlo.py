@@ -20,6 +20,8 @@ from .linalg import (SvdResult, frobenius, ginibre, haar_from_ginibre, haar_rand
 from .spectra import validate_eigen_pair, validate_spectrum_pair
 
 _CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gain little
+SPECTRUM_RANGE = (1e-2, 1e2)   # log-uniform law of the drawn singular values
+NORMAL_DIM = 3                 # square size for the normal-matrix channel
 
 INEQUALITY_IDS = (
     "q-lower", "q-upper",
@@ -43,9 +45,7 @@ class EnsembleConfig:
     r: Optional[int] = None           # None: drawn per trial
     s: Optional[int] = None
     max_rank: Optional[int] = None    # cap for drawn ranks; default min(m, n)
-    spectrum_range: Tuple[float, float] = (1e-2, 1e2)   # log-uniform law
     slack_tol: float = 1e-9
-    normal_dim: int = 3               # square size for the normal-matrix channel
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1 or self.trials < 1:
@@ -58,9 +58,6 @@ class EnsembleConfig:
                 raise ValueError(f"{name}={v} outside [1, {cap}]")
         if self.r is not None and self.s is not None and self.r > self.s:
             raise ValueError("need r <= s")
-        lo, hi = self.spectrum_range
-        if not (0 < lo <= hi):
-            raise ValueError("spectrum_range must be positive and ordered")
         if not self.slack_tol >= 0:
             raise ValueError(f"slack_tol must be nonnegative, got {self.slack_tol!r}")
 
@@ -108,7 +105,8 @@ def _with_spectrum(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     return (u[:, :k] * sigma) @ v[:, :k].conj().T
 
 
-def _log_uniform(rng: np.random.Generator, lo: float, hi: float, size: int):
+def _log_uniform(rng: np.random.Generator, size: int):
+    lo, hi = SPECTRUM_RANGE
     vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
     return np.sort(vals)[::-1]
 
@@ -243,8 +241,7 @@ def _draw(config: EnsembleConfig, trial: int):
     cap = config.max_rank or min(config.m, config.n)
     r = config.r if config.r is not None else int(rng.integers(1, cap + 1))
     s = config.s if config.s is not None else int(rng.integers(r, cap + 1))
-    lo, hi = config.spectrum_range
-    spectra = (_log_uniform(rng, lo, hi, r), _log_uniform(rng, lo, hi, s))
+    spectra = (_log_uniform(rng, r), _log_uniform(rng, s))
 
     # each matrix's singular vectors come from a generator of its own, as in
     # random_matrix_with_spectrum
@@ -255,7 +252,7 @@ def _draw(config: EnsembleConfig, trial: int):
         rights.append(ginibre(sub, config.n, fld))
 
     # normal-matrix channel at small size so the arrangement optimum is exact
-    nn = config.normal_dim
+    nn = NORMAL_DIM
     rn = int(rng.integers(1, nn + 1))
     sn = int(rng.integers(rn, nn + 1))
     moduli_a = rng.uniform(0.5, 2.0, size=rn)
@@ -306,7 +303,7 @@ def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
         _check_normal_factors(rec, normal[first], normal[second],
                               polar_from_svd(res_n[first], len(lam)).H,
                               polar_from_svd(res_n[second], len(lam_hat)).H, lam, lam_hat,
-                              full_rank_b=len(lam_hat) == config.normal_dim)
+                              full_rank_b=len(lam_hat) == NORMAL_DIM)
         recs.append(rec)
     return recs
 

@@ -53,8 +53,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=2, trials=1, seed=0, field="quaternion")
         with pytest.raises(ValueError):
-            EnsembleConfig(m=2, n=2, trials=1, seed=0, spectrum_range=(1, 0.5))
-        with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=2, trials=1, seed=0, slack_tol=-1e-9)
 
     def test_report_body_excludes_wall_time(self):
