@@ -23,7 +23,7 @@ from .bounds import (
     q_upper_coeff,
     refined_li_sun_coeff,
 )
-from .extremal import ExtremalWitness, h_witness, lee_witness, make_witness, q_witness, verify_witness
+from .extremal import ExtremalWitness, make_witness, verify_witness
 from .linalg import PolarFactors, SvdResult, haar_random_unitary, polar_decompose, svd, unitary_completion
 from .montecarlo import EnsembleConfig, SuiteReport, random_matrix_with_spectrum, run_verification_suite
 from .oracle import brute_force_f_extrema, brute_force_kittaneh, directional_move_check, enumerate_extreme_points

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -98,6 +99,9 @@ def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
              upper: bool) -> Tuple[BoundResult, KRatioTable]:
     """Square root of the max (upper) or min of the ratio table over k."""
     values = tuple(_ratios(fg_scalars(pair).F, map(numden, range(pair.r + 1))))
+    for v in values:
+        if v is not None:
+            check_range(theorem_id, v, 0.0, sys.float_info.max)
     top = _extreme(enumerate(values), upper=True)
     bottom = _extreme(enumerate(values), upper=False)
     if top is None:

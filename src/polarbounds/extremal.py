@@ -31,19 +31,16 @@ BOUND_IDS = ("q-max", "q-min", "h-max", "h-min", "lee-max", "lee-min")
 class DegenerateSupremumError(ValueError):
     """The upper bound is a supremum approached only in the limit.
 
-    Raised for the positive-factor upper witness on identical spectra, where
-    the constant sqrt(2) is not attained by any finite pair.
+    Raised for the positive-factor upper witness when its shrink factor
+    1 / (1 + sqrt(D / F)) rounds to 1: on identical spectra, where the
+    constant sqrt(2) is not attained by any finite pair, and on spectra so
+    close (e.g. (1,) against (1, 1e-20)) that no double-precision pair of
+    the construction attains the constant.
     """
 
 
 class WitnessVerificationError(RuntimeError):
-    """A recomputed norm identity failed on a constructed witness."""
-
-
-@dataclass(frozen=True)
-class UnitaryCouple:
-    S: np.ndarray    # m x m unitary (left factor of the first matrix)
-    T: np.ndarray    # n x n unitary (right factor of the first matrix)
+    """A recomputed norm identity failed, or a built witness missed its constant."""
 
 
 @dataclass(frozen=True)
@@ -57,19 +54,19 @@ class WitnessDiagnostics:
 
 @dataclass(frozen=True)
 class ExtremalWitness:
+    """A = S diag(sigma) T* and A~ = diag(sigma~), both (s + r) x (s + r)."""
     bound_id: str
     A: np.ndarray
     A_tilde: np.ndarray
-    couple: UnitaryCouple
+    S: np.ndarray    # unitary left factor of A
+    T: np.ndarray    # unitary right factor of A
     target_coefficient: float
     diagnostics: WitnessDiagnostics
-    m: int
-    n: int
     pair: SpectrumPair
 
 
-def _embed_diag(values, m: int, n: int) -> np.ndarray:
-    out = np.zeros((m, n), dtype=complex)
+def _embed_diag(values, m: int) -> np.ndarray:
+    out = np.zeros((m, m), dtype=complex)
     for j, v in enumerate(values):
         out[j, j] = v
     return out
@@ -101,50 +98,55 @@ def _witness_scalars(pair: SpectrumPair) -> FGScalars:
     return fg
 
 
-def _achieved_ratio(bound_id: str, A: np.ndarray, A_tilde: np.ndarray,
-                    pf, pf_t) -> Tuple[float, float, float]:
-    """(||A~ - A||, factor gap norm, achieved ratio) of a pair for its bound family."""
-    e_norm = frobenius(A_tilde - A)
-    if bound_id.startswith("q"):
-        gap = frobenius(pf.Q - pf_t.Q)
-        achieved = gap / e_norm
-    elif bound_id.startswith("h"):
-        gap = frobenius(pf.H - pf_t.H)
-        achieved = gap / e_norm
+def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndarray,
+              S: np.ndarray, T: np.ndarray) -> WitnessDiagnostics:
+    """The body of verify_witness: check the identities, then take the ratio
+    of the bound's family from the same four norms."""
+    fg = _witness_scalars(pair)
+    M, N = couple_scalars(pair, S, T)
+    if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
+        raise WitnessVerificationError(f"N = {N} outside [0, G = {fg.G}]")
+    if abs(M) > math.sqrt(max(fg.G * N, 0.0)) + 1e-10 * fg.F:
+        raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
+
+    pf = polar_decompose(A, pair.r)
+    pf_t = polar_decompose(A_tilde, pair.s)
+    diff, total = frobenius(A_tilde - A), frobenius(A_tilde + A)
+    h_diff, h_total = frobenius(pf.H - pf_t.H), frobenius(pf.H + pf_t.H)
+    checks = (("difference-norm", diff, fg.F - 2.0 * M),
+              ("sum-norm", total, fg.F + 2.0 * M),
+              ("factor-difference-norm", h_diff, fg.F - 2.0 * N),
+              ("factor-sum-norm", h_total, fg.F + 2.0 * N))
+    for name, norm, closed in checks:
+        direct = norm ** 2
+        if abs(direct - closed) > 1e-10 * max(1.0, abs(closed), fg.F):
+            raise WitnessVerificationError(
+                f"{name}: direct {direct} vs closed form {closed}")
+
+    if bound_id.startswith("lee"):
+        gap = h_total
+        achieved = total / gap
     else:
-        gap = frobenius(pf.H + pf_t.H)
-        achieved = frobenius(A + A_tilde) / gap
-    return e_norm, gap, achieved
-
-
-def _build_witness(bound_id: str, pair: SpectrumPair, U: np.ndarray,
-                   V: np.ndarray, target: float) -> ExtremalWitness:
-    r, s = pair.r, pair.s
-    m = n = s + r
-    sigma = _embed_diag(pair.sigma, m, n)
-    sigma_tilde = _embed_diag(pair.sigma_tilde, m, n)
-    A = U @ sigma @ V.conj().T
-    A_tilde = sigma_tilde
-
-    pf = polar_decompose(A, r)
-    pf_t = polar_decompose(A_tilde, s)
-    e_norm, gap, achieved = _achieved_ratio(bound_id, A, A_tilde, pf, pf_t)
-
-    M, N = couple_scalars(pair, U, V)
-    diag = WitnessDiagnostics(M=M, N=N, E_norm=e_norm, factor_gap_norm=gap,
+        gap = frobenius(pf.Q - pf_t.Q) if bound_id.startswith("q") else h_diff
+        achieved = gap / diff
+    return WitnessDiagnostics(M=M, N=N, E_norm=diff, factor_gap_norm=gap,
                               achieved_ratio=achieved)
-    w = ExtremalWitness(bound_id=bound_id, A=A, A_tilde=A_tilde,
-                        couple=UnitaryCouple(S=U, T=V),
-                        target_coefficient=target, diagnostics=diag, m=m, n=n,
-                        pair=pair)
-    rel = abs(achieved - target) / max(abs(target), 1e-300)
-    if target == 0.0:
-        rel = abs(achieved)
+
+
+def _build_witness(bound_id: str, pair: SpectrumPair, S: np.ndarray,
+                   T: np.ndarray, target: float) -> ExtremalWitness:
+    m = pair.s + pair.r
+    A = S @ _embed_diag(pair.sigma, m) @ T.conj().T
+    A_tilde = _embed_diag(pair.sigma_tilde, m)
+    diag = _diagnose(bound_id, pair, A, A_tilde, S, T)
+    achieved = diag.achieved_ratio
+    rel = abs(achieved) if target == 0.0 else abs(achieved - target) / abs(target)
     if rel > RATIO_RTOL:
         raise WitnessVerificationError(
             f"{bound_id}: achieved ratio {achieved} misses target {target} "
             f"(relative error {rel:.3g})")
-    return w
+    return ExtremalWitness(bound_id=bound_id, A=A, A_tilde=A_tilde, S=S, T=T,
+                           target_coefficient=target, diagnostics=diag, pair=pair)
 
 
 def _q_partial_blocks(pair: SpectrumPair, which: str, k: int
@@ -158,39 +160,20 @@ def _q_partial_blocks(pair: SpectrumPair, which: str, k: int
         # aligned identity on the first r-k directions, anti-aligned reversal
         # pairing the k smallest first-spectrum values with the k smallest
         # second-spectrum values
-        for j in range(r - k):
-            S_part[j, j] = 1.0
-            T_part[j, j] = 1.0
-        for j in range(1, k + 1):
-            S_part[s - k + j - 1, r - j] = 1.0
-            T_part[s - k + j - 1, r - j] = -1.0
+        j = np.arange(r - k)
+        S_part[j, j] = T_part[j, j] = 1.0
+        j = np.arange(1, k + 1)
+        S_part[s - k + j - 1, r - j] = 1.0
+        T_part[s - k + j - 1, r - j] = -1.0
     else:
         # anti-aligned identity on the first k directions, aligned reversal
         # pairing the rest
-        for j in range(k):
-            S_part[j, j] = 1.0
-            T_part[j, j] = -1.0
-        for j in range(1, r - k + 1):
-            S_part[s - r + k + j - 1, r - j] = 1.0
-            T_part[s - r + k + j - 1, r - j] = 1.0
+        j = np.arange(k)
+        S_part[j, j] = 1.0
+        T_part[j, j] = -1.0
+        j = np.arange(1, r - k + 1)
+        S_part[s - r + k + j - 1, r - j] = T_part[s - r + k + j - 1, r - j] = 1.0
     return S_part, T_part
-
-
-def q_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
-    """Pair attaining the subunitary-factor upper ('max') or lower ('min') bound."""
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    if which == "max":
-        result, _ = bounds.q_upper_coeff(pair)
-    else:
-        result, _ = bounds.q_lower_coeff(pair)
-    k = result.optimal_index
-    m = pair.s + pair.r
-    S_part, T_part = _q_partial_blocks(pair, which, k)
-    band = range(pair.s, m)
-    U = unitary_completion(S_part, zero_rows=band)
-    V = unitary_completion(T_part, zero_rows=band)
-    return _build_witness(f"q-{which}", pair, U, V, result.coefficient)
 
 
 def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
@@ -201,65 +184,56 @@ def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
     rows up to s).
     """
     r, s = pair.r, pair.s
-    n = s + r
-    T_part = np.zeros((n, r), dtype=complex)
-    for j in range(r):
-        T_part[j, j] = c
+    T_part = np.zeros((s + r, r), dtype=complex)
+    T_part[np.arange(r), np.arange(r)] = c
     return unitary_completion(T_part, zero_rows=range(r, s))
 
 
-def h_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
-    """Pair attaining the positive-factor upper ('max') or lower ('min') bound."""
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    r, s = pair.r, pair.s
-    m = n = s + r
-    fg = _witness_scalars(pair)
-    if which == "max":
-        if fg.D == 0.0:
-            raise DegenerateSupremumError(
-                "identical spectra: the upper constant sqrt(2) is approached "
-                "but not attained by any finite pair")
-        target = bounds.h_upper_coeff(pair).coefficient
-        c = 1.0 / (1.0 + math.sqrt(fg.D / fg.F))
-        U = np.eye(m, dtype=complex)
-        V = _shrunken_diag_unitary(pair, c)
-    else:
-        target = bounds.h_lower_coeff(pair).coefficient
-        U = np.eye(m, dtype=complex)
-        U[np.arange(r), np.arange(r)] = -1.0
-        V = np.eye(n, dtype=complex)
-    return _build_witness(f"h-{which}", pair, U, V, target)
-
-
-def lee_witness(pair: SpectrumPair, which: str) -> ExtremalWitness:
-    """Pair attaining the sum-ratio upper ('max') or lower ('min') bound."""
-    if which not in ("max", "min"):
-        raise ValueError(f"which must be 'max' or 'min', got {which!r}")
-    r, s = pair.r, pair.s
-    m = n = s + r
-    fg = _witness_scalars(pair)
-    U = np.eye(m, dtype=complex)
-    U[np.arange(r), np.arange(r)] = -1.0
-    if which == "max":
-        target = bounds.lee_upper_coeff(pair).coefficient
-        c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * fg.G / fg.F))
-        # the shrunken block must carry the same sign as the leading block of
-        # U: equality needs the alignment scalar M positive at +sqrt(G N)
-        V = _shrunken_diag_unitary(pair, -c)
-    else:
-        target = bounds.lee_lower_coeff(pair).coefficient
-        V = np.eye(n, dtype=complex)
-    return _build_witness(f"lee-{which}", pair, U, V, target)
-
-
 def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
-    """Dispatch on one of the six bound ids, e.g. 'q-max' or 'lee-min'."""
+    """Pair attaining one of the six bounds, e.g. 'q-max' or 'lee-min'.
+
+    'max' is the upper and 'min' the lower bound of the subunitary (q),
+    positive (h) or sum-ratio (lee) factor. The pair is certified by the
+    checks of verify_witness; WitnessVerificationError if it fails them or
+    misses its constant.
+    """
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
-    family, which = bound_id.split("-")
-    builder = {"q": q_witness, "h": h_witness, "lee": lee_witness}[family]
-    return builder(pair, which)
+    r, s = pair.r, pair.s
+    m = s + r
+    if bound_id.startswith("q"):
+        which = bound_id[2:]
+        result, _ = (bounds.q_upper_coeff if which == "max" else bounds.q_lower_coeff)(pair)
+        S_part, T_part = _q_partial_blocks(pair, which, result.optimal_index)
+        band = range(s, m)
+        return _build_witness(bound_id, pair, unitary_completion(S_part, zero_rows=band),
+                              unitary_completion(T_part, zero_rows=band), result.coefficient)
+
+    fg = _witness_scalars(pair)
+    U = np.eye(m, dtype=complex)
+    V = np.eye(m, dtype=complex)
+    if bound_id == "h-max":
+        c = 1.0 / (1.0 + math.sqrt(fg.D / fg.F))
+        if c == 1.0:
+            raise DegenerateSupremumError(
+                "spectra identical, or too close for the shrink factor to fall "
+                "below 1 in floating point: the upper constant is approached "
+                "but not attained by any pair")
+        target = bounds.h_upper_coeff(pair).coefficient
+        V = _shrunken_diag_unitary(pair, c)
+    else:
+        U[np.arange(r), np.arange(r)] = -1.0
+        if bound_id == "lee-max":
+            target = bounds.lee_upper_coeff(pair).coefficient
+            c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * fg.G / fg.F))
+            # the shrunken block must carry the same sign as the leading block
+            # of U: equality needs the alignment scalar M positive at +sqrt(G N)
+            V = _shrunken_diag_unitary(pair, -c)
+        elif bound_id == "h-min":
+            target = bounds.h_lower_coeff(pair).coefficient
+        else:
+            target = bounds.lee_lower_coeff(pair).coefficient
+    return _build_witness(bound_id, pair, U, V, target)
 
 
 def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
@@ -268,29 +242,7 @@ def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
     The four squared norms (difference and sum of the matrices, difference
     and sum of the positive factors) must match their closed-form values
     F -+ 2M and F -+ 2N within 1e-10 relative; polar factors are recomputed
-    from the matrices, at the ranks r of A and s of A~.
+    from the matrices, at the ranks r of A and s of A~. The achieved ratio
+    is taken from the same norms.
     """
-    pair = w.pair
-    fg = _witness_scalars(pair)
-    M, N = couple_scalars(pair, w.couple.S, w.couple.T)
-    if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
-        raise WitnessVerificationError(f"N = {N} outside [0, G = {fg.G}]")
-    if abs(M) > math.sqrt(max(fg.G * N, 0.0)) + 1e-10 * fg.F:
-        raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
-
-    pf = polar_decompose(w.A, pair.r)
-    pf_t = polar_decompose(w.A_tilde, pair.s)
-    checks = {
-        "difference-norm": (frobenius(w.A_tilde - w.A) ** 2, fg.F - 2.0 * M),
-        "sum-norm": (frobenius(w.A_tilde + w.A) ** 2, fg.F + 2.0 * M),
-        "factor-difference-norm": (frobenius(pf.H - pf_t.H) ** 2, fg.F - 2.0 * N),
-        "factor-sum-norm": (frobenius(pf.H + pf_t.H) ** 2, fg.F + 2.0 * N),
-    }
-    for name, (direct, closed) in checks.items():
-        if abs(direct - closed) > 1e-10 * max(1.0, abs(closed), fg.F):
-            raise WitnessVerificationError(
-                f"{name}: direct {direct} vs closed form {closed}")
-
-    e_norm, gap, achieved = _achieved_ratio(w.bound_id, w.A, w.A_tilde, pf, pf_t)
-    return WitnessDiagnostics(M=M, N=N, E_norm=e_norm, factor_gap_norm=gap,
-                              achieved_ratio=achieved)
+    return _diagnose(w.bound_id, w.pair, w.A, w.A_tilde, w.S, w.T)

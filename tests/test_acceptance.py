@@ -16,7 +16,6 @@ from polarbounds.cli import table1_path
 from polarbounds.extremal import (
     BOUND_IDS,
     DegenerateSupremumError,
-    h_witness,
     make_witness,
     verify_witness,
 )
@@ -105,7 +104,7 @@ def test_criterion_3_witness_attainment():
                 else:
                     assert abs(d.achieved_ratio - target) <= 1e-8 * abs(target)
         with pytest.raises(DegenerateSupremumError):
-            h_witness(validate_spectrum_pair([2, 1], [2, 1]), "max")
+            make_witness(validate_spectrum_pair([2, 1], [2, 1]), "h-max")
 
 
 def test_criterion_4_monte_carlo():

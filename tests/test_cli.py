@@ -5,9 +5,10 @@ import os
 import numpy as np
 import pytest
 
+from polarbounds import extremal
 from polarbounds.cli import main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
-from polarbounds.fileio import read_matrix_text
+from polarbounds.fileio import parse_spectra_text, read_matrix_text
 
 
 def write(tmp_path, name, text):
@@ -38,8 +39,8 @@ EXIT_CASES = {
     "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-max", "--out", "{tmp}/w"], 2),
     "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
     "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
-    "witness-missed-constant": ("record near\nsigma 1\nsigma_tilde 1 1e-20\n",
-                                ["witness", "{path}", "near", "h-max", "--out", "{tmp}/w"], 5),
+    "witness-float-supremum": ("record near\nsigma 1\nsigma_tilde 1 1e-20\n",
+                               ["witness", "{path}", "near", "h-max", "--out", "{tmp}/w"], 3),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
     "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
 }
@@ -106,6 +107,42 @@ class TestBounds:
         assert "q_upper" in out
 
 
+def _no_constant(name):
+    raise ValueError(f"non-finite number {name} in the report")
+
+
+class TestScale:
+    KEYS = ("q_upper", "q_lower", "h_upper", "h_lower", "lee_upper", "lee_lower",
+            "amgm", "cauchy_schwarz")
+
+    def _report(self, tmp_path, capsys, e):
+        with open(table1_path()) as fh:
+            records = parse_spectra_text(fh.read())
+        text = "".join(
+            f"record {rec.id}\n"
+            f"sigma {' '.join(f'{v!r}e{e}' for v in rec.sigma)}\n"
+            f"sigma_tilde {' '.join(f'{v!r}e{e}' for v in rec.sigma_tilde)}\n"
+            for rec in records)
+        code = main(["bounds", write(tmp_path, "in.spectra", text)])
+        return code, json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+
+    def test_golden_rows_exact_or_rejected(self, tmp_path, capsys):
+        # the golden rows times 10^e, where F, G, D and the q denominators
+        # leave the normal range: each report is exact or rejected, never
+        # wrong digits or an infinity; q has degree -1, the rest degree 0
+        _, base = self._report(tmp_path, capsys, 0)
+        for e in [*range(-175, -139), *range(140, 175)]:
+            code, rep = self._report(tmp_path, capsys, e)
+            assert code in (0, 2), e
+            if code == 2:
+                continue
+            for rec, ref in zip(rep["records"], base["records"]):
+                for key in self.KEYS:
+                    got = rec[key]["coefficient"] * (10.0 ** e if key.startswith("q") else 1.0)
+                    want = ref[key]["coefficient"]
+                    assert abs(got - want) <= 1e-15 * want, (e, rec["id"], key)
+
+
 class TestTable1:
     def test_bundled_file_exists(self):
         assert os.path.exists(table1_path())
@@ -159,6 +196,15 @@ class TestWitness:
         assert code == 0
         target = rep["target_coefficient"]
         assert abs(rep["achieved_ratio"] - target) <= RATIO_RTOL * target
+
+    def test_verification_failure_exit_5(self, tmp_path, capsys, monkeypatch):
+        def missed(pair, bound_id):
+            raise extremal.WitnessVerificationError("achieved ratio misses target")
+
+        monkeypatch.setattr(extremal, "make_witness", missed)
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        assert main(["witness", path, "one", "q-max", "--out", str(tmp_path / "w")]) == 5
+        assert "witness construction failed" in capsys.readouterr().err
 
     def test_unknown_record_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)

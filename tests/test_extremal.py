@@ -1,17 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from polarbounds import extremal
 from polarbounds.extremal import (
     BOUND_IDS,
     RATIO_RTOL,
     DegenerateSupremumError,
+    WitnessVerificationError,
     couple_scalars,
-    h_witness,
-    lee_witness,
     make_witness,
-    q_witness,
     verify_witness,
 )
 from polarbounds.linalg import haar_random_unitary
@@ -30,18 +30,18 @@ HARD_PAIR = ([1e8, 1e-8], [1e8, 1, 1e-8])
 
 class TestQWitness:
     def test_scalar_max(self):
-        w = q_witness(pair_of([1], [1]), "max")
+        w = make_witness(pair_of([1], [1]), "q-max")
         assert abs(w.diagnostics.achieved_ratio - 1.0) < 1e-12
         assert abs(w.diagnostics.M - (-1.0)) < 1e-12
         assert abs(w.diagnostics.E_norm ** 2 - 4.0) < 1e-12
 
     def test_golden_row_max(self):
         p = pair_of([8.7559, 6.1282, 5.0602], [7.3693, 5.7829, 3.2958, 2.5156])
-        w = q_witness(p, "max")
+        w = make_witness(p, "q-max")
         assert abs(w.diagnostics.achieved_ratio ** 2 - 0.0871) < 5e-5
 
     def test_min_ratio_zero(self):
-        w = q_witness(pair_of([2], [1]), "min")
+        w = make_witness(pair_of([2], [1]), "q-min")
         assert abs(w.diagnostics.achieved_ratio) < 1e-10
         assert abs(w.target_coefficient) < 1e-15
 
@@ -49,7 +49,7 @@ class TestQWitness:
         for _ in range(15):
             p = random_pair(rng)
             for which in ("max", "min"):
-                w = q_witness(p, which)
+                w = make_witness(p, f"q-{which}")
                 d = verify_witness(w)
                 rel = abs(d.achieved_ratio - w.target_coefficient) \
                     / max(w.target_coefficient, 1e-12)
@@ -58,46 +58,49 @@ class TestQWitness:
 
 class TestHWitness:
     def test_max_rank_gap(self):
-        w = h_witness(pair_of([1], [1, 1]), "max")
+        w = make_witness(pair_of([1], [1, 1]), "h-max")
         assert abs(w.diagnostics.achieved_ratio ** 2 - (3 - math.sqrt(3))) < 1e-10
 
     def test_min_scalar(self):
-        w = h_witness(pair_of([2], [1]), "min")
+        w = make_witness(pair_of([2], [1]), "h-min")
         assert abs(w.diagnostics.achieved_ratio - 1 / 3) < 1e-12
 
     def test_max_degenerate(self):
         with pytest.raises(DegenerateSupremumError):
-            h_witness(pair_of([1], [1]), "max")
+            make_witness(pair_of([1], [1]), "h-max")
         with pytest.raises(DegenerateSupremumError):
-            h_witness(pair_of([2, 1], [2, 1]), "max")
+            make_witness(pair_of([2, 1], [2, 1]), "h-max")
+        # distinct spectra, but the shrink factor 1 / (1 + sqrt(D / F)) rounds to 1
+        with pytest.raises(DegenerateSupremumError):
+            make_witness(pair_of([1], [1, 1e-20]), "h-max")
 
     def test_min_N_equals_G(self, rng):
         for _ in range(10):
             p = random_pair(rng)
-            w = h_witness(p, "min")
+            w = make_witness(p, "h-min")
             assert abs(w.diagnostics.N - fg_scalars(p).G) < 1e-12 * fg_scalars(p).F
 
 
 class TestLeeWitness:
     def test_max_classical(self):
-        w = lee_witness(pair_of([1], [1]), "max")
+        w = make_witness(pair_of([1], [1]), "lee-max")
         assert abs(w.diagnostics.achieved_ratio ** 2 - (1 + math.sqrt(2)) / 2) < 1e-10
 
     def test_max_rank_gap(self):
-        w = lee_witness(pair_of([1], [1, 1]), "max")
+        w = make_witness(pair_of([1], [1, 1]), "lee-max")
         # exact value sqrt(1 / (sqrt(15) - 3)) with F = 3, G = 1
         expect = math.sqrt(1 / (math.sqrt(15) - 3))
         assert abs(w.diagnostics.achieved_ratio - expect) < 1e-10
         assert abs(w.target_coefficient - expect) < 1e-12
 
     def test_min_scalar(self):
-        w = lee_witness(pair_of([2], [1]), "min")
+        w = make_witness(pair_of([2], [1]), "lee-min")
         assert abs(w.diagnostics.achieved_ratio - 1 / 3) < 1e-12
 
     def test_min_N_equals_G(self, rng):
         for _ in range(10):
             p = random_pair(rng)
-            w = lee_witness(p, "min")
+            w = make_witness(p, "lee-min")
             assert abs(w.diagnostics.N - fg_scalars(p).G) < 1e-12 * fg_scalars(p).F
 
 
@@ -128,9 +131,20 @@ class TestDispatchAndVerification:
     def test_witness_dims_and_ranks(self, rng):
         p = pair_of([3, 1], [2, 1, 0.5])
         w = make_witness(p, "q-max")
-        assert w.A.shape == (5, 5) and w.m == w.n == p.s + p.r
+        assert w.A.shape == w.A_tilde.shape == (p.s + p.r,) * 2 == (5, 5)
         assert np.linalg.matrix_rank(w.A, tol=1e-10) == p.r
         assert np.linalg.matrix_rank(w.A_tilde, tol=1e-10) == p.s
+
+
+    def test_failed_identity_raises_in_build_and_verify(self, monkeypatch):
+        p = pair_of([3, 1], [2, 1, 0.5])
+        w = make_witness(p, "q-max")
+        with pytest.raises(WitnessVerificationError, match="difference-norm"):
+            verify_witness(dataclasses.replace(w, A=1.01 * w.A))
+        # make_witness runs the same checks on the pair it builds
+        monkeypatch.setattr(extremal, "couple_scalars", lambda pair, S, T: (0.0, 0.0))
+        with pytest.raises(WitnessVerificationError, match="difference-norm"):
+            make_witness(p, "q-max")
 
 
 class TestHardSpectra:
