@@ -16,6 +16,7 @@ from polarbounds.cli import main
 from polarbounds.extremal import BOUND_IDS, make_witness
 from polarbounds.fileio import SpectraRecord, format_spectra
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
+from polarbounds.oracle import brute_force_kittaneh
 from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
 CAMPAIGN_DIGESTS = {
@@ -25,6 +26,7 @@ CAMPAIGN_DIGESTS = {
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
+BRUTE_KITTANEH_DIGEST = "898e4c76b1fe08427027793c1256a7490af0fb309d1ec3baa161c2152886dfe4"
 
 
 def campaign_digest(field: str) -> str:
@@ -87,19 +89,35 @@ def bounds_digest(tmp_path, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def kittaneh_digest() -> str:
-    """(coefficient, optimal_tuple, degenerate) of both arrangement bounds on
-    45 seeded eigen pairs, sizes up to (5, 6), ties among them."""
-    h = hashlib.sha256()
+def _kittaneh_eigen_pairs():
+    """45 seeded eigen pairs, sizes up to (5, 6), ties among them."""
     rng = np.random.default_rng(606)
     for i in range(45):
         s = int(rng.integers(1, 7))
         r = int(rng.integers(max(1, s - 2), min(s, 5) + 1))
         kind = i % 3
-        eig = validate_eigen_pair(_eigenvalues(rng, r, kind), _eigenvalues(rng, s, kind))
-        for res in (kittaneh_lower_coeff(eig), kittaneh_upper_coeff(eig, n=eig.s)):
+        yield validate_eigen_pair(_eigenvalues(rng, r, kind), _eigenvalues(rng, s, kind))
+
+
+def _arrangement_digest(lower, upper) -> str:
+    h = hashlib.sha256()
+    for eig in _kittaneh_eigen_pairs():
+        for res in (lower(eig), upper(eig)):
             h.update(repr((res.coefficient, res.optimal_tuple, res.degenerate)).encode())
     return h.hexdigest()
+
+
+def kittaneh_digest() -> str:
+    """(coefficient, optimal_tuple, degenerate) of both arrangement bounds on
+    the 45 eigen pairs."""
+    return _arrangement_digest(kittaneh_lower_coeff,
+                               lambda eig: kittaneh_upper_coeff(eig, n=eig.s))
+
+
+def brute_kittaneh_digest() -> str:
+    """The same triple from the oracle's brute-force search, both modes."""
+    return _arrangement_digest(lambda eig: brute_force_kittaneh(eig, "lower"),
+                               lambda eig: brute_force_kittaneh(eig, "upper", n=eig.s))
 
 
 @pytest.mark.parametrize("field", sorted(CAMPAIGN_DIGESTS))
@@ -117,3 +135,7 @@ def test_bounds_report_digest(tmp_path, capsys):
 
 def test_kittaneh_digest():
     assert kittaneh_digest() == KITTANEH_DIGEST
+
+
+def test_brute_kittaneh_digest():
+    assert brute_kittaneh_digest() == BRUTE_KITTANEH_DIGEST

@@ -11,6 +11,7 @@ from polarbounds.bounds import (
 )
 from polarbounds.oracle import (
     BudgetExceededError,
+    DirectionalMove,
     SignedSubPermutation,
     boundary_grid_check,
     brute_force_f_extrema,
@@ -20,7 +21,12 @@ from polarbounds.oracle import (
     evaluate_f,
     extreme_point_count,
 )
-from polarbounds.spectra import fg_scalars, validate_eigen_pair, validate_spectrum_pair
+from polarbounds.spectra import (
+    SpectrumPair,
+    fg_scalars,
+    validate_eigen_pair,
+    validate_spectrum_pair,
+)
 
 from conftest import random_pair
 
@@ -140,6 +146,32 @@ class TestDirectionalMoves:
         pair = validate_spectrum_pair([4, 3, 2, 1], [4, 3, 2, 1])
         assert directional_move_check(pair, "max") == []
         assert directional_move_check(pair, "min") == []
+
+    def test_unsorted_spectra_violations(self):
+        # unsorted spectra break the sign claims: every diagonal move reports
+        # its denominator change and its ratio change, in this order
+        pair = SpectrumPair((2., 5., 4.), (1., 2., 5., 3.))
+        expected = {
+            "max": [((0, 0), 20.0, "0.08333333333333333 -> 0.0673076923076923"),
+                    ((0, 1), 4.0, "0.0625 -> 0.05952380952380952"),
+                    ((1, 0), 42.0, "0.08333333333333333 -> 0.06")],
+            "min": [((0, 0), -20.0, "0.08333333333333333 -> 0.109375"),
+                    ((0, 1), -42.0, "0.08333333333333333 -> 0.2777777777777778"),
+                    ((1, 0), -4.0, "0.10227272727272728 -> 0.10714285714285714")],
+        }
+        words = {"max": ("increased", "dropped"), "min": ("decreased", "rose")}
+        for variant, moves in expected.items():
+            den_word, ratio_word = words[variant]
+            records = []
+            for (k1, k2), d_den, ratios in moves:
+                for detail in (
+                        f"denominator {den_word} on a {variant}-variant diagonal move",
+                        f"ratio {ratio_word} on a {variant}-variant diagonal move: "
+                        f"{ratios}"):
+                    records.append(DirectionalMove(
+                        variant=variant, from_point=(k1, k2), to_point=(k1 + 1, k2 + 1),
+                        delta_numerator=0.0, delta_denominator=d_den, detail=detail))
+            assert directional_move_check(pair, variant) == records
 
     def test_boundary_grid(self, rng):
         for _ in range(40):
