@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
@@ -150,76 +151,64 @@ def brute_force_kittaneh(eig: EigenPair, mode: str, n: Optional[int] = None,
             return None
         return num / den
 
+    # (rows, cols, optimal_tuple) of each injection, in the order searched
     if mode == "upper":
         if n is None:
             raise ValueError("mode='upper' requires n")
         if eig.s != n:
             raise ValueError(f"full-rank second matrix required: s={eig.s}, n={n}")
-        count = math.perm(n, eig.r)
-        if count > budget:
-            raise BudgetExceededError(
-                f"{count} arrangements exceed budget {budget}", count)
-        best = None
-        best_tuple = None
+        count, what, better = math.perm(n, eig.r), "arrangements", operator.gt
         # injections from all r columns into [n], iterated row-list-first
-        for row_list in itertools.permutations(range(n), eig.r):
-            val = ratio(list(zip(row_list, range(eig.r))))
-            if val is not None and (best is None or val > best):
-                best = val
-                best_tuple = row_list
-        if best is None:
-            return BoundResult(theorem_id="kittaneh-upper", coefficient=1.0,
-                               degenerate=True)
-        return BoundResult(theorem_id="kittaneh-upper",
-                           coefficient=min(math.sqrt(max(best, 0.0)), 1.0),
-                           optimal_tuple=best_tuple)
-
-    count = sum(math.comb(eig.r, k) * math.perm(eig.s, k)
-                for k in range(1, eig.r + 1))
+        labels = ((rows, range(eig.r), rows)
+                  for rows in itertools.permutations(range(n), eig.r))
+    else:
+        count = sum(math.comb(eig.r, k) * math.perm(eig.s, k)
+                    for k in range(1, eig.r + 1))
+        what, better = "injections", operator.lt
+        labels = ((rows, cols, (rows, cols))
+                  for k in range(1, eig.r + 1)
+                  for cols in itertools.combinations(range(eig.r), k)
+                  for rows in itertools.permutations(range(eig.s), k))
     if count > budget:
-        raise BudgetExceededError(f"{count} injections exceed budget {budget}", count)
-    best = None
-    best_tuple = None
-    for k in range(1, eig.r + 1):
-        for col_subset in itertools.combinations(range(eig.r), k):
-            for row_list in itertools.permutations(range(eig.s), k):
-                val = ratio(list(zip(row_list, col_subset)))
-                if val is not None and (best is None or val < best):
-                    best = val
-                    best_tuple = (row_list, col_subset)
+        raise BudgetExceededError(f"{count} {what} exceed budget {budget}", count)
+    best = best_tuple = None
+    for rows, cols, label in labels:
+        val = ratio(list(zip(rows, cols)))
+        if val is not None and (best is None or better(val, best)):
+            best, best_tuple = val, label
+    theorem_id = f"kittaneh-{mode}"
     if best is None:
-        return BoundResult(theorem_id="kittaneh-lower", coefficient=1.0,
-                           degenerate=True)
-    return BoundResult(theorem_id="kittaneh-lower",
+        return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)
+    return BoundResult(theorem_id=theorem_id,
                        coefficient=min(math.sqrt(max(best, 0.0)), 1.0),
                        optimal_tuple=best_tuple)
 
 
-def _grid_value_max(pair: SpectrumPair, k1: int, k2: int) -> Tuple[float, float]:
-    """(numerator, denominator) of the reduced grid objective, max variant.
+def _top_cross(pair: SpectrumPair, k: int) -> float:
+    """Cross sum of the k largest values of both spectra, top-aligned."""
+    return math.fsum(pair.sigma_tilde[j] * pair.sigma[j] for j in range(k))
 
-    k1 counts reverse-paired negative entries, k2 top-aligned positive ones.
-    """
+
+def _reverse_cross(pair: SpectrumPair, k: int) -> float:
+    """Cross sum pairing the k smallest values of both spectra in reverse."""
     sig, sigt = pair.sigma, pair.sigma_tilde
-    r, s = pair.r, pair.s
-    num = float(r + s + 2 * (k1 - k2))
-    a = math.fsum(sigt[s - k1 + j] * sig[r - 1 - j] for j in range(k1))
-    b = math.fsum(sigt[j] * sig[j] for j in range(k2))
-    den = fg_scalars(pair).F + 2.0 * a - 2.0 * b
-    return num, den
+    return math.fsum(sigt[pair.s - k + j] * sig[pair.r - 1 - j] for j in range(k))
 
 
-def _grid_value_min(pair: SpectrumPair, k1: int, k2: int) -> Tuple[float, float]:
-    """(numerator, denominator) of the reduced grid objective, min variant.
+def _grid_value(pair: SpectrumPair, variant: str, k1: int, k2: int
+                ) -> Tuple[float, float]:
+    """(numerator, denominator) of the reduced grid objective.
 
-    k1 counts top-aligned negative entries, k2 reverse-paired positive ones.
+    k1 counts negative entries and k2 positive ones. The max variant
+    reverse-pairs the negative entries and top-aligns the positive ones; the
+    min variant does the opposite.
     """
-    sig, sigt = pair.sigma, pair.sigma_tilde
-    r, s = pair.r, pair.s
-    num = float(r + s + 2 * (k1 - k2))
-    b = math.fsum(sigt[j] * sig[j] for j in range(k1))
-    a = math.fsum(sigt[s - k2 + j] * sig[r - 1 - j] for j in range(k2))
-    den = fg_scalars(pair).F + 2.0 * b - 2.0 * a
+    if variant == "max":
+        neg, pos = _reverse_cross, _top_cross
+    else:
+        neg, pos = _top_cross, _reverse_cross
+    num = float(pair.r + pair.s + 2 * (k1 - k2))
+    den = fg_scalars(pair).F + 2.0 * neg(pair, k1) - 2.0 * pos(pair, k2)
     return num, den
 
 
@@ -228,55 +217,33 @@ def directional_move_check(pair: SpectrumPair, variant: str) -> List[Directional
 
     For the max variant a diagonal step (k1, k2) -> (k1+1, k2+1) must not
     increase the denominator (so the ratio does not decrease); for the min
-    variant it must not decrease it. Violations are returned as data.
+    variant it must not decrease it. The numerator r + s + 2(k1 - k2) does
+    not change on such a step. Violations are returned as data.
     """
     if variant not in ("max", "min"):
         raise ValueError(f"variant must be 'max' or 'min', got {variant!r}")
-    grid = _grid_value_max if variant == "max" else _grid_value_min
+    is_max = variant == "max"
+    den_word, ratio_word = ("increased", "dropped") if is_max else ("decreased", "rose")
     violations: List[DirectionalMove] = []
-    r = pair.r
     tol = 1e-12 * max(1.0, fg_scalars(pair).F)
-    for k1 in range(r - 1):
-        for k2 in range(r - 1 - k1):
-            if k1 + k2 + 2 > r:
-                continue
-            num0, den0 = grid(pair, k1, k2)
-            num1, den1 = grid(pair, k1 + 1, k2 + 1)
-            d_num = num1 - num0
+    for k1 in range(pair.r - 1):
+        for k2 in range(pair.r - 1 - k1):
+            num0, den0 = _grid_value(pair, variant, k1, k2)
+            num1, den1 = _grid_value(pair, variant, k1 + 1, k2 + 1)
             d_den = den1 - den0
-            if abs(d_num) > tol:
-                violations.append(DirectionalMove(
-                    variant=variant, from_point=(k1, k2), to_point=(k1 + 1, k2 + 1),
-                    delta_numerator=d_num, delta_denominator=d_den,
-                    detail="diagonal move changed the numerator"))
-                continue
-            if variant == "max" and d_den > tol:
-                violations.append(DirectionalMove(
-                    variant=variant, from_point=(k1, k2), to_point=(k1 + 1, k2 + 1),
-                    delta_numerator=d_num, delta_denominator=d_den,
-                    detail="denominator increased on a max-variant diagonal move"))
-            if variant == "min" and d_den < -tol:
-                violations.append(DirectionalMove(
-                    variant=variant, from_point=(k1, k2), to_point=(k1 + 1, k2 + 1),
-                    delta_numerator=d_num, delta_denominator=d_den,
-                    detail="denominator decreased on a min-variant diagonal move"))
+            details = []
+            if (d_den > tol) if is_max else (d_den < -tol):
+                details.append(f"denominator {den_word} on a {variant}-variant diagonal move")
             # the move must also order the ratio values correctly
             if num0 > tol and den0 > tol and den1 > tol:
                 f0, f1 = num0 / den0, num1 / den1
-                if variant == "max" and f1 < f0 - tol:
-                    violations.append(DirectionalMove(
-                        variant=variant, from_point=(k1, k2),
-                        to_point=(k1 + 1, k2 + 1),
-                        delta_numerator=d_num, delta_denominator=d_den,
-                        detail=f"ratio dropped on a max-variant diagonal move: "
-                               f"{f0} -> {f1}"))
-                if variant == "min" and f1 > f0 + tol:
-                    violations.append(DirectionalMove(
-                        variant=variant, from_point=(k1, k2),
-                        to_point=(k1 + 1, k2 + 1),
-                        delta_numerator=d_num, delta_denominator=d_den,
-                        detail=f"ratio rose on a min-variant diagonal move: "
-                               f"{f0} -> {f1}"))
+                if (f1 < f0 - tol) if is_max else (f1 > f0 + tol):
+                    details.append(f"ratio {ratio_word} on a {variant}-variant diagonal "
+                                   f"move: {f0} -> {f1}")
+            violations += [DirectionalMove(
+                variant=variant, from_point=(k1, k2), to_point=(k1 + 1, k2 + 1),
+                delta_numerator=num1 - num0, delta_denominator=d_den, detail=detail)
+                for detail in details]
     return violations
 
 
@@ -284,12 +251,9 @@ def boundary_grid_check(pair: SpectrumPair) -> bool:
     """True when the closed-form k tables equal the k1 + k2 = r grid boundary."""
     tolF = 1e-10 * max(1.0, fg_scalars(pair).F)
     for k in range(pair.r + 1):
-        num_g, den_g = _grid_value_max(pair, k, pair.r - k)
-        num_c, den_c = q_upper_numden(pair, k)
-        if abs(num_g - num_c) > tolF or abs(den_g - den_c) > tolF:
-            return False
-        num_g, den_g = _grid_value_min(pair, k, pair.r - k)
-        num_c, den_c = q_lower_numden(pair, k)
-        if abs(num_g - num_c) > tolF or abs(den_g - den_c) > tolF:
-            return False
+        for variant, closed_numden in (("max", q_upper_numden), ("min", q_lower_numden)):
+            num_g, den_g = _grid_value(pair, variant, k, pair.r - k)
+            num_c, den_c = closed_numden(pair, k)
+            if abs(num_g - num_c) > tolF or abs(den_g - den_c) > tolF:
+                return False
     return True
