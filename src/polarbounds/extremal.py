@@ -92,9 +92,10 @@ def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
 
 def _witness_scalars(pair: SpectrumPair) -> FGScalars:
     """F and G of a pair whose witness can be built and checked: F is the
-    squared norm ||A||^2 + ||A~||^2 of the witness, so it must be finite."""
+    squared norm ||A||^2 + ||A~||^2 of the witness, so it must be finite,
+    and normal, since the checks take norms relative to F."""
     fg = fg_scalars(pair)
-    check_range("F = ||A||^2 + ||A~||^2", fg.F, 0.0, sys.float_info.max)
+    check_range("F = ||A||^2 + ||A~||^2", fg.F, sys.float_info.min, sys.float_info.max)
     return fg
 
 
@@ -106,7 +107,8 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
     M, N = couple_scalars(pair, S, T)
     if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
         raise WitnessVerificationError(f"N = {N} outside [0, G = {fg.G}]")
-    if abs(M) > math.sqrt(max(fg.G * N, 0.0)) + 1e-10 * fg.F:
+    # sqrt(G) sqrt(N), not sqrt(G N): the product underflows at tiny scales
+    if abs(M) > math.sqrt(fg.G) * math.sqrt(max(N, 0.0)) + 1e-10 * fg.F:
         raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
 
     pf = polar_decompose(A, pair.r)

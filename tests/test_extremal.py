@@ -14,6 +14,8 @@ from polarbounds.extremal import (
     make_witness,
     verify_witness,
 )
+from polarbounds.cli import table1_path
+from polarbounds.fileio import parse_spectra_text
 from polarbounds.linalg import haar_random_unitary
 from polarbounds.spectra import fg_scalars, validate_spectrum_pair
 
@@ -154,6 +156,27 @@ class TestHardSpectra:
         target = w.target_coefficient
         for achieved in (w.diagnostics.achieved_ratio, verify_witness(w).achieved_ratio):
             assert abs(achieved - target) <= RATIO_RTOL * target
+
+
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_golden_rows_at_every_scale(self, bound_id):
+        # the golden rows times 10^e, where F, G, M and N leave the normal
+        # range: each witness attains its constant, or the pair is out of
+        # range (exit 2) or h-max's constant is a supremum (exit 3); a built
+        # pair never fails its own checks (exit 5)
+        with open(table1_path()) as fh:
+            records = parse_spectra_text(fh.read())
+        for e in range(-175, 175, 5):
+            for rec in records:
+                p = pair_of([float(f"{v!r}e{e}") for v in rec.sigma],
+                            [float(f"{v!r}e{e}") for v in rec.sigma_tilde])
+                try:
+                    w = make_witness(p, bound_id)
+                except (ArithmeticError, DegenerateSupremumError):
+                    continue
+                target = w.target_coefficient
+                achieved = verify_witness(w).achieved_ratio
+                assert abs(achieved - target) <= RATIO_RTOL * target, (e, rec.id)
 
 
 class TestDiagnosticsOnRandomCouples:
