@@ -11,13 +11,15 @@ Subcommands::
 
 Exit codes: 0 success; 1 a finding (a `verify` violation or an `oracle`
 disagreement); 2 input rejected (a malformed or non-UTF-8 file, an
-invalid spectrum, or spectra beyond the floating-point range; `bounds`
-rejects such a record, or one with more than 6 eigenvalues, in place and
-reports the rest); 3 degenerate witness (h-max on spectra identical, or
-too close for any double-precision pair to attain its constant); 4
-budget exceeded; 5 witness construction failed (the built pair missed
-its constant or a norm identity, or a unitary could not be completed);
-64 usage error (bad arguments or tolerances, an option the command does
+invalid spectrum, spectra beyond the floating-point range, including a
+witness whose F = ||A||^2 + ||A~||^2 is not a normal double, or a report
+that would hold a non-finite number; `bounds` rejects a record out of
+range, or one with more than 6 eigenvalues, in place and reports the
+rest); 3 degenerate witness (h-max on spectra identical, or too close
+for any double-precision pair to attain its constant); 4 budget
+exceeded; 5 witness construction failed (the built pair missed its
+constant or a norm identity, or a unitary could not be completed; no
+known input does this); 64 usage error (bad arguments or tolerances, an option the command does
 not take, an unreadable input, an unwritable --out). Report bodies are
 byte-deterministic for fixed inputs and seeds; timing goes to stderr.
 """
@@ -40,7 +42,12 @@ from .extremal import DegenerateSupremumError, WitnessVerificationError
 from .linalg import CompletionInfeasibleError
 from .montecarlo import EnsembleConfig, run_verification_suite
 from .oracle import BudgetExceededError
-from .spectra import SpectrumValidationError, validate_eigen_pair, validate_spectrum_pair
+from .spectra import (
+    NumericalRangeError,
+    SpectrumValidationError,
+    validate_eigen_pair,
+    validate_spectrum_pair,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -82,9 +89,12 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
-    if fmt == "structured":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    else:
+    # a non-finite number is an error in either format, never Infinity or NaN
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalRangeError(f"report holds a non-finite number: {exc}") from exc
+    if fmt != "structured":
         text = _render_text(report)
     if out:
         _atomic_write(out, text)
@@ -274,9 +284,9 @@ def build_parser() -> _Parser:
                                  "witnesses, and verification campaigns")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_default=None, out_help="write the report to PATH"):
         p.add_argument("--format", choices=("text", "structured"), default="structured")
-        p.add_argument("--out", default=None, help="write the report to PATH")
+        p.add_argument("--out", default=out_default, help=out_help)
 
     p = sub.add_parser("bounds", help="coefficients for each record of a spectra file")
     p.add_argument("input")
@@ -291,13 +301,9 @@ def build_parser() -> _Parser:
     p.add_argument("input")
     p.add_argument("record", help="record id inside the spectra file")
     p.add_argument("bound", choices=extremal.BOUND_IDS)
-    common(p)
-    p.set_defaults(func=cmd_witness)
     # witness writes matrices into a directory
-    for act in p._actions:
-        if act.dest == "out":
-            act.default = "witness-out"
-            act.help = "output directory for matrix files"
+    common(p, "witness-out", "output directory for matrix files")
+    p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the closed forms")
     p.add_argument("input")

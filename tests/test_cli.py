@@ -5,10 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from polarbounds import extremal
+from polarbounds import bounds, extremal
 from polarbounds.cli import main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
+from polarbounds.spectra import BoundResult
 
 
 def write(tmp_path, name, text):
@@ -105,6 +106,19 @@ class TestBounds:
         assert main(["bounds", path, "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert "q_upper" in out
+
+
+    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_coefficient_rejected(self, tmp_path, capsys, monkeypatch,
+                                             fmt, value):
+        monkeypatch.setattr(bounds, "amgm_coeff",
+                            lambda pair: BoundResult(theorem_id="amgm", coefficient=value))
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        assert main(["bounds", path, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input rejected: report holds a non-finite number" in captured.err
 
 
 def _no_constant(name):
