@@ -19,9 +19,10 @@ rest); 3 degenerate witness (h-max on spectra identical, or too close
 for any double-precision pair to attain its constant); 4 budget
 exceeded; 5 witness construction failed (the built pair missed its
 constant or a norm identity, or a unitary could not be completed; no
-known input does this); 64 usage error (bad arguments or tolerances, an option the command does
-not take, an unreadable input, an unwritable --out). Report bodies are
-byte-deterministic for fixed inputs and seeds; timing goes to stderr.
+known input does this); 64 usage error (bad arguments or tolerances, an
+option the command does not take, an unreadable input, an unwritable
+--out). Report bodies are byte-deterministic for fixed inputs and seeds;
+timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
-    # a non-finite number is an error in either format, never Infinity or NaN
+    # serialised in either format: a non-finite number is an error, never Infinity or NaN
     try:
         text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
