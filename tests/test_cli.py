@@ -107,7 +107,6 @@ class TestBounds:
         out = capsys.readouterr().out
         assert "q_upper" in out
 
-
     @pytest.mark.parametrize("fmt", ["structured", "text"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_coefficient_rejected(self, tmp_path, capsys, monkeypatch,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from polarbounds import extremal
+from polarbounds.cli import table1_path
 from polarbounds.extremal import (
     BOUND_IDS,
     RATIO_RTOL,
@@ -14,7 +15,6 @@ from polarbounds.extremal import (
     make_witness,
     verify_witness,
 )
-from polarbounds.cli import table1_path
 from polarbounds.fileio import parse_spectra_text
 from polarbounds.linalg import haar_random_unitary
 from polarbounds.spectra import fg_scalars, validate_spectrum_pair
@@ -156,7 +156,6 @@ class TestHardSpectra:
         target = w.target_coefficient
         for achieved in (w.diagnostics.achieved_ratio, verify_witness(w).achieved_ratio):
             assert abs(achieved - target) <= RATIO_RTOL * target
-
 
     @pytest.mark.parametrize("bound_id", BOUND_IDS)
     def test_golden_rows_at_every_scale(self, bound_id):
