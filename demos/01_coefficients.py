@@ -22,7 +22,7 @@ def show(label, sigma, sigma_tilde):
     print(f"== {label}  (r={pair.r}, s={pair.s})")
     q_up, table = bounds.q_upper_coeff(pair)
     cells = ["   --  " if v is None else f"{v:7.4f}" for v in table.values]
-    print(f"   f(k) table: {' '.join(cells)}   argmax k* = {table.argmax}")
+    print(f"   f(k) table: {' '.join(cells)}   argmax k* = {q_up.optimal_index}")
     print(f"   q upper {q_up.coefficient:.5f}   "
           f"q lower {bounds.q_lower_coeff(pair)[0].coefficient:.5f}")
     print(f"   h upper {bounds.h_upper_coeff(pair).coefficient:.5f}   "

@@ -16,16 +16,16 @@ def main():
     for bound_id in BOUND_IDS:
         w = make_witness(pair, bound_id)
         diag = verify_witness(w)
-        print(f"{bound_id:8s} target {w.target_coefficient:.10f}  "
+        print(f"{bound_id:9s} target {w.target_coefficient:.10f}  "
               f"achieved {diag.achieved_ratio:.10f}  "
               f"(alignment M={diag.M:+.4f}, N={diag.N:.4f})")
 
     print("\nThe upper bound for the positive factor is a supremum when the "
           "spectra are identical: no finite pair attains sqrt(2).")
     try:
-        make_witness(validate_spectrum_pair([1.0], [1.0]), "h-max")
+        make_witness(validate_spectrum_pair([1.0], [1.0]), "h-upper")
     except DegenerateSupremumError as exc:
-        print(f"h-max on identical spectra -> {exc}")
+        print(f"h-upper on identical spectra -> {exc}")
 
 
 if __name__ == "__main__":

@@ -36,12 +36,28 @@ class EnumerationCapError(ValueError):
         self.required_count = required_count
 
 
+# (theorem id, degree in the spectra) of each sharp constant, in report
+# order: the eight spectrum constants, then the two eigenvalue constants.
+# c(t sigma, t sigma~) = t^degree c(sigma, sigma~). REPORT_KEYS holds each
+# report key once, so reports share the strings instead of one per record.
+CONSTANTS = (("q-upper", -1), ("q-lower", -1), ("h-upper", 0), ("h-lower", 0),
+             ("lee-upper", 0), ("lee-lower", 0), ("amgm", 0), ("cauchy-schwarz", 0),
+             ("kittaneh-lower", 0), ("kittaneh-upper", 0))
+SPECTRUM_CONSTANTS = CONSTANTS[:8]
+REPORT_KEYS = {theorem_id: theorem_id.replace("-", "_") for theorem_id, _ in CONSTANTS}
+
+
+def closed_form(theorem_id: str):
+    """The function `<report key>_coeff` of a constant in CONSTANTS, looked
+    up by name at call time, so a replaced module attribute is the one
+    returned."""
+    return globals()[REPORT_KEYS[theorem_id] + "_coeff"]
+
+
 @dataclass(frozen=True)
 class KRatioTable:
     """Values of the ratio function at k = 0..r; None marks a 0/0 entry."""
     values: Tuple[Optional[float], ...]
-    argmax: Optional[int]
-    argmin: Optional[int]
 
 
 def _ratios(F: float, numdens):
@@ -102,14 +118,12 @@ def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
     for v in values:
         if v is not None:
             check_range(theorem_id, v, 0.0, sys.float_info.max)
-    top = _extreme(enumerate(values), upper=True)
-    bottom = _extreme(enumerate(values), upper=False)
-    if top is None:
+    best = _extreme(enumerate(values), upper)
+    if best is None:
         raise NumericalRangeError(f"{theorem_id}: every k is 0/0")
-    k, value = top if upper else bottom
-    table = KRatioTable(values=values, argmax=top[0], argmin=bottom[0])
+    k, value = best
     return BoundResult(theorem_id=theorem_id, coefficient=math.sqrt(value),
-                       optimal_index=k), table
+                       optimal_index=k), KRatioTable(values=values)
 
 
 def q_upper_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:

@@ -12,17 +12,17 @@ Subcommands::
 Exit codes: 0 success; 1 a finding (a `verify` violation or an `oracle`
 disagreement); 2 input rejected (a malformed or non-UTF-8 file, an
 invalid spectrum, spectra beyond the floating-point range, including a
-witness whose F = ||A||^2 + ||A~||^2 is not a normal double, or a report
-that would hold a non-finite number; `bounds` rejects a record out of
-range, or one with more than 6 eigenvalues, in place and reports the
-rest); 3 degenerate witness (h-max on spectra identical, or too close
-for any double-precision pair to attain its constant); 4 budget
-exceeded; 5 witness construction failed (the built pair missed its
-constant or a norm identity, or a unitary could not be completed; no
-known input does this); 64 usage error (bad arguments or tolerances, an
-option the command does not take, an unreadable input, an unwritable
---out). Report bodies are byte-deterministic for fixed inputs and seeds;
-timing goes to stderr.
+witness whose F = ||A||^2 + ||A~||^2 is not a normal double, a report
+that would hold a non-finite number, or an SVD that LAPACK could not
+converge; `bounds` rejects a record out of range, or one with more than
+6 eigenvalues, in place and reports the rest); 3 degenerate witness
+(h-upper on spectra identical, or too close for any double-precision
+pair to attain its constant); 4 budget exceeded; 5 witness construction
+failed (the built pair missed its constant or a norm identity, or a
+unitary could not be completed; no known input does this); 64 usage
+error (bad arguments or tolerances, an option the command does not take,
+an unreadable input, an unwritable --out). Report bodies are
+byte-deterministic for fixed inputs and seeds; timing goes to stderr.
 """
 
 from __future__ import annotations
@@ -153,18 +153,13 @@ def _bound_entry(result) -> dict:
 def _record_bounds(rec: fileio.SpectraRecord) -> dict:
     pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)
     out = {"id": rec.id, "r": pair.r, "s": pair.s, "swapped": pair.swapped}
-    q_up, table_up = bounds.q_upper_coeff(pair)
-    q_lo, table_lo = bounds.q_lower_coeff(pair)
-    out["q_upper"] = _bound_entry(q_up)
-    out["q_upper"]["f_table"] = [v for v in table_up.values]
-    out["q_lower"] = _bound_entry(q_lo)
-    out["q_lower"]["f_table"] = [v for v in table_lo.values]
-    out["h_upper"] = _bound_entry(bounds.h_upper_coeff(pair))
-    out["h_lower"] = _bound_entry(bounds.h_lower_coeff(pair))
-    out["lee_upper"] = _bound_entry(bounds.lee_upper_coeff(pair))
-    out["lee_lower"] = _bound_entry(bounds.lee_lower_coeff(pair))
-    out["amgm"] = _bound_entry(bounds.amgm_coeff(pair))
-    out["cauchy_schwarz"] = _bound_entry(bounds.cauchy_schwarz_coeff(pair))
+    for theorem_id, _ in bounds.SPECTRUM_CONSTANTS:
+        result = bounds.closed_form(theorem_id)(pair)
+        key = bounds.REPORT_KEYS[theorem_id]
+        if isinstance(result, tuple):   # q: the result and its ratio table
+            out[key] = dict(_bound_entry(result[0]), f_table=list(result[1].values))
+        else:
+            out[key] = _bound_entry(result)
     if pair.r == pair.s:
         out["li_sun"] = _bound_entry(bounds.li_sun_coeff(pair))
         refined, _ = bounds.refined_li_sun_coeff(pair)
@@ -326,6 +321,7 @@ def build_parser() -> _Parser:
 
 # (exception type, exit code, stderr prefix); ArithmeticError covers the
 # NumericalRangeError, OverflowError and ZeroDivisionError of extreme scales
+# and linalg's SvdConvergenceError
 _EXITS = (
     (UsageError, EXIT_USAGE, "usage error"),
     ((WitnessVerificationError, CompletionInfeasibleError), EXIT_WITNESS,

@@ -25,7 +25,8 @@ from .spectra import FGScalars, SpectrumPair, check_range, fg_scalars
 
 RATIO_RTOL = 1e-8
 
-BOUND_IDS = ("q-max", "q-min", "h-max", "h-min", "lee-max", "lee-min")
+# theorem ids of the constants with a witness; the witness digest hashes in this order
+BOUND_IDS = ("q-upper", "q-lower", "h-upper", "h-lower", "lee-upper", "lee-lower")
 
 
 class DegenerateSupremumError(ValueError):
@@ -151,14 +152,14 @@ def _build_witness(bound_id: str, pair: SpectrumPair, S: np.ndarray,
                            target_coefficient=target, diagnostics=diag, pair=pair)
 
 
-def _q_partial_blocks(pair: SpectrumPair, which: str, k: int
+def _q_partial_blocks(pair: SpectrumPair, upper: bool, k: int
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """First-r-column blocks of the two unitaries realizing the q optimum."""
     r, s = pair.r, pair.s
     m = s + r
     S_part = np.zeros((m, r), dtype=complex)
     T_part = np.zeros((m, r), dtype=complex)
-    if which == "max":
+    if upper:
         # aligned identity on the first r-k directions, anti-aligned reversal
         # pairing the k smallest first-spectrum values with the k smallest
         # second-spectrum values
@@ -192,10 +193,9 @@ def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
 
 
 def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
-    """Pair attaining one of the six bounds, e.g. 'q-max' or 'lee-min'.
-
-    'max' is the upper and 'min' the lower bound of the subunitary (q),
-    positive (h) or sum-ratio (lee) factor. The pair is certified by the
+    """Pair attaining one of the six bounds in BOUND_IDS, e.g. 'q-upper' or
+    'lee-lower': the upper and lower constants of the subunitary (q),
+    positive (h) and sum-ratio (lee) factors. The pair is certified by the
     checks of verify_witness; WitnessVerificationError if it fails them or
     misses its constant.
     """
@@ -204,37 +204,31 @@ def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
     r, s = pair.r, pair.s
     m = s + r
     if bound_id.startswith("q"):
-        which = bound_id[2:]
-        result, _ = (bounds.q_upper_coeff if which == "max" else bounds.q_lower_coeff)(pair)
-        S_part, T_part = _q_partial_blocks(pair, which, result.optimal_index)
+        result, _ = bounds.closed_form(bound_id)(pair)
+        S_part, T_part = _q_partial_blocks(pair, bound_id == "q-upper", result.optimal_index)
         band = range(s, m)
         return _build_witness(bound_id, pair, unitary_completion(S_part, zero_rows=band),
                               unitary_completion(T_part, zero_rows=band), result.coefficient)
 
     fg = _witness_scalars(pair)
+    target = bounds.closed_form(bound_id)(pair).coefficient
     U = np.eye(m, dtype=complex)
     V = np.eye(m, dtype=complex)
-    if bound_id == "h-max":
+    if bound_id == "h-upper":
         c = 1.0 / (1.0 + math.sqrt(fg.D / fg.F))
         if c == 1.0:
             raise DegenerateSupremumError(
                 "spectra identical, or too close for the shrink factor to fall "
                 "below 1 in floating point: the upper constant is approached "
                 "but not attained by any pair")
-        target = bounds.h_upper_coeff(pair).coefficient
         V = _shrunken_diag_unitary(pair, c)
     else:
         U[np.arange(r), np.arange(r)] = -1.0
-        if bound_id == "lee-max":
-            target = bounds.lee_upper_coeff(pair).coefficient
+        if bound_id == "lee-upper":
             c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * fg.G / fg.F))
             # the shrunken block must carry the same sign as the leading block
             # of U: equality needs the alignment scalar M positive at +sqrt(G N)
             V = _shrunken_diag_unitary(pair, -c)
-        elif bound_id == "h-min":
-            target = bounds.h_lower_coeff(pair).coefficient
-        else:
-            target = bounds.lee_lower_coeff(pair).coefficient
     return _build_witness(bound_id, pair, U, V, target)
 
 

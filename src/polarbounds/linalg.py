@@ -15,8 +15,8 @@ from typing import List
 import numpy as np
 
 
-class SvdConvergenceError(RuntimeError):
-    """SVD backend failed to converge."""
+class SvdConvergenceError(ArithmeticError):
+    """SVD backend failed to converge; an ArithmeticError, so the CLI exits 2."""
 
 
 class CompletionInfeasibleError(ValueError):

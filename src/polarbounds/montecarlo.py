@@ -23,17 +23,6 @@ _CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gai
 SPECTRUM_RANGE = (1e-2, 1e2)   # log-uniform law of the drawn singular values
 NORMAL_DIM = 3                 # square size for the normal-matrix channel
 
-INEQUALITY_IDS = (
-    "q-lower", "q-upper",
-    "h-lower", "h-upper", "h-classical",
-    "lee-lower", "lee-upper",
-    "amgm", "amgm-classical",
-    "cauchy-schwarz", "cs-classical",
-    "kittaneh-two-sided",
-    "kittaneh-normal-lower", "kittaneh-normal-upper", "kittaneh-normal-classical",
-    "angle",
-)
-
 
 @dataclass(frozen=True)
 class EnsembleConfig:

@@ -91,7 +91,7 @@ def test_criterion_3_witness_attainment():
                 s = int(rng.integers(r + 1, 6))
             else:
                 r = s = int(rng.integers(1, 4))
-            # disjoint value ranges keep r=s spectra distinct (h-max defined)
+            # disjoint value ranges keep r=s spectra distinct (h-upper defined)
             sig = np.sort(rng.uniform(4, 9, r))[::-1]
             sigt = np.sort(rng.uniform(0.5, 2, s))[::-1]
             pair = validate_spectrum_pair(sig, sigt)
@@ -104,7 +104,7 @@ def test_criterion_3_witness_attainment():
                 else:
                     assert abs(d.achieved_ratio - target) <= 1e-8 * abs(target)
         with pytest.raises(DegenerateSupremumError):
-            make_witness(validate_spectrum_pair([2, 1], [2, 1]), "h-max")
+            make_witness(validate_spectrum_pair([2, 1], [2, 1]), "h-upper")
 
 
 def test_criterion_4_monte_carlo():

@@ -37,11 +37,11 @@ EXIT_CASES = {
     "bounds-overflow": (GOOD + OVERFLOW, ["bounds", "{path}"], 2),
     "bounds-underflow": (GOOD + "record bad\nsigma 1e-200\nsigma_tilde 1e-200 1e-201\n",
                          ["bounds", "{path}"], 2),
-    "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-max", "--out", "{tmp}/w"], 2),
+    "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-upper", "--out", "{tmp}/w"], 2),
     "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
     "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
     "witness-float-supremum": ("record near\nsigma 1\nsigma_tilde 1 1e-20\n",
-                               ["witness", "{path}", "near", "h-max", "--out", "{tmp}/w"], 3),
+                               ["witness", "{path}", "near", "h-upper", "--out", "{tmp}/w"], 3),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
     "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
 }
@@ -125,9 +125,6 @@ def _no_constant(name):
 
 
 class TestScale:
-    KEYS = ("q_upper", "q_lower", "h_upper", "h_lower", "lee_upper", "lee_lower",
-            "amgm", "cauchy_schwarz")
-
     def _report(self, tmp_path, capsys, e):
         with open(table1_path()) as fh:
             records = parse_spectra_text(fh.read())
@@ -142,7 +139,7 @@ class TestScale:
     def test_golden_rows_exact_or_rejected(self, tmp_path, capsys):
         # the golden rows times 10^e, where F, G, D and the q denominators
         # leave the normal range: each report is exact or rejected, never
-        # wrong digits or an infinity; q has degree -1, the rest degree 0
+        # wrong digits or an infinity; each constant scales as 10^(e * degree)
         _, base = self._report(tmp_path, capsys, 0)
         for e in [*range(-175, -139), *range(140, 175)]:
             code, rep = self._report(tmp_path, capsys, e)
@@ -150,8 +147,9 @@ class TestScale:
             if code == 2:
                 continue
             for rec, ref in zip(rep["records"], base["records"]):
-                for key in self.KEYS:
-                    got = rec[key]["coefficient"] * (10.0 ** e if key.startswith("q") else 1.0)
+                for theorem_id, degree in bounds.SPECTRUM_CONSTANTS:
+                    key = bounds.REPORT_KEYS[theorem_id]
+                    got = rec[key]["coefficient"] * 10.0 ** (-e * degree)
                     want = ref[key]["coefficient"]
                     assert abs(got - want) <= 1e-15 * want, (e, rec["id"], key)
 
@@ -183,7 +181,7 @@ class TestWitness:
         path = write(tmp_path, "in.spectra",
                      "record a\nsigma 1\nsigma_tilde 1 1\n")
         outdir = str(tmp_path / "wit")
-        code, rep = run_json(capsys, ["witness", path, "a", "h-max",
+        code, rep = run_json(capsys, ["witness", path, "a", "h-upper",
                                       "--out", outdir])
         assert code == 0
         assert abs(rep["achieved_ratio"] ** 2 - (3 - math.sqrt(3))) < 1e-8
@@ -196,7 +194,7 @@ class TestWitness:
 
     def test_degenerate_exit_3(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
-        code = main(["witness", path, "one", "h-max",
+        code = main(["witness", path, "one", "h-upper",
                      "--out", str(tmp_path / "w")])
         assert code == 3
 
@@ -216,12 +214,23 @@ class TestWitness:
 
         monkeypatch.setattr(extremal, "make_witness", missed)
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
-        assert main(["witness", path, "one", "q-max", "--out", str(tmp_path / "w")]) == 5
+        assert main(["witness", path, "one", "q-upper", "--out", str(tmp_path / "w")]) == 5
         assert "witness construction failed" in capsys.readouterr().err
+
+    def test_svd_failure_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", no_convergence)
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        assert main(["witness", path, "one", "q-upper", "--out", str(tmp_path / "w")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input rejected: SVD did not converge")
+        assert "Traceback" not in err
 
     def test_unknown_record_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
-        assert main(["witness", path, "missing", "q-max",
+        assert main(["witness", path, "missing", "q-upper",
                      "--out", str(tmp_path / "w")]) == 64
 
 
@@ -290,7 +299,7 @@ class TestUsage:
         # no command takes --rank-tol: every polar factorisation gets its
         # rank from the code that built the matrix
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
-        inputs = {"table1": [], "verify": [], "witness": [path, "one", "q-max"]}
+        inputs = {"table1": [], "verify": [], "witness": [path, "one", "q-upper"]}
         assert main([command, *inputs.get(command, [path]), "--rank-tol", "1e-9"]) == 64
 
 

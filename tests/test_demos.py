@@ -1,0 +1,13 @@
+"""Every script in demos/ runs to a clean finish."""
+
+import runpy
+from pathlib import Path
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+def test_every_demo_runs(capsys):
+    assert DEMOS
+    for path in DEMOS:
+        runpy.run_path(str(path), run_name="__main__")
+        assert capsys.readouterr().out, path.name
