@@ -1,8 +1,9 @@
 """Brute-force ground truth for the closed-form coefficients.
 
 Enumerates the extreme points of the signed doubly-substochastic polytope
-(row and column absolute sums <= 1), evaluates the ratio function at every
-point, re-derives the normal-matrix arrangement optima with an independent
+(row and column absolute sums <= 1), bounds the ratio function at every
+point over index arrays and evaluates it exactly wherever the max or the min
+may lie, re-derives the normal-matrix arrangement optima with an independent
 iteration strategy, and checks the directional-move steps used to reduce the
 optimum to a one-index search.
 """
@@ -15,10 +16,15 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from .bounds import q_lower_numden, q_upper_numden
 from .spectra import BoundResult, EigenPair, NumericalRangeError, SpectrumPair, fg_scalars
 
 DEFAULT_BUDGET = 10 ** 7
+_BLOCK_POINTS = 4096     # extreme points per index block
+_U = 2.0 ** -53          # unit roundoff of a double
+_F_RANGE = (2.0 ** -960, 2.0 ** 960)    # F where the oracle's value bounds hold
 
 
 class BudgetExceededError(ValueError):
@@ -45,7 +51,6 @@ class SignedSubPermutation:
         return len(self.support)
 
     def dense(self):
-        import numpy as np
         x = np.zeros((self.rows, self.cols))
         for i, j, sg in self.support:
             x[i, j] = sg
@@ -77,10 +82,23 @@ def extreme_point_count(r: int, s: int) -> int:
                    for k in range(1, r + 1))
 
 
-def enumerate_extreme_points(r: int, s: int,
-                             budget: int = DEFAULT_BUDGET
-                             ) -> Iterator[SignedSubPermutation]:
-    """Stream every extreme point exactly once, k ascending then lexicographic."""
+def _index_array(tuples, k: int) -> np.ndarray:
+    """The k-tuples of an itertools iterator as the rows of an int array."""
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, k)
+
+
+def _index_blocks(r: int, s: int, budget: int
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every extreme point once, as blocks (rows, cols, signs) of int arrays.
+
+    rows and cols are (m, k): m row subsets paired with column arrangements.
+    signs is (2**k, k). The block's points are each pairing with each sign
+    vector, pairing-major: point t is zip(rows[p], cols[p], signs[q]) with
+    p, q = divmod(t, 2**k). The order is k ascending, then row subsets
+    (`combinations`), column arrangements (`permutations`) and signs
+    (`product`, + before -). A block holds about _BLOCK_POINTS points, so
+    the arrays derived from it stay small however many points there are.
+    """
     if not (1 <= r <= s):
         raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
     count = extreme_point_count(r, s)
@@ -88,20 +106,60 @@ def enumerate_extreme_points(r: int, s: int,
         raise BudgetExceededError(
             f"enumeration of r={r}, s={s} needs {count} points, budget is {budget}",
             count)
-    yield SignedSubPermutation(rows=s, cols=r, support=())
+    zero = np.zeros((1, 0), dtype=np.intp)
+    yield zero, zero, zero
     for k in range(1, r + 1):
-        for row_set in itertools.combinations(range(s), k):
-            for col_arrangement in itertools.permutations(range(r), k):
-                for signs in itertools.product((1, -1), repeat=k):
-                    support = tuple(
-                        (i, j, sg)
-                        for i, j, sg in zip(row_set, col_arrangement, signs))
-                    yield SignedSubPermutation(rows=s, cols=r, support=support)
+        row_sets = _index_array(itertools.combinations(range(s), k), k)
+        arrangements = _index_array(itertools.permutations(range(r), k), k)
+        signs = _index_array(itertools.product((1, -1), repeat=k), k)
+        n_arr = len(arrangements)
+        n_pairings = len(row_sets) * n_arr
+        step = max(1, _BLOCK_POINTS // len(signs))
+        for start in range(0, n_pairings, step):
+            pairing = np.arange(start, min(start + step, n_pairings))
+            yield row_sets[pairing // n_arr], arrangements[pairing % n_arr], signs
+
+
+def _point_builder(r: int, s: int):
+    """point(rows, cols, signs) -> the SignedSubPermutation of those entries.
+
+    Supports share one (row, col, sign) tuple per entry. Building each
+    afresh between the array blocks' allocations grew the oracle's peak RSS
+    by about 0.4 MB over a few hundred calls.
+    """
+    entry = [[{sg: (i, j, sg) for sg in (1, -1)} for j in range(r)] for i in range(s)]
+
+    def point(rows, cols, signs) -> SignedSubPermutation:
+        return SignedSubPermutation(rows=s, cols=r, support=tuple(
+            [entry[i][j][sg] for i, j, sg in zip(rows, cols, signs)]))
+    return point
+
+
+def enumerate_extreme_points(r: int, s: int,
+                             budget: int = DEFAULT_BUDGET
+                             ) -> Iterator[SignedSubPermutation]:
+    """Stream every extreme point exactly once, k ascending then lexicographic."""
+    point = _point_builder(r, s)
+    for rows, cols, signs in _index_blocks(r, s, budget):
+        sign_lists = signs.tolist()
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            for sg in sign_lists:
+                yield point(i, j, sg)
+
+
+def _sum_of_squares(pair: SpectrumPair) -> float:
+    """F, the sum of the squares of both spectra.
+
+    The oracle sums F itself rather than reading the closed forms' cached
+    scalar, so a wrong F there cannot pass both. `math.fsum` rounds the exact
+    sum once, so this equals `fg_scalars(pair).F` bit for bit.
+    """
+    return math.fsum([x * x for x in pair.sigma] + [x * x for x in pair.sigma_tilde])
 
 
 def evaluate_f(pair: SpectrumPair, point: SignedSubPermutation) -> FEvaluation:
     """Ratio of perturbation numerator to denominator at one extreme point."""
-    F = fg_scalars(pair).F
+    F = _sum_of_squares(pair)
     tol = 1e-12 * max(1.0, F)
     num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in point.support))
     den = F - 2.0 * math.fsum(
@@ -111,13 +169,85 @@ def evaluate_f(pair: SpectrumPair, point: SignedSubPermutation) -> FEvaluation:
     return FEvaluation(point=point, numerator=num, denominator=den, value=num / den)
 
 
+def _ratio_blocks(pair: SpectrumPair, budget: int):
+    """`_index_blocks` with the ratio's numerator and denominator.
+
+    Yields (rows, cols, signs, num, den, err). num[q] belongs to sign vector
+    q and is exact; den[p, q] to pairing p with sign vector q. den is
+    F - 2*sum_j(sign_j * w_j) with w = sigma_tilde[i] * sigma[j], summed
+    over j in order, and differs from `evaluate_f`'s denominator by at most
+    err = (2k + 4)*u*F (u = 2**-53). Both take the same doubles w, and
+    sum(|w|) <= F/2. So the sum here errs by at most (k - 1)*u*F/2, fsum by
+    u*F/2, doubling is exact, and each final subtraction by u*|den| <= 2u*F:
+    (k + 4)*u*F to first order, with k*u*F to spare.
+    """
+    F = _sum_of_squares(pair)
+    w = np.multiply.outer(np.array(pair.sigma_tilde), np.array(pair.sigma))
+    for rows, cols, signs in _index_blocks(pair.r, pair.s, budget):
+        picked, sign_values = w[rows, cols], signs.astype(float)
+        den = np.zeros((len(rows), len(signs)))
+        for j in range(signs.shape[1]):
+            den += picked[:, j, None] * sign_values[:, j]
+        den *= -2.0
+        den += F
+        num = pair.r + pair.s - 2.0 * sign_values.sum(axis=1)
+        yield rows, cols, signs, num, den, (2 * signs.shape[1] + 4) * _U * F
+
+
+def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutation]:
+    """The extreme points that may hold the max or the min, in enumeration order.
+
+    A point is left out only when its value interval lies below a value some
+    point is known to reach (so it cannot be the max) and above one (so it
+    cannot be the min). The interval divides num >= 0 by den -+ (err + 5u*F):
+    the 5u*F absorbs the rounding of that sum and of the quotient, each at
+    most u relative on |den| <= 2F, so the computed ends enclose the exact
+    value. A point whose interval is open, its denominator possibly 0 or in
+    the 0/0 box, is always kept, and so is every point when F is too near
+    the ends of the double range for those relative bounds to hold.
+    """
+    F = _sum_of_squares(pair)
+    tol = 1e-12 * max(1.0, F)
+    bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
+    point = _point_builder(pair.r, pair.s)
+    max_floor, min_ceiling = -math.inf, math.inf
+    for rows, cols, signs, num, den, err in _ratio_blocks(pair, budget):
+        slack = err + 5 * _U * F
+        is_open = np.abs(den) <= 2.0 * (slack + np.where(np.abs(num) < tol, tol, 0.0))
+        # the value falls as den rises, on either side of 0; hi reuses den
+        lo = den + slack
+        hi = np.subtract(den, slack, out=den)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(num, lo, out=lo)
+            np.divide(num, hi, out=hi)
+        is_open |= ~np.isfinite(lo)
+        is_open |= ~np.isfinite(hi)
+        is_open |= not bounded
+        closed = ~is_open
+        if closed.any():
+            max_floor = max(max_floor, float(lo[closed].max()))
+            min_ceiling = min(min_ceiling, float(hi[closed].min()))
+        keep = is_open
+        keep |= hi >= max_floor
+        keep |= lo <= min_ceiling
+        for t in np.flatnonzero(keep).tolist():
+            p, q = divmod(t, len(signs))
+            yield point(rows[p].tolist(), cols[p].tolist(), signs[q].tolist())
+
+
 def brute_force_f_extrema(pair: SpectrumPair,
                           budget: int = DEFAULT_BUDGET
                           ) -> Tuple[FEvaluation, FEvaluation]:
-    """Exact max and min of the ratio over all enumerated extreme points."""
+    """Exact max and min of the ratio over all enumerated extreme points.
+
+    Every extreme point is bounded over index arrays; the candidates are then
+    re-evaluated by `evaluate_f` in enumeration order, with the strict
+    comparisons of a scan of every point. The winners, ties included, are
+    therefore those of that scan.
+    """
     best_max: Optional[FEvaluation] = None
     best_min: Optional[FEvaluation] = None
-    for point in enumerate_extreme_points(pair.r, pair.s, budget=budget):
+    for point in _candidates(pair, budget):
         ev = evaluate_f(pair, point)
         if ev.value is None:
             continue

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
+from polarbounds import oracle
 from polarbounds.bounds import (
     kittaneh_lower_coeff,
     kittaneh_upper_coeff,
@@ -12,6 +14,7 @@ from polarbounds.bounds import (
 from polarbounds.oracle import (
     BudgetExceededError,
     DirectionalMove,
+    FEvaluation,
     SignedSubPermutation,
     boundary_grid_check,
     brute_force_f_extrema,
@@ -22,6 +25,7 @@ from polarbounds.oracle import (
     extreme_point_count,
 )
 from polarbounds.spectra import (
+    NumericalRangeError,
     SpectrumPair,
     fg_scalars,
     validate_eigen_pair,
@@ -29,6 +33,70 @@ from polarbounds.spectra import (
 )
 
 from conftest import random_pair
+
+
+def scalar_f_extrema(pair):
+    """Reference: the ratio at every extreme point, one point at a time.
+
+    This is the loop `brute_force_f_extrema` ran before it bounded the points
+    over index arrays, with its own enumeration and evaluation, so the two
+    share no code.
+    """
+    sig, sigt = pair.sigma, pair.sigma_tilde
+    F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
+    tol = 1e-12 * max(1.0, F)
+    supports = itertools.chain([()], (
+        tuple(zip(rows, cols, signs))
+        for k in range(1, pair.r + 1)
+        for rows in itertools.combinations(range(pair.s), k)
+        for cols in itertools.permutations(range(pair.r), k)
+        for signs in itertools.product((1, -1), repeat=k)))
+    best_max = best_min = None
+    for support in supports:
+        num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in support))
+        den = F - 2.0 * math.fsum(sg * sigt[i] * sig[j] for i, j, sg in support)
+        if abs(num) < tol and abs(den) < tol:
+            continue
+        ev = FEvaluation(point=SignedSubPermutation(rows=pair.s, cols=pair.r, support=support),
+                         numerator=num, denominator=den, value=num / den)
+        if best_max is None or ev.value > best_max.value:
+            best_max = ev
+        if best_min is None or ev.value < best_min.value:
+            best_min = ev
+    if best_max is None:
+        raise NumericalRangeError("every extreme point is 0/0")
+    return best_max, best_min
+
+
+def _desc(values):
+    return np.sort(np.asarray(values, dtype=float))[::-1]
+
+
+def _family_pair(family, rng, r, s):
+    """One seeded spectrum pair of a family that stresses ties or rounding."""
+    if family == "generic":
+        sig, sigt = _desc(rng.uniform(0.1, 10, r)), _desc(rng.uniform(0.1, 10, s))
+    elif family == "near-identical":
+        sigt = _desc(rng.uniform(0.1, 10, s))
+        sig = _desc(sigt[:r] * (1 + 10.0 ** rng.uniform(-15, -3) * rng.standard_normal(r)))
+    elif family == "all-equal":
+        c = float(rng.uniform(0.1, 10))
+        sig, sigt = [c] * r, [c] * s
+    elif family == "integer-ties":
+        sig, sigt = _desc(rng.integers(1, 4, r)), _desc(rng.integers(1, 4, s))
+    elif family == "zero-over-zero":
+        # identical spectra: with r == s the aligned all-plus point is 0/0
+        sigt = _desc(rng.integers(1, 4, s))
+        sig = sigt[:r]
+    else:
+        scale = {"scaled-1e100": 1e100, "scaled-1e-100": 1e-100}[family]
+        sig, sigt = _desc(rng.uniform(0.1, 10, r)), _desc(rng.uniform(0.1, 10, s))
+        sig, sigt = sig * scale, sigt * scale
+    return validate_spectrum_pair(sig, sigt)
+
+
+FAMILIES = ("generic", "near-identical", "all-equal", "integer-ties", "zero-over-zero",
+            "scaled-1e100", "scaled-1e-100")
 
 
 class TestEnumeration:
@@ -62,6 +130,15 @@ class TestEnumeration:
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
             list(enumerate_extreme_points(6, 6, budget=100))
+        assert exc.value.exact_count == extreme_point_count(6, 6)
+
+    def test_budget_before_any_evaluation(self, monkeypatch):
+        def refuse(pair, point):
+            raise AssertionError("evaluate_f called")
+        monkeypatch.setattr(oracle, "evaluate_f", refuse)
+        pair = validate_spectrum_pair([3, 2, 1, 1, 1, 1], [3, 2, 2, 1, 1, 1])
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_f_extrema(pair, budget=100)
         assert exc.value.exact_count == extreme_point_count(6, 6)
 
     def test_deterministic_order(self):
@@ -101,6 +178,53 @@ class TestFEvaluation:
         assert abs(mx.value - 0.0871) < 5e-5
 
 
+class TestArrayPath:
+    @pytest.mark.parametrize("r,s", [(r, s) for s in range(1, 5)
+                                     for r in range(1, min(3, s) + 1)])
+    def test_blocks_match_evaluate_f(self, rng, r, s):
+        # num exact and den within the stated bound at every point
+        for family in FAMILIES:
+            pair = _family_pair(family, rng, r, s)
+            points = enumerate_extreme_points(r, s)
+            for rows, cols, signs, num, den, err in oracle._ratio_blocks(pair, 10 ** 7):
+                for p, q in itertools.product(range(len(rows)), range(len(signs))):
+                    ev = evaluate_f(pair, next(points))
+                    assert ev.point.support == tuple(zip(rows[p], cols[p], signs[q]))
+                    assert ev.numerator == num[q]
+                    bound = (2 * ev.point.k + 4) * 2.0 ** -53 * fg_scalars(pair).F
+                    assert err == bound
+                    assert abs(ev.denominator - den[p, q]) <= bound
+            assert next(points, None) is None
+
+    def test_f_summed_by_the_oracle_is_the_pair_f(self, rng):
+        for family in FAMILIES:
+            pair = _family_pair(family, rng, 3, 5)
+            assert oracle._sum_of_squares(pair) == fg_scalars(pair).F
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_scalar_reference(self, family):
+        rng = np.random.default_rng(FAMILIES.index(family) + 1)
+        sizes = [(r, s) for s in range(1, 5) for r in range(1, s + 1)] + [(4, 5), (3, 5)]
+        for r, s in sizes:
+            pair = _family_pair(family, rng, r, s)
+            assert repr(brute_force_f_extrema(pair)) == repr(scalar_f_extrema(pair))
+
+    def test_ties_the_array_sums_round_apart(self):
+        # integer spectra at 1e100: tied points whose array denominators
+        # round differently; without the err margin a later tie would win
+        pair = validate_spectrum_pair(np.array([2, 2, 1, 1, 1]) * 1e100,
+                                      np.array([2, 2, 2, 2, 1, 1]) * 1e100)
+        assert repr(brute_force_f_extrema(pair)) == repr(scalar_f_extrema(pair))
+
+    def test_wide_range_raises_as_reference(self):
+        # F rounds to 2, so pairing the two 1s gives den 0 with num 3
+        pair = validate_spectrum_pair([1, 1e-9], [1, 1e-9, 1e-9])
+        with pytest.raises(ZeroDivisionError):
+            scalar_f_extrema(pair)
+        with pytest.raises(ZeroDivisionError):
+            brute_force_f_extrema(pair)
+
+
 class TestOracleEquivalence:
     def test_equivalence_random(self, rng):
         for _ in range(60):
@@ -110,6 +234,19 @@ class TestOracleEquivalence:
             cl = q_lower_coeff(pair)[0].coefficient
             assert abs(mx.value - cu * cu) <= 1e-10 * max(1.0, cu * cu)
             assert abs(mn.value - cl * cl) <= 1e-10 * max(1.0, cl * cl)
+
+    @pytest.mark.parametrize("r,s", [(5, 6), (6, 7)])
+    def test_equivalence_large(self, r, s):
+        rng = np.random.default_rng(100 * r + s)
+        for _ in range(4):
+            pair = validate_spectrum_pair(np.sort(rng.uniform(0.1, 10, r))[::-1],
+                                          np.sort(rng.uniform(0.1, 10, s))[::-1])
+            mx, mn = brute_force_f_extrema(pair)
+            cu = q_upper_coeff(pair)[0].coefficient ** 2
+            cl = q_lower_coeff(pair)[0].coefficient ** 2
+            assert abs(mx.value - cu) <= 1e-10 * max(1.0, cu)
+            assert abs(mn.value - cl) <= 1e-10 * max(1.0, cl)
+            assert mx.point.k == mn.point.k == r
 
     def test_optimizers_have_full_support(self, rng):
         for _ in range(40):
