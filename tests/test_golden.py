@@ -23,16 +23,23 @@ CAMPAIGN_DIGESTS = {
     "complex": "bc00f8fe6dca10c530b60b429249c7d4075d292dfc351182c9f439c78f547a24",
     "real": "4e7ea08cab88ace0ed75ec3733e77610af2f733013a27d8f688fb29641f869aa",
 }
+# (m, n, field) -> digest at 100 trials: wide and tall shapes, whose left and
+# right Ginibre draws differ in size
+SHAPED_CAMPAIGN_DIGESTS = {
+    (5, 8, "complex"): "ed510b790936938bd52025d39a8ac4651fd27f1ff6004ce687c730beee407387",
+    (5, 8, "real"): "6e91a84ff81ae5a0afe04202a21c37613b1f9376295d0c3c8c20bac876a5b4f5",
+    (8, 3, "complex"): "20c7f5c677b506c554bf0761260d1eb2495c0b12eb60c4231663b5e84daaf622",
+    (8, 3, "real"): "face71f6a9230086343f93343c5e588bdc87ef116de7490b1592d3473448ed1c",
+}
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 BRUTE_KITTANEH_DIGEST = "898e4c76b1fe08427027793c1256a7490af0fb309d1ec3baa161c2152886dfe4"
 
 
-def campaign_digest(field: str) -> str:
-    """Criterion-4 configuration at 300 trials."""
-    config = EnsembleConfig(m=7, n=7, trials=300, seed=20240824, field=field,
-                            max_rank=7)
+def campaign_digest(field: str, m: int = 7, n: int = 7, trials: int = 300) -> str:
+    """Criterion-4 configuration at 300 trials, or another shape and length."""
+    config = EnsembleConfig(m=m, n=n, trials=trials, seed=20240824, field=field)
     body = run_verification_suite(config).body()
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
@@ -123,6 +130,11 @@ def brute_kittaneh_digest() -> str:
 @pytest.mark.parametrize("field", sorted(CAMPAIGN_DIGESTS))
 def test_campaign_body_digest(field):
     assert campaign_digest(field) == CAMPAIGN_DIGESTS[field]
+
+
+@pytest.mark.parametrize("m, n, field", sorted(SHAPED_CAMPAIGN_DIGESTS))
+def test_shaped_campaign_body_digest(m, n, field):
+    assert campaign_digest(field, m, n, trials=100) == SHAPED_CAMPAIGN_DIGESTS[m, n, field]
 
 
 def test_witness_matrix_digest():
