@@ -158,12 +158,23 @@ def _sum_of_squares(pair: SpectrumPair) -> float:
 
 
 def evaluate_f(pair: SpectrumPair, point: SignedSubPermutation) -> FEvaluation:
-    """Ratio of perturbation numerator to denominator at one extreme point."""
+    """Ratio of perturbation numerator to denominator at one extreme point.
+
+    The denominator F - 2*sum(sign * sigma_tilde[i] * sigma[j]) is summed as
+    the squares (sigma_tilde[i] - sign * sigma[j])**2 of the matched entries
+    plus the squares of the unmatched values of both spectra, so no digit
+    cancels. It is 0 only when every term is, which forces num = 0 (the 0/0
+    box) on spectra whose squares do not underflow.
+    """
     F = _sum_of_squares(pair)
     tol = 1e-12 * max(1.0, F)
     num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in point.support))
-    den = F - 2.0 * math.fsum(
-        sg * pair.sigma_tilde[i] * pair.sigma[j] for i, j, sg in point.support)
+    rows = {i for i, _, _ in point.support}
+    cols = {j for _, j, _ in point.support}
+    den = math.fsum(
+        [(pair.sigma_tilde[i] - sg * pair.sigma[j]) ** 2 for i, j, sg in point.support]
+        + [x * x for i, x in enumerate(pair.sigma_tilde) if i not in rows]
+        + [x * x for j, x in enumerate(pair.sigma) if j not in cols])
     if abs(num) < tol and abs(den) < tol:
         return FEvaluation(point=point, numerator=num, denominator=den, value=None)
     return FEvaluation(point=point, numerator=num, denominator=den, value=num / den)
@@ -176,10 +187,14 @@ def _ratio_blocks(pair: SpectrumPair, budget: int):
     q and is exact; den[p, q] to pairing p with sign vector q. den is
     F - 2*sum_j(sign_j * w_j) with w = sigma_tilde[i] * sigma[j], summed
     over j in order, and differs from `evaluate_f`'s denominator by at most
-    err = (2k + 4)*u*F (u = 2**-53). Both take the same doubles w, and
-    sum(|w|) <= F/2. So the sum here errs by at most (k - 1)*u*F/2, fsum by
-    u*F/2, doubling is exact, and each final subtraction by u*|den| <= 2u*F:
-    (k + 4)*u*F to first order, with k*u*F to spare.
+    err = (2k + 16)*u*F (u = 2**-53). Against the exact denominator d, with
+    sum(|sigma_tilde[i] * sigma[j]|) <= F/2 over the k entries and d <= 2F:
+    here F errs by 2u*F (squares, then fsum), the products w by u*F/2 in
+    all, their sum by (k - 1)*u*F/2, doubling is exact, and the final
+    subtraction errs by u*|den| <= 2u*F, in all (k + 4)*u*F. `evaluate_f`
+    rounds each of its nonnegative terms to within 3u of itself and their
+    sum once, so it errs by 4u*d <= 8u*F. That is (k + 12)*u*F to first
+    order, with (k + 4)*u*F to spare.
     """
     F = _sum_of_squares(pair)
     w = np.multiply.outer(np.array(pair.sigma_tilde), np.array(pair.sigma))
@@ -191,7 +206,7 @@ def _ratio_blocks(pair: SpectrumPair, budget: int):
         den *= -2.0
         den += F
         num = pair.r + pair.s - 2.0 * sign_values.sum(axis=1)
-        yield rows, cols, signs, num, den, (2 * signs.shape[1] + 4) * _U * F
+        yield rows, cols, signs, num, den, (2 * signs.shape[1] + 16) * _U * F
 
 
 def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutation]:

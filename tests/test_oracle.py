@@ -54,7 +54,10 @@ def scalar_f_extrema(pair):
     best_max = best_min = None
     for support in supports:
         num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in support))
-        den = F - 2.0 * math.fsum(sg * sigt[i] * sig[j] for i, j, sg in support)
+        rows, cols = {i for i, _, _ in support}, {j for _, j, _ in support}
+        den = math.fsum([(sigt[i] - sg * sig[j]) ** 2 for i, j, sg in support]
+                        + [sigt[i] ** 2 for i in range(pair.s) if i not in rows]
+                        + [sig[j] ** 2 for j in range(pair.r) if j not in cols])
         if abs(num) < tol and abs(den) < tol:
             continue
         ev = FEvaluation(point=SignedSubPermutation(rows=pair.s, cols=pair.r, support=support),
@@ -191,7 +194,7 @@ class TestArrayPath:
                     ev = evaluate_f(pair, next(points))
                     assert ev.point.support == tuple(zip(rows[p], cols[p], signs[q]))
                     assert ev.numerator == num[q]
-                    bound = (2 * ev.point.k + 4) * 2.0 ** -53 * fg_scalars(pair).F
+                    bound = (2 * ev.point.k + 16) * 2.0 ** -53 * fg_scalars(pair).F
                     assert err == bound
                     assert abs(ev.denominator - den[p, q]) <= bound
             assert next(points, None) is None
@@ -216,13 +219,16 @@ class TestArrayPath:
                                       np.array([2, 2, 2, 2, 1, 1]) * 1e100)
         assert repr(brute_force_f_extrema(pair)) == repr(scalar_f_extrema(pair))
 
-    def test_wide_range_raises_as_reference(self):
-        # F rounds to 2, so pairing the two 1s gives den 0 with num 3
+    def test_wide_range_matches_closed_form(self):
+        # F rounds to 2, so F - 2*1*1 would give den 0 with num 3 at the
+        # point pairing the two 1s; summed as squares, den is 3e-18
         pair = validate_spectrum_pair([1, 1e-9], [1, 1e-9, 1e-9])
-        with pytest.raises(ZeroDivisionError):
-            scalar_f_extrema(pair)
-        with pytest.raises(ZeroDivisionError):
-            brute_force_f_extrema(pair)
+        mx, mn = brute_force_f_extrema(pair)
+        assert repr((mx, mn)) == repr(scalar_f_extrema(pair))
+        cu = q_upper_coeff(pair)[0].coefficient ** 2
+        cl = q_lower_coeff(pair)[0].coefficient ** 2
+        assert abs(mx.value - cu) <= 1e-10 * cu
+        assert abs(mn.value - cl) <= 1e-10 * max(1.0, cl)
 
 
 class TestOracleEquivalence:
