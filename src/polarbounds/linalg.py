@@ -1,16 +1,18 @@
 """Dense complex linear algebra primitives.
 
-Full SVD, generalized polar decomposition at a given rank, unitary
-completion of partial column blocks, and seeded Haar-random unitary
-sampling. The SVD and the Haar correction also take stacks of matrices, one
-LAPACK call per stack, with results bit-identical to one matrix at a time.
-Everything here is a pure function of its inputs.
+Full SVD, generalized polar decomposition at a given rank, Frobenius norms
+and inner products, unitary completion of partial column blocks, and seeded
+Haar-random unitary sampling. The SVD, the polar factors, the norms, the
+inner products and the Haar correction also take stacks of matrices, one
+numpy call per stack, with results bit-identical to one matrix at a time:
+each stacked call reaches the BLAS or LAPACK routine the single call does,
+on the same operands. Everything here is a pure function of its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List
+from typing import List, Sequence
 
 import numpy as np
 
@@ -23,15 +25,54 @@ class CompletionInfeasibleError(ValueError):
     """Not enough free rows to complete the partial block to a unitary."""
 
 
+def conj_transpose(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix in a (..., m, n) array."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def frobenius_norms(a) -> np.ndarray:
+    """Frobenius norm of each matrix in a (..., m, n) array.
+
+    Each norm is sqrt(re.re + im.im), summed as `np.linalg.norm(x, "fro")`
+    sums it: over the entries in the order of `ravel("K")`, held
+    contiguously, through the BLAS dot np.vecdot reaches too. So each norm
+    is bit-identical to that call on its matrix alone.
+    """
+    a = np.asarray(a)
+    if abs(a.strides[-2]) < abs(a.strides[-1]):   # column-major matrices
+        a = np.swapaxes(a, -1, -2)
+    x = a.reshape(*a.shape[:-2], -1)
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
 def frobenius(a: np.ndarray) -> float:
-    return float(np.linalg.norm(a, "fro"))
+    return float(frobenius_norms(a))
+
+
+def inner_products(b: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """trace(B* A) for each pair of matrices of two (..., m, n) arrays.
+
+    np.vecdot conjugates b and reaches the BLAS dot np.vdot(b, a) does, so
+    each value is bit-identical to np.vdot on that pair.
+    """
+    return np.vecdot(b.reshape(*b.shape[:-2], -1), a.reshape(*a.shape[:-2], -1))
 
 
 @dataclass(frozen=True)
 class SvdResult:
-    U: np.ndarray            # m x m unitary
-    singular_values: np.ndarray   # length min(m, n), decreasing
-    V: np.ndarray            # n x n unitary
+    """A = U diag(S) V*, or a stack of such factorizations along leading axes.
+
+    Indexing takes the factorizations of those matrices of the stack.
+    """
+    U: np.ndarray            # (..., m, m) unitary
+    singular_values: np.ndarray   # (..., min(m, n)), decreasing
+    V: np.ndarray            # (..., n, n) unitary
+
+    def __getitem__(self, index) -> "SvdResult":
+        return SvdResult(U=self.U[index], singular_values=self.singular_values[index],
+                         V=self.V[index])
 
     def reconstruct(self) -> np.ndarray:
         m, n = self.U.shape[0], self.V.shape[0]
@@ -47,8 +88,8 @@ class SvdResult:
 
 @dataclass(frozen=True)
 class PolarFactors:
-    Q: np.ndarray            # m x n subunitary of rank r
-    H: np.ndarray            # n x n Hermitian PSD of rank r
+    Q: np.ndarray            # (..., m, n) subunitary of rank r
+    H: np.ndarray            # (..., n, n) Hermitian PSD of rank r
 
 
 def _as_matrix(a, ndim: int = 2) -> np.ndarray:
@@ -70,22 +111,22 @@ def svd(a) -> SvdResult:
     return _svd_stack(_as_matrix(a)[None])[0]
 
 
-def svd_stack(a) -> List[SvdResult]:
+def svd_stack(a) -> SvdResult:
     """`svd` of each matrix in a (B, m, n) stack, through one LAPACK call.
 
-    Each result is bit-identical to `svd` of that matrix alone.
+    The result holds (B, ...) stacks; its b-th factorization is bit-identical
+    to `svd` of matrix b alone.
     """
     return _svd_stack(_as_matrix(a, ndim=3))
 
 
-def _svd_stack(a: np.ndarray) -> List[SvdResult]:
+def _svd_stack(a: np.ndarray) -> SvdResult:
     try:
         u, sv, vh = np.linalg.svd(a, full_matrices=True)
     except np.linalg.LinAlgError as exc:
         m, n = a.shape[1:]
         raise SvdConvergenceError(f"SVD did not converge for {m}x{n} input: {exc}") from exc
-    v = np.swapaxes(vh.conj(), -1, -2)
-    return [SvdResult(U=u[b], singular_values=sv[b], V=v[b]) for b in range(len(sv))]
+    return SvdResult(U=u, singular_values=sv, V=conj_transpose(vh))
 
 
 def polar_decompose(a, rank: int) -> PolarFactors:
@@ -94,22 +135,24 @@ def polar_decompose(a, rank: int) -> PolarFactors:
 
 
 def polar_from_svd(res: SvdResult, rank: int) -> PolarFactors:
-    """Polar factors of the rank-`rank` matrix whose SVD is `res`.
+    """Polar factors of the rank-`rank` matrix whose SVD is `res`, or of
+    each matrix of a stack of that rank.
 
     Q = U1 V1*, H = V1 S1 V1* from the SVD truncated to `rank` terms; Q is a
     partial isometry of that rank and H is the Hermitian PSD factor |A|. The
     rank comes from the caller, which built the matrix: a guess from a
     tolerance on the singular values would drop a small but genuine one.
     """
-    m, n = res.U.shape[0], res.V.shape[0]
+    m, n = res.U.shape[-1], res.V.shape[-1]
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank {rank} outside [1, {min(m, n)}] for an {m}x{n} matrix")
-    u1 = res.U[:, :rank]
-    v1 = res.V[:, :rank]
-    s1 = res.singular_values[:rank]
-    q = u1 @ v1.conj().T
-    h = (v1 * s1) @ v1.conj().T
-    h = 0.5 * (h + h.conj().T)   # enforce exact Hermitian symmetry
+    u1 = res.U[..., :rank]
+    v1 = res.V[..., :rank]
+    s1 = res.singular_values[..., None, :rank]
+    v1h = conj_transpose(v1)
+    q = u1 @ v1h
+    h = (v1 * s1) @ v1h
+    h = 0.5 * (h + conj_transpose(h))   # enforce exact Hermitian symmetry
     return PolarFactors(Q=q, H=h)
 
 
@@ -168,10 +211,33 @@ def unitary_completion(partial, zero_rows=()) -> np.ndarray:
 
 def ginibre(rng: np.random.Generator, n: int, fld: str = "complex") -> np.ndarray:
     """n x n matrix of independent standard (complex) Gaussians drawn from rng."""
-    z = rng.standard_normal((n, n))
-    if fld == "complex":
-        z = (z + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
-    return z
+    return ginibre_from_normals(ginibre_normals(rng, (n,), fld), (n,), fld)[0]
+
+
+def _parts(fld: str) -> int:
+    return 2 if fld == "complex" else 1
+
+
+def ginibre_normals(rng: np.random.Generator, sizes: Sequence[int],
+                    fld: str = "complex") -> np.ndarray:
+    """The standard normals `ginibre` draws from rng for one matrix of each
+    size in turn, drawn in one call: a matrix's real parts, then its
+    imaginary parts (complex field only), row by row."""
+    return rng.standard_normal(_parts(fld) * sum(n * n for n in sizes))
+
+
+def ginibre_from_normals(x: np.ndarray, sizes: Sequence[int],
+                         fld: str = "complex") -> List[np.ndarray]:
+    """The (..., n, n) Ginibre matrices of the given sizes from (..., N)
+    arrays of `ginibre_normals`, each bit-identical to `ginibre`."""
+    out, start = [], 0
+    for n in sizes:
+        stop = start + _parts(fld) * n * n
+        z = x[..., start:stop].reshape(*x.shape[:-1], _parts(fld), n, n)
+        out.append((z[..., 0, :, :] + 1j * z[..., 1, :, :]) / np.sqrt(2)
+                   if fld == "complex" else z[..., 0, :, :])
+        start = stop
+    return out
 
 
 def haar_from_ginibre(z) -> np.ndarray:

@@ -10,18 +10,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import bounds
-from .linalg import (SvdResult, frobenius, ginibre, haar_from_ginibre, haar_random_unitary,
-                     polar_decompose, polar_from_svd, svd, svd_stack)
+from . import bounds, linalg
+from .linalg import (conj_transpose, frobenius_norms, ginibre_from_normals, ginibre_normals,
+                     haar_from_ginibre, haar_random_unitary, inner_products, polar_from_svd,
+                     svd_stack)
 from .spectra import validate_eigen_pair, validate_spectrum_pair
 
 _CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gain little
 SPECTRUM_RANGE = (1e-2, 1e2)   # log-uniform law of the drawn singular values
 NORMAL_DIM = 3                 # square size for the normal-matrix channel
+
+# no check here calls it any more, but perfbench/ patches and traces the
+# name on this module
+polar_decompose = linalg.polar_decompose
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,10 @@ def random_matrix_with_spectrum(sigma, m: int, n: int, seed: int,
 
 
 def _with_spectrum(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """U[:, :k] diag(sigma) V[:, :k]* for the k = len(sigma) leading columns."""
-    k = len(sigma)
-    return (u[:, :k] * sigma) @ v[:, :k].conj().T
+    """U[:, :k] diag(sigma) V[:, :k]* for the k = sigma.shape[-1] leading
+    columns, for one matrix or for each of a stack."""
+    k = sigma.shape[-1]
+    return (u[..., :k] * sigma[..., None, :]) @ conj_transpose(v[..., :k])
 
 
 def _log_uniform(rng: np.random.Generator, size: int):
@@ -124,95 +130,119 @@ class _Recorder:
             self.ratios[ineq] = bound / value
 
 
-def angle_cosines(a: np.ndarray, b: np.ndarray, h_a: np.ndarray,
-                  h_b: np.ndarray) -> Tuple[float, float]:
-    """cos of the angle between the matrices and between their positive factors."""
-    na, nb = frobenius(a), frobenius(b)
-    cos_alpha = float(np.real(np.vdot(b, a))) / (na * nb)
-    cos_beta = float(np.real(np.vdot(h_b, h_a))) / (na * nb)
-    return cos_alpha, cos_beta
+def _rank_groups(ranks: Sequence[int]) -> Dict[int, List[int]]:
+    """rank -> the indices of the matrices of that rank, in order."""
+    groups: Dict[int, List[int]] = {}
+    for i, rank in enumerate(ranks):
+        groups.setdefault(rank, []).append(i)
+    return groups
+
+
+def _norms(x: np.ndarray) -> List[float]:
+    return frobenius_norms(x).tolist()
 
 
 def check_polar_pair(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
                      r: int, s: int) -> None:
     """Assertion families (a)-(f) and (h) on one general matrix pair of
     ranks r and s."""
-    _check_polar_svds(rec, a, a_tilde, svd(a), svd(a_tilde), r, s)
+    _check_polar_pairs([rec], np.stack([a, a_tilde]), [r, s])
 
 
-def _check_polar_svds(rec: _Recorder, a: np.ndarray, a_tilde: np.ndarray,
-                      res: SvdResult, res_t: SvdResult, r: int, s: int) -> None:
-    """`check_polar_pair` given the SVDs of a and a_tilde."""
-    pf, pf_t = polar_from_svd(res, r), polar_from_svd(res_t, s)
-    pair = validate_spectrum_pair(res.singular_values[:r], res_t.singular_values[:s])
+def _check_polar_pairs(recs: List[_Recorder], general: np.ndarray,
+                       ranks: Sequence[int]) -> None:
+    """`check_polar_pair` on each pair of a stack: matrices 2i and 2i + 1 of
+    `general` are recs[i]'s A and A~, of ranks ranks[2i] and ranks[2i + 1].
 
-    e_norm = frobenius(a_tilde - a)
-    q_gap = frobenius(pf.Q - pf_t.Q)
-    h_gap = frobenius(pf.H - pf_t.H)
-    h_sum = frobenius(pf.H + pf_t.H)
-    a_sum = frobenius(a + a_tilde)
+    The SVDs, polar factors, norms and inner products of all pairs are
+    formed with one numpy call each (one per rank for the polar factors);
+    the closed forms and the recorder then run pair by pair on floats.
+    """
+    # the SVD sees complex input, as in `svd`; the checks see the matrices as built
+    res = svd_stack(general)
+    count, m, n = general.shape
+    q = np.empty((count, m, n), dtype=complex)
+    h = np.empty((count, n, n), dtype=complex)
+    h_left = np.empty((count, m, m), dtype=complex)   # |A*| = U1 S1 U1*
+    for rank, idx in _rank_groups(ranks).items():
+        pf = polar_from_svd(res[idx], rank)
+        q[idx], h[idx] = pf.Q, pf.H
+        h_left[idx] = polar_from_svd(res[idx].adjoint(), rank).H
+    a, a_t = general[0::2], general[1::2]
+    gram = conj_transpose(general) @ general
+    norm = _norms(general)
+    rows = zip(_norms(a_t - a), _norms(q[0::2] - q[1::2]), _norms(h[0::2] - h[1::2]),
+               _norms(h[0::2] + h[1::2]), _norms(a + a_t), _norms(gram[0::2] + gram[1::2]),
+               _norms(a @ conj_transpose(a_t)), _norms(h_left[0::2] - h_left[1::2]),
+               inner_products(a_t, a).tolist(), inner_products(h[1::2], h[0::2]).tolist())
+    sv = res.singular_values.tolist()
+    for i, (rec, row) in enumerate(zip(recs, rows)):
+        e_norm, q_gap, h_gap, h_sum, a_sum, gram_sum, prod, left_gap, tr_a, tr_h = row
+        r, s = ranks[2 * i], ranks[2 * i + 1]
+        pair = validate_spectrum_pair(sv[2 * i][:r], sv[2 * i + 1][:s])
 
-    q_up, _ = bounds.q_upper_coeff(pair)
-    q_lo, _ = bounds.q_lower_coeff(pair)
-    rec.upper("q-upper", q_gap, q_up.coefficient * e_norm, e_norm)
-    rec.lower("q-lower", q_gap, q_lo.coefficient * e_norm, e_norm)
+        q_up, _ = bounds.q_upper_coeff(pair)
+        q_lo, _ = bounds.q_lower_coeff(pair)
+        rec.upper("q-upper", q_gap, q_up.coefficient * e_norm, e_norm)
+        rec.lower("q-lower", q_gap, q_lo.coefficient * e_norm, e_norm)
 
-    h_up = bounds.h_upper_coeff(pair).coefficient
-    h_lo = bounds.h_lower_coeff(pair).coefficient
-    rec.upper("h-upper", h_gap, h_up * e_norm, e_norm)
-    rec.lower("h-lower", h_gap, h_lo * e_norm, e_norm)
-    rec.upper("h-classical", h_gap, bounds.SQRT2 * e_norm, e_norm)
+        h_up = bounds.h_upper_coeff(pair).coefficient
+        h_lo = bounds.h_lower_coeff(pair).coefficient
+        rec.upper("h-upper", h_gap, h_up * e_norm, e_norm)
+        rec.lower("h-lower", h_gap, h_lo * e_norm, e_norm)
+        rec.upper("h-classical", h_gap, bounds.SQRT2 * e_norm, e_norm)
 
-    lee_up = bounds.lee_upper_coeff(pair).coefficient
-    lee_lo = bounds.lee_lower_coeff(pair).coefficient
-    rec.upper("lee-upper", a_sum, lee_up * h_sum, h_sum)
-    rec.lower("lee-lower", a_sum, lee_lo * h_sum, h_sum)
+        lee_up = bounds.lee_upper_coeff(pair).coefficient
+        lee_lo = bounds.lee_lower_coeff(pair).coefficient
+        rec.upper("lee-upper", a_sum, lee_up * h_sum, h_sum)
+        rec.lower("lee-lower", a_sum, lee_lo * h_sum, h_sum)
 
-    amgm = bounds.amgm_coeff(pair).coefficient
-    gram_sum = frobenius(a.conj().T @ a + a_tilde.conj().T @ a_tilde)
-    prod = frobenius(a @ a_tilde.conj().T)
-    rec.upper("amgm", prod, amgm * gram_sum, gram_sum)
-    rec.upper("amgm-classical", prod, 0.5 * gram_sum, gram_sum)
+        amgm = bounds.amgm_coeff(pair).coefficient
+        rec.upper("amgm", prod, amgm * gram_sum, gram_sum)
+        rec.upper("amgm-classical", prod, 0.5 * gram_sum, gram_sum)
 
-    cs = bounds.cauchy_schwarz_coeff(pair).coefficient
-    tr = abs(complex(np.vdot(a_tilde, a)))
-    scale = frobenius(a) * frobenius(a_tilde)
-    rec.upper("cauchy-schwarz", tr, cs * scale, scale)
-    rec.upper("cs-classical", tr, scale, scale)
+        cs = bounds.cauchy_schwarz_coeff(pair).coefficient
+        na, nb = norm[2 * i], norm[2 * i + 1]
+        scale = na * nb
+        rec.upper("cauchy-schwarz", abs(tr_a), cs * scale, scale)
+        rec.upper("cs-classical", abs(tr_a), scale, scale)
 
-    # two-sided absolute-value perturbation: |A*| = U1 S1 U1* from the same SVD
-    pf_l = polar_from_svd(res.adjoint(), r)
-    pf_tl = polar_from_svd(res_t.adjoint(), s)
-    lhs = h_gap ** 2 + frobenius(pf_l.H - pf_tl.H) ** 2
-    rec.upper("kittaneh-two-sided", lhs, 2.0 * e_norm ** 2, e_norm ** 2)
+        # two-sided absolute-value perturbation
+        lhs = h_gap ** 2 + left_gap ** 2
+        rec.upper("kittaneh-two-sided", lhs, 2.0 * e_norm ** 2, e_norm ** 2)
 
-    cos_alpha, cos_beta = angle_cosines(a, a_tilde, pf.H, pf_t.H)
-    rec.upper("angle", cos_alpha ** 2, cos_beta, 1.0)
+        # cosines of the angles between the matrices and between their positive factors
+        cos_alpha, cos_beta = tr_a.real / (na * nb), tr_h.real / (na * nb)
+        rec.upper("angle", cos_alpha ** 2, cos_beta, 1.0)
 
 
 def check_normal_pair(rec: _Recorder, a: np.ndarray, b: np.ndarray,
                       lam, lam_hat, full_rank_b: bool) -> None:
     """Assertion family (g): the normal-matrix channel, where a and b have
     the non-zero eigenvalues lam and lam_hat."""
-    _check_normal_factors(rec, a, b, polar_decompose(a, len(lam)).H,
-                          polar_decompose(b, len(lam_hat)).H, lam, lam_hat, full_rank_b)
+    _check_normal_pairs([rec], np.stack([a, b]), [lam, lam_hat], [full_rank_b])
 
 
-def _check_normal_factors(rec: _Recorder, a: np.ndarray, b: np.ndarray,
-                          h_a: np.ndarray, h_b: np.ndarray, lam, lam_hat,
-                          full_rank_b: bool) -> None:
-    """`check_normal_pair` given the positive factors |a| and |b|."""
-    gap = frobenius(h_a - h_b)
-    diff = frobenius(a - b)
-    eig = validate_eigen_pair(lam, lam_hat)
-    lo = bounds.kittaneh_lower_coeff(eig)
-    rec.upper("kittaneh-normal-classical", gap, diff, diff)
-    if not lo.degenerate:
-        rec.lower("kittaneh-normal-lower", gap, lo.coefficient * diff, diff)
-    if full_rank_b and not eig.swapped:
-        up = bounds.kittaneh_upper_coeff(eig, n=b.shape[0])
-        if not up.degenerate:
-            rec.upper("kittaneh-normal-upper", gap, up.coefficient * diff, diff)
+def _check_normal_pairs(recs: List[_Recorder], normal: np.ndarray, eigs: Sequence,
+                        full_rank_b: Sequence[bool]) -> None:
+    """`check_normal_pair` on each pair of a stack: matrices 2i and 2i + 1 of
+    `normal` are recs[i]'s pair, with non-zero eigenvalues eigs[2i] and
+    eigs[2i + 1], and full_rank_b[i] says whether the second has full rank."""
+    res = svd_stack(normal)
+    h = np.empty(res.V.shape, dtype=complex)
+    for rank, idx in _rank_groups([len(x) for x in eigs]).items():
+        h[idx] = polar_from_svd(res[idx], rank).H
+    rows = zip(_norms(h[0::2] - h[1::2]), _norms(normal[0::2] - normal[1::2]))
+    for i, (rec, (gap, diff)) in enumerate(zip(recs, rows)):
+        eig = validate_eigen_pair(eigs[2 * i], eigs[2 * i + 1])
+        lo = bounds.kittaneh_lower_coeff(eig)
+        rec.upper("kittaneh-normal-classical", gap, diff, diff)
+        if not lo.degenerate:
+            rec.lower("kittaneh-normal-lower", gap, lo.coefficient * diff, diff)
+        if full_rank_b[i] and not eig.swapped:
+            up = bounds.kittaneh_upper_coeff(eig, n=normal.shape[-1])
+            if not up.degenerate:
+                rec.upper("kittaneh-normal-upper", gap, up.coefficient * diff, diff)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -221,10 +251,10 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _draw(config: EnsembleConfig, trial: int):
-    """The trial's random draws, in the order of its streams, as five pairs:
-    the spectra of A and A~, the Ginibre matrices for their left and their
-    right singular vectors, the normal pair's eigenvalues and the Ginibre
-    matrices for its two bases."""
+    """The trial's random draws, in the order of its streams: the spectra of
+    A and A~, the `ginibre_normals` of the left and right singular vectors
+    of each, the normal pair's eigenvalues, and the `ginibre_normals` of
+    the normal pair's two bases."""
     rng = _trial_rng(config.seed, trial)
     fld = config.field
     cap = config.max_rank or min(config.m, config.n)
@@ -234,11 +264,8 @@ def _draw(config: EnsembleConfig, trial: int):
 
     # each matrix's singular vectors come from a generator of its own, as in
     # random_matrix_with_spectrum
-    lefts, rights = [], []
-    for seed in rng.integers(0, 2 ** 63 - 1, size=2):
-        sub = np.random.default_rng(int(seed))
-        lefts.append(ginibre(sub, config.m, fld))
-        rights.append(ginibre(sub, config.n, fld))
+    vectors = tuple(ginibre_normals(np.random.default_rng(int(seed)), (config.m, config.n), fld)
+                    for seed in rng.integers(0, 2 ** 63 - 1, size=2))
 
     # normal-matrix channel at small size so the arrangement optimum is exact
     nn = NORMAL_DIM
@@ -252,48 +279,44 @@ def _draw(config: EnsembleConfig, trial: int):
     else:
         lam = moduli_a * rng.choice([-1.0, 1.0], size=rn)
         lam_hat = moduli_b * rng.choice([-1.0, 1.0], size=sn)
-    bases = (ginibre(rng, nn, fld), ginibre(rng, nn, fld))
-    return spectra, lefts, rights, (lam, lam_hat), bases
-
-
-def _normal_matrix(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """U diag(lam, 0, ..., 0) U*."""
-    nn = u.shape[0]
-    return (u * np.concatenate([lam, np.zeros(nn - len(lam))])) @ u.conj().T
+    return spectra, vectors, (lam, lam_hat), ginibre_normals(rng, (nn, nn), fld)
 
 
 def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
     """Trials run together, each with its own streams and with results
-    bit-identical to running it alone: one QR call per role of the Haar
-    factors and one SVD call per channel for the whole chunk.
+    bit-identical to running it alone.
 
     Matrix 2i of every stack below belongs to the i-th trial's first matrix
-    (A, or the normal pair's A), matrix 2i + 1 to its second.
+    (A, or the normal pair's A), matrix 2i + 1 to its second. The Ginibre
+    assembly, the Haar QR, the matrices, their SVDs, polar factors, norms
+    and inner products are each one numpy call per chunk (the matrices and
+    polar factors one per rank), through the BLAS and LAPACK routines the
+    per-matrix calls use, so no bit moves. The closed forms and the
+    recorder stay per trial: stacking them would change their rounding.
     """
-    spectra, lefts, rights, eigs, bases = (
-        [x for pair in role for x in pair]
-        for role in zip(*(_draw(config, t) for t in trials)))
-    left, right, basis = (haar_from_ginibre(np.stack(z)) for z in (lefts, rights, bases))
-    general = np.stack([_with_spectrum(x, u, v) for x, u, v in zip(spectra, left, right)])
-    normal = np.stack([_normal_matrix(u, x) for x, u in zip(eigs, basis)])
-    del lefts, rights, bases, left, right, basis   # free them before the SVDs
-    # the SVD sees complex input, as in `svd`; the checks see the matrices as built
-    res = svd_stack(general)
-    res_n = svd_stack(normal)
+    m, n, nn, fld = config.m, config.n, NORMAL_DIM, config.field
+    spectra, vectors, eigs, bases = zip(*(_draw(config, t) for t in trials))
+    spectra, vectors, eigs = ([x for pair in role for x in pair]
+                              for role in (spectra, vectors, eigs))
+    left, right = (haar_from_ginibre(z)
+                   for z in ginibre_from_normals(np.stack(vectors), (m, n), fld))
+    basis = haar_from_ginibre(ginibre_from_normals(
+        np.stack(bases).reshape(len(eigs), -1), (nn,), fld)[0])
+    general = np.empty((len(spectra), m, n), dtype=left.dtype)
+    for rank, idx in _rank_groups([len(x) for x in spectra]).items():
+        general[idx] = _with_spectrum(np.stack([spectra[i] for i in idx]),
+                                      left[idx], right[idx])
+    # eigenvalues padded with zeros to U diag(lam, 0, ..., 0) U*
+    padded = np.zeros((len(eigs), nn), dtype=np.result_type(*eigs))
+    for i, lam in enumerate(eigs):
+        padded[i, :len(lam)] = lam
+    normal = _with_spectrum(padded, basis, basis)
+    del vectors, bases, left, right, basis   # free them before the SVDs
 
-    recs = []
-    for i, trial in enumerate(trials):
-        first, second = 2 * i, 2 * i + 1
-        rec = _Recorder(trial, config.slack_tol)
-        r, s = len(spectra[first]), len(spectra[second])
-        lam, lam_hat = eigs[first], eigs[second]
-        _check_polar_svds(rec, general[first], general[second], res[first], res[second],
-                          r, s)
-        _check_normal_factors(rec, normal[first], normal[second],
-                              polar_from_svd(res_n[first], len(lam)).H,
-                              polar_from_svd(res_n[second], len(lam_hat)).H, lam, lam_hat,
-                              full_rank_b=len(lam_hat) == NORMAL_DIM)
-        recs.append(rec)
+    recs = [_Recorder(trial, config.slack_tol) for trial in trials]
+    _check_polar_pairs(recs, general, [len(x) for x in spectra])
+    _check_normal_pairs(recs, normal, eigs,
+                        [len(lam_hat) == nn for lam_hat in eigs[1::2]])
     return recs
 
 

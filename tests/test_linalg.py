@@ -4,9 +4,13 @@ import pytest
 from polarbounds.linalg import (
     CompletionInfeasibleError,
     frobenius,
+    frobenius_norms,
     ginibre,
+    ginibre_from_normals,
+    ginibre_normals,
     haar_from_ginibre,
     haar_random_unitary,
+    inner_products,
     polar_decompose,
     polar_from_svd,
     svd,
@@ -210,3 +214,80 @@ class TestHaarSampler:
         for seed in _seeds(seed_kind, 10_000):
             acc += abs(haar_random_unitary(2, seed, fld)[0, 0]) ** 2
         assert abs(acc / 10_000 - 0.5) < 0.02
+
+
+def _spread(rng, shape, fld):
+    """Entries over six decades, so that summing them in another order or
+    with another kernel moves the last bits."""
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-7, 7, shape))
+    if fld == "complex":
+        x = x + 1j * rng.standard_normal(shape) * np.exp(rng.uniform(-7, 7, shape))
+    return x
+
+
+def _polar_reference(res, rank):
+    """The per-matrix polar factors, written for one 2-d SVD."""
+    u1, v1, s1 = res.U[:, :rank], res.V[:, :rank], res.singular_values[:rank]
+    h = (v1 * s1) @ v1.conj().T
+    return u1 @ v1.conj().T, 0.5 * (h + h.conj().T)
+
+
+def _ginibre_reference(rng, n, fld):
+    """An n x n Ginibre matrix drawn as two (n, n) calls."""
+    z = rng.standard_normal((n, n))
+    if fld == "complex":
+        z = (z + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
+    return z
+
+
+def _same(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestStackedKernels:
+    """Each stacked kernel is bit-identical to the per-matrix numpy call."""
+
+    @pytest.mark.parametrize("fld", ["complex", "real"])
+    @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 3), (1, 4)])
+    def test_norms_match_numpy(self, rng, fld, m, n):
+        x = _spread(rng, (40, m, n), fld)
+        # contiguous, strided, transposed (column-major) and reversed matrices
+        for stack in (x, x[::3], x[:, :, ::2], np.swapaxes(x, -1, -2), x[:, ::-1],
+                      x[:, :, ::-1], np.swapaxes(x, -1, -2)[:, ::-2]):
+            ref = np.array([np.linalg.norm(a, "fro") for a in stack])
+            assert _same(frobenius_norms(stack), ref)
+            assert frobenius(stack[1]) == ref[1]
+
+    @pytest.mark.parametrize("fld", ["complex", "real"])
+    def test_inner_products_match_vdot(self, rng, fld):
+        a, b = _spread(rng, (40, 5, 8), fld), _spread(rng, (40, 5, 8), fld)
+        for x, y in ((a, b), (a[::2], b[1::2])):
+            assert _same(inner_products(y, x), np.array([np.vdot(q, p) for p, q in zip(x, y)]))
+
+    @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 7)])
+    def test_polar_stack_matches_single(self, rng, m, n):
+        a = rng.standard_normal((12, m, n)) + 1j * rng.standard_normal((12, m, n))
+        res = svd_stack(a)
+        for rank in range(1, min(m, n) + 1):
+            # the whole stack, and a gathered part of it as the campaign takes
+            for idx in (slice(None), [1, 4, 5, 10]):
+                pf = polar_from_svd(res[idx], rank)
+                for b, q, h in zip(np.arange(12)[idx], pf.Q, pf.H):
+                    one = polar_from_svd(svd(a[b]), rank)
+                    ref_q, ref_h = _polar_reference(svd(a[b]), rank)
+                    assert _same(q, one.Q) and _same(h, one.H)
+                    assert _same(q, ref_q) and _same(h, ref_h)
+
+    @pytest.mark.parametrize("fld", ["complex", "real"])
+    @pytest.mark.parametrize("m,n", [(5, 8), (8, 3), (1, 2)])
+    def test_one_call_ginibre_draw(self, fld, m, n):
+        seeds = range(6)
+        x = np.stack([ginibre_normals(np.random.default_rng(seed), (m, n), fld)
+                      for seed in seeds])
+        left, right = ginibre_from_normals(x, (m, n), fld)
+        for seed in seeds:
+            sub, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for z, size in ((left[seed], m), (right[seed], n)):
+                assert _same(z, ginibre(sub, size, fld))
+                assert _same(z, _ginibre_reference(old, size, fld))
