@@ -202,8 +202,7 @@ def _check_polar_pairs(recs: List[_Recorder], general: np.ndarray,
         rec.upper("amgm-classical", prod, 0.5 * gram_sum, gram_sum)
 
         cs = bounds.cauchy_schwarz_coeff(pair).coefficient
-        na, nb = norm[2 * i], norm[2 * i + 1]
-        scale = na * nb
+        scale = norm[2 * i] * norm[2 * i + 1]
         rec.upper("cauchy-schwarz", abs(tr_a), cs * scale, scale)
         rec.upper("cs-classical", abs(tr_a), scale, scale)
 
@@ -212,7 +211,7 @@ def _check_polar_pairs(recs: List[_Recorder], general: np.ndarray,
         rec.upper("kittaneh-two-sided", lhs, 2.0 * e_norm ** 2, e_norm ** 2)
 
         # cosines of the angles between the matrices and between their positive factors
-        cos_alpha, cos_beta = tr_a.real / (na * nb), tr_h.real / (na * nb)
+        cos_alpha, cos_beta = tr_a.real / scale, tr_h.real / scale
         rec.upper("angle", cos_alpha ** 2, cos_beta, 1.0)
 
 
@@ -264,8 +263,8 @@ def _draw(config: EnsembleConfig, trial: int):
 
     # each matrix's singular vectors come from a generator of its own, as in
     # random_matrix_with_spectrum
-    vectors = tuple(ginibre_normals(np.random.default_rng(int(seed)), (config.m, config.n), fld)
-                    for seed in rng.integers(0, 2 ** 63 - 1, size=2))
+    vectors = tuple(ginibre_normals(np.random.default_rng(int(seed)), (config.m, config.n),
+                                    fld) for seed in rng.integers(0, 2 ** 63 - 1, size=2))
 
     # normal-matrix channel at small size so the arrangement optimum is exact
     nn = NORMAL_DIM
@@ -302,8 +301,9 @@ def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
                    for z in ginibre_from_normals(np.stack(vectors), (m, n), fld))
     basis = haar_from_ginibre(ginibre_from_normals(
         np.stack(bases).reshape(len(eigs), -1), (nn,), fld)[0])
+    ranks = [len(x) for x in spectra]
     general = np.empty((len(spectra), m, n), dtype=left.dtype)
-    for rank, idx in _rank_groups([len(x) for x in spectra]).items():
+    for rank, idx in _rank_groups(ranks).items():
         general[idx] = _with_spectrum(np.stack([spectra[i] for i in idx]),
                                       left[idx], right[idx])
     # eigenvalues padded with zeros to U diag(lam, 0, ..., 0) U*
@@ -314,7 +314,7 @@ def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
     del vectors, bases, left, right, basis   # free them before the SVDs
 
     recs = [_Recorder(trial, config.slack_tol) for trial in trials]
-    _check_polar_pairs(recs, general, [len(x) for x in spectra])
+    _check_polar_pairs(recs, general, ranks)
     _check_normal_pairs(recs, normal, eigs,
                         [len(lam_hat) == nn for lam_hat in eigs[1::2]])
     return recs
