@@ -6,6 +6,7 @@ old and new values, and the largest move per report key, in CHANGES.md.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -35,6 +36,8 @@ WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe25
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 BRUTE_KITTANEH_DIGEST = "898e4c76b1fe08427027793c1256a7490af0fb309d1ec3baa161c2152886dfe4"
+WIDE_KITTANEH_DIGEST = "c7a850da9cc1b742c270799cfa3511b10bfa89ab99b70fdb5dd91f5105add9f1"
+WIDE_BRUTE_KITTANEH_DIGEST = "58ef57119d369d3a0f026f14bcb4b716e044b03cf21875a731144a35f07ddd60"
 
 
 def campaign_digest(field: str, m: int = 7, n: int = 7, trials: int = 300) -> str:
@@ -106,12 +109,54 @@ def _kittaneh_eigen_pairs():
         yield validate_eigen_pair(_eigenvalues(rng, r, kind), _eigenvalues(rng, s, kind))
 
 
-def _arrangement_digest(lower, upper) -> str:
+def _arrangement_digest(lower, upper, pairs=None) -> str:
     h = hashlib.sha256()
-    for eig in _kittaneh_eigen_pairs():
+    for eig in _kittaneh_eigen_pairs() if pairs is None else pairs:
         for res in (lower(eig), upper(eig)):
             h.update(repr((res.coefficient, res.optimal_tuple, res.degenerate)).encode())
     return h.hexdigest()
+
+
+WIDE_FAMILIES = ("tied-real", "unit", "identical", "generic-1e100", "generic-1e-100",
+                 "generic-1e150", "generic-1e-150")
+# both searches; (1, 1) identical and the tiny scales give all-0/0 pairs
+WIDE_SIZES = ((1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (3, 6), (4, 4), (4, 6), (5, 5),
+              (5, 6), (6, 6))
+# the oracle alone, past the closed forms' enumeration cap, on the families
+# whose ratio intervals close (at the other scales every injection is
+# evaluated one by one, as at every size)
+WIDE_ORACLE_SIZES = ((6, 7), (7, 7))
+WIDE_ORACLE_FAMILIES = ("tied-real", "unit", "identical", "generic-1e100")
+
+
+def _wide_eigen_pair(rng, family, r, s):
+    """One seeded eigen pair of a family that stresses ties, 0/0 pairings or
+    the ends of the double range."""
+    if family == "tied-real":
+        values = lambda size: [complex(v) for v in rng.choice([-2.0, -1.0, 1.0, 2.0], size)]
+        return validate_eigen_pair(values(r), values(s))
+    if family == "unit":
+        values = lambda size: [1j ** int(e) for e in rng.integers(0, 4, size)]
+        return validate_eigen_pair(values(r), values(s))
+    if family == "identical":
+        # lam_hat holds lam, so each pairing that matches lam onto its own
+        # values with nothing left over (r == s) is 0/0
+        lam = [1j ** int(e) * float(m) for e, m in
+               zip(rng.integers(0, 4, r), rng.integers(1, 3, r))]
+        lam_hat = lam + _eigenvalues(rng, s - r, 1)
+        return validate_eigen_pair(lam, [lam_hat[i] for i in rng.permutation(s)])
+    scale = float(family.removeprefix("generic-"))
+    return validate_eigen_pair([z * scale for z in _eigenvalues(rng, r, 0)],
+                               [z * scale for z in _eigenvalues(rng, s, 0)])
+
+
+def wide_eigen_pairs(sizes, families=WIDE_FAMILIES):
+    """Two pairs of each wide family at each size, seeded per size."""
+    for r, s in sizes:
+        rng = np.random.default_rng(100 * r + s)
+        for family in families:
+            for _ in range(2):
+                yield _wide_eigen_pair(rng, family, r, s)
 
 
 def kittaneh_digest() -> str:
@@ -125,6 +170,23 @@ def brute_kittaneh_digest() -> str:
     """The same triple from the oracle's brute-force search, both modes."""
     return _arrangement_digest(lambda eig: brute_force_kittaneh(eig, "lower"),
                                lambda eig: brute_force_kittaneh(eig, "upper", n=eig.s))
+
+
+def wide_kittaneh_digest() -> str:
+    """(coefficient, optimal_tuple, degenerate) of both arrangement bounds on
+    the wide families, sizes up to (6, 6)."""
+    return _arrangement_digest(kittaneh_lower_coeff,
+                               lambda eig: kittaneh_upper_coeff(eig, n=eig.s),
+                               wide_eigen_pairs(WIDE_SIZES))
+
+
+def wide_brute_kittaneh_digest() -> str:
+    """The same triple from the oracle on the wide families, sizes up to (7, 7)."""
+    pairs = itertools.chain(wide_eigen_pairs(WIDE_SIZES),
+                            wide_eigen_pairs(WIDE_ORACLE_SIZES, WIDE_ORACLE_FAMILIES))
+    return _arrangement_digest(lambda eig: brute_force_kittaneh(eig, "lower"),
+                               lambda eig: brute_force_kittaneh(eig, "upper", n=eig.s),
+                               pairs)
 
 
 @pytest.mark.parametrize("field", sorted(CAMPAIGN_DIGESTS))
@@ -151,3 +213,11 @@ def test_kittaneh_digest():
 
 def test_brute_kittaneh_digest():
     assert brute_kittaneh_digest() == BRUTE_KITTANEH_DIGEST
+
+
+def test_wide_kittaneh_digest():
+    assert wide_kittaneh_digest() == WIDE_KITTANEH_DIGEST
+
+
+def test_wide_brute_kittaneh_digest():
+    assert wide_brute_kittaneh_digest() == WIDE_BRUTE_KITTANEH_DIGEST
