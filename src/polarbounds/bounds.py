@@ -9,6 +9,7 @@ and the normal-matrix arrangement bounds.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -216,12 +217,56 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 
 
-def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, count, pairs_of,
-                       upper: bool) -> BoundResult:
+@functools.lru_cache(maxsize=None)
+def _arrangements(n: int, k: int) -> Tuple[bytes, ...]:
+    """Each arrangement cols of k of range(n), in `permutations` order, as
+    its offsets a * n + cols[a] into a flat k x n block, one byte each
+    (k * n <= ENUM_CAP**2 < 256). Bytes hold a cached arrangement in a
+    quarter of the memory of tuples."""
+    return tuple(bytes([a * n + j for a, j in enumerate(cols)])
+                 for cols in itertools.permutations(range(n), k))
+
+
+def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
+    """(value, rows, cols) of the first pairing with the largest (upper) or
+    smallest ratio (F - 2 sum mods) / (F - 2 sum reals), or None when every
+    pairing is 0/0.
+
+    mods and reals are tables of per-entry terms; a pairing matches the rows
+    of a k-subset (`combinations`, for k in ks) with the columns of a
+    k-arrangement, row-subset-first. Each subset's rows are laid out once as
+    a flat block, and a pairing's terms are read from it at its offsets.
+    `fsum` rounds the exact sum once, so the terms' order moves no bit.
+    """
+    n = len(mods[0])
+    tol = 1e-12 * max(1.0, F)
+    fsum = math.fsum
+    best = best_rows = best_offsets = None
+    for k in ks:
+        arrangements = _arrangements(n, k)
+        for rows in itertools.combinations(range(len(mods)), k):
+            mod_term = [x for i in rows for x in mods[i]].__getitem__
+            real_term = [x for i in rows for x in reals[i]].__getitem__
+            for offsets in arrangements:
+                num = F - 2.0 * fsum(map(mod_term, offsets))
+                den = F - 2.0 * fsum(map(real_term, offsets))
+                if abs(num) < tol and abs(den) < tol:
+                    continue
+                value = num / den
+                if best is None or (value > best if upper else value < best):
+                    best, best_rows, best_offsets = value, rows, offsets
+    if best is None:
+        return None
+    return best, best_rows, tuple([o - a * n for a, o in enumerate(best_offsets)])
+
+
+def _arrangement_coeff(eig: EigenPair, theorem_id: str, count, upper: bool) -> BoundResult:
     """Square root of the optimum of (F - 2 sum |l^_i||l_j|) / (F - 2 sum
-    Re l^_i conj(l_j)) over the pairings in `labels`, streamed in order;
-    `count()` gives their number and `pairs_of(label)` a pairing's (i, j)
-    indices into (lam_hat, lam).
+    Re l^_i conj(l_j)) over pairings of lam_hat's values i with lam's values
+    j. The lower bound pairs k-subsets of lam_hat with k-arrangements of lam,
+    1 <= k <= r, labelled (rows, cols). The upper bound pairs all of lam
+    with r-arrangements of lam_hat, the same scan on the transposed tables,
+    labelled by the arrangement. `count()` gives the number of pairings.
     """
     r, s = eig.r, eig.s
     if r > ENUM_CAP or s > ENUM_CAP:
@@ -232,18 +277,17 @@ def _arrangement_coeff(eig: EigenPair, theorem_id: str, labels, count, pairs_of,
     F = eig.F_hat
     mods = [[abs(a) * abs(b) for b in eig.lam] for a in eig.lam_hat]
     reals = [[(a * b.conjugate()).real for b in eig.lam] for a in eig.lam_hat]
-    labels, tabled = itertools.tee(labels)
-    numdens = ((F - 2.0 * math.fsum(mods[i][j] for i, j in pairs_of(label)),
-                F - 2.0 * math.fsum(reals[i][j] for i, j in pairs_of(label)))
-               for label in tabled)
-    best = _extreme(zip(labels, _ratios(F, numdens)), upper)
+    if upper:
+        best = _arrangement_scan(F, list(zip(*mods)), list(zip(*reals)), (r,), upper)
+    else:
+        best = _arrangement_scan(F, mods, reals, range(1, r + 1), upper)
     if best is None:
         return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)
-    label, value = best
+    value, rows, cols = best
     c = math.sqrt(max(value, 0.0))
     check_range(theorem_id, c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id=theorem_id, coefficient=min(c, 1.0),
-                       optimal_tuple=label)
+                       optimal_tuple=cols if upper else (rows, cols))
 
 
 def kittaneh_lower_coeff(eig: EigenPair) -> BoundResult:
@@ -254,13 +298,10 @@ def kittaneh_lower_coeff(eig: EigenPair) -> BoundResult:
     pairings are skipped; if every pairing is skipped the bound is vacuous
     and the result is flagged degenerate with value 1.
     """
-    labels = ((rows, cols) for k in range(1, eig.r + 1)
-              for rows in itertools.combinations(range(eig.s), k)
-              for cols in itertools.permutations(range(eig.r), k))
-    return _arrangement_coeff(eig, "kittaneh-lower", labels,
+    return _arrangement_coeff(eig, "kittaneh-lower",
                               lambda: sum(math.comb(eig.s, k) * math.perm(eig.r, k)
                                           for k in range(1, eig.r + 1)),
-                              lambda rows_cols: zip(*rows_cols), upper=False)
+                              upper=False)
 
 
 def kittaneh_upper_coeff(eig: EigenPair, n: int) -> BoundResult:
@@ -272,8 +313,5 @@ def kittaneh_upper_coeff(eig: EigenPair, n: int) -> BoundResult:
     if eig.s != n:
         raise RankMismatchError(
             f"full-rank second matrix required: s={eig.s} must equal n={n}")
-    return _arrangement_coeff(eig, "kittaneh-upper",
-                              itertools.permutations(range(n), eig.r),
-                              lambda: math.perm(n, eig.r),
-                              lambda arrangement: zip(arrangement, range(eig.r)),
+    return _arrangement_coeff(eig, "kittaneh-upper", lambda: math.perm(n, eig.r),
                               upper=True)

@@ -139,6 +139,12 @@ def _load_records(path: str):
     return records, _digest(raw)
 
 
+def _as_lists(value):
+    """value with its tuples, at any depth, turned into lists, as JSON reads
+    them back."""
+    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _bound_entry(result) -> dict:
     entry = {"coefficient": result.coefficient}
     if result.optimal_index is not None:
@@ -146,7 +152,7 @@ def _bound_entry(result) -> dict:
     if result.degenerate:
         entry["degenerate"] = True
     if result.optimal_tuple is not None:
-        entry["optimal_tuple"] = json.loads(json.dumps(result.optimal_tuple))
+        entry["optimal_tuple"] = _as_lists(result.optimal_tuple)
     return entry
 
 

@@ -6,6 +6,13 @@ point over index arrays and evaluates it exactly wherever the max or the min
 may lie, re-derives the normal-matrix arrangement optima with an independent
 iteration strategy, and checks the directional-move steps used to reduce the
 optimum to a one-index search.
+
+The two Kittaneh searches agree bit for bit but share no code. The closed
+form (`bounds.kittaneh_*_coeff`) evaluates every pairing exactly, one at a
+time, row-subset-first, reading F_hat from the pair. `brute_force_kittaneh`
+sums its own F_hat, walks the injections column-subset-first, bounds them
+all over index arrays, and evaluates exactly, in order, only those that may
+hold the optimum.
 """
 
 from __future__ import annotations
@@ -275,16 +282,122 @@ def brute_force_f_extrema(pair: SpectrumPair,
     return best_max, best_min
 
 
+def _eigen_sum_of_squares(eig: EigenPair) -> float:
+    """F^, the sum of the squared moduli of both eigenvalue lists.
+
+    The oracle sums F^ itself rather than reading `EigenPair.F_hat`, which
+    the closed forms read, so a wrong F_hat there cannot pass both.
+    `math.fsum` rounds the exact sum once, so this equals `F_hat` bit for bit.
+    """
+    return math.fsum([abs(z) ** 2 for z in eig.lam] + [abs(z) ** 2 for z in eig.lam_hat])
+
+
+def _kittaneh_intervals(eig: EigenPair, F: float, ks):
+    """Every injection's ratio bounded over index arrays, in blocks.
+
+    The injections pair k-subsets of lam's indices (`combinations`) with
+    k-arrangements of lam_hat's (`permutations`), for k in ks,
+    column-subset-first. Yields (rows, cols, lo, hi, is_open) per block of
+    _BLOCK_POINTS // k injections, so its index arrays hold about
+    _BLOCK_POINTS entries: injection t of the block is zip(rows[t], cols[t]).
+
+    num = F - 2*sum(|l^_i||l_j|) and den = F - 2*sum(Re l^_i conj(l_j)) are
+    summed from the terms `brute_force_kittaneh` sums, added in order. Each
+    differs from that function's value by at most (k + 4)*u*F (u = 2**-53):
+    with T the sum of the k terms' moduli, T <= F/2 since |l^_i||l_j| <=
+    (|l^_i|^2 + |l_j|^2)/2 and |Re l^_i conj(l_j)| <= |l^_i||l_j|; the
+    ordered sum errs by (k - 1)*u*T, fsum by u*T, doubling is exact, and
+    each subtraction errs by u*|F - 2S| <= 2u*F. The box num -+ slack, den
+    -+ slack with slack = (k + 8)*u*F also absorbs the rounding of its ends,
+    at most u*(2F + slack) each, with 2u*F to spare for second-order terms.
+    Where den - slack > tol, that function's den exceeds tol, so its value
+    is not 0/0, and since division rounds monotonically that value lies in
+    [lo, hi], the least and greatest quotients of the box's corners.
+    Elsewhere, and everywhere when F is too near the ends of the double
+    range for those relative bounds to hold, the interval is open.
+    """
+    r, s = eig.r, eig.s
+    tol = 1e-12 * max(1.0, F)
+    bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
+    # the terms at index j * s + i, pairing lam_hat[i] with lam[j]
+    mods = np.array([abs(a) * abs(b) for b in eig.lam for a in eig.lam_hat])
+    reals = np.array([(a * b.conjugate()).real for b in eig.lam for a in eig.lam_hat])
+
+    def block(row_maps, col_sets, start, stop, slack):
+        # injections start..stop of one k; the temporaries die on return,
+        # before the next block is built
+        c, p = np.divmod(np.arange(start, stop), len(row_maps))
+        rows, cols = row_maps[p], col_sets[c]
+        index = cols * s
+        index += rows
+        num = np.zeros(len(index))
+        den = np.zeros(len(index))
+        for a in range(index.shape[1]):
+            num += mods[index[:, a]]
+            den += reals[index[:, a]]
+        num *= -2.0
+        num += F
+        den *= -2.0
+        den += F
+        num_lo, num_hi = num - slack, np.add(num, slack, out=num)
+        den_hi, den_lo = den + slack, np.subtract(den, slack, out=den)
+        is_open = ~(den_lo > tol)
+        is_open |= not bounded
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lo = num_lo / den_hi
+            np.minimum(lo, np.divide(num_lo, den_lo, out=num_lo), out=lo)
+            hi = num_hi / den_lo
+            np.maximum(hi, np.divide(num_hi, den_hi, out=num_hi), out=hi)
+        return rows, cols, lo, hi, is_open
+
+    for k in ks:
+        col_sets = _index_array(itertools.combinations(range(r), k), k)
+        row_maps = _index_array(itertools.permutations(range(s), k), k)
+        count = len(col_sets) * len(row_maps)
+        step = max(1, _BLOCK_POINTS // k)
+        for start in range(0, count, step):
+            yield block(row_maps, col_sets, start, min(start + step, count),
+                        (k + 8) * _U * F)
+
+
+def _kittaneh_candidates(eig: EigenPair, F: float, ks, upper: bool
+                         ) -> Iterator[Tuple[tuple, tuple]]:
+    """The injections (rows, cols) that may hold the max (upper) or the
+    min, in enumeration order.
+
+    An injection is left out only when its interval lies above a value some
+    injection is known to reach (min) or below one (max). One whose interval
+    is open is always kept.
+    """
+    best = -math.inf if upper else math.inf    # a floor under the max, a ceiling over the min
+    for rows, cols, lo, hi, is_open in _kittaneh_intervals(eig, F, ks):
+        closed = ~is_open
+        if upper:
+            if closed.any():
+                best = max(best, float(lo[closed].max()))
+            keep = is_open | (hi >= best)
+        else:
+            if closed.any():
+                best = min(best, float(hi[closed].min()))
+            keep = is_open | (lo <= best)
+        for t in np.flatnonzero(keep).tolist():
+            yield tuple(rows[t].tolist()), tuple(cols[t].tolist())
+
+
 def brute_force_kittaneh(eig: EigenPair, mode: str, n: Optional[int] = None,
                          budget: int = DEFAULT_BUDGET) -> BoundResult:
     """Re-derive the normal-matrix arrangement optimum by dense injections.
 
     Deliberately iterates injection maps column-subset-first (the closed-form
     module iterates row-subset-first) so a shared indexing bug cannot hide.
+    Every injection is bounded over index arrays; the candidates are then
+    evaluated exactly, in enumeration order, with the strict comparison of
+    a scan of every injection, so the optimum and its tuple, ties included,
+    are that scan's.
     """
     if mode not in ("lower", "upper"):
         raise ValueError(f"mode must be 'lower' or 'upper', got {mode!r}")
-    F = eig.F_hat
+    F = _eigen_sum_of_squares(eig)
     tol = 1e-12 * max(1.0, F)
 
     def ratio(pairs) -> Optional[float]:
@@ -296,31 +409,25 @@ def brute_force_kittaneh(eig: EigenPair, mode: str, n: Optional[int] = None,
             return None
         return num / den
 
-    # (rows, cols, optimal_tuple) of each injection, in the order searched
-    if mode == "upper":
+    upper = mode == "upper"
+    if upper:
         if n is None:
             raise ValueError("mode='upper' requires n")
         if eig.s != n:
             raise ValueError(f"full-rank second matrix required: s={eig.s}, n={n}")
-        count, what, better = math.perm(n, eig.r), "arrangements", operator.gt
         # injections from all r columns into [n], iterated row-list-first
-        labels = ((rows, range(eig.r), rows)
-                  for rows in itertools.permutations(range(n), eig.r))
+        count, what, better, ks = math.perm(n, eig.r), "arrangements", operator.gt, (eig.r,)
     else:
         count = sum(math.comb(eig.r, k) * math.perm(eig.s, k)
                     for k in range(1, eig.r + 1))
-        what, better = "injections", operator.lt
-        labels = ((rows, cols, (rows, cols))
-                  for k in range(1, eig.r + 1)
-                  for cols in itertools.combinations(range(eig.r), k)
-                  for rows in itertools.permutations(range(eig.s), k))
+        what, better, ks = "injections", operator.lt, range(1, eig.r + 1)
     if count > budget:
         raise BudgetExceededError(f"{count} {what} exceed budget {budget}", count)
     best = best_tuple = None
-    for rows, cols, label in labels:
+    for rows, cols in _kittaneh_candidates(eig, F, ks, upper):
         val = ratio(list(zip(rows, cols)))
         if val is not None and (best is None or better(val, best)):
-            best, best_tuple = val, label
+            best, best_tuple = val, rows if upper else (rows, cols)
     theorem_id = f"kittaneh-{mode}"
     if best is None:
         return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)

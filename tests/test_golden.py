@@ -20,6 +20,9 @@ from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.oracle import brute_force_kittaneh
 from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
+from conftest import (WIDE_ORACLE_FAMILIES, WIDE_ORACLE_SIZES, WIDE_SIZES, eigenvalues,
+                      wide_eigen_pairs)
+
 CAMPAIGN_DIGESTS = {
     "complex": "bc00f8fe6dca10c530b60b429249c7d4075d292dfc351182c9f439c78f547a24",
     "real": "4e7ea08cab88ace0ed75ec3733e77610af2f733013a27d8f688fb29641f869aa",
@@ -67,17 +70,6 @@ def witness_digest() -> str:
     return h.hexdigest()
 
 
-def _eigenvalues(rng, size, kind):
-    """Generic complex values, or real and quarter-turn values with ties."""
-    if kind == 0:
-        z = rng.uniform(0.2, 3, size) * np.exp(2j * np.pi * rng.uniform(size=size))
-    elif kind == 1:
-        z = rng.choice([-2.0, -1.0, 1.0, 2.0], size)
-    else:
-        z = rng.choice([1.0, 2.0], size) * 1j ** rng.integers(0, 4, size)
-    return [complex(v) for v in z]
-
-
 def bounds_digest(tmp_path, capsys) -> str:
     """Structured `polarbounds bounds` report on 60 seeded records, with
     identical spectra and tied eigenvalues among them, sizes up to (4, 4)."""
@@ -90,8 +82,8 @@ def bounds_digest(tmp_path, capsys) -> str:
         rec = SpectraRecord(id=f"r{i}", sigma=list(sig), sigma_tilde=list(sigt))
         if i % 2 == 0:
             kind = i % 3
-            rec.eigen = _eigenvalues(rng, int(rng.integers(1, 5)), kind)
-            rec.eigen_hat = _eigenvalues(rng, int(rng.integers(1, 5)), kind)
+            rec.eigen = eigenvalues(rng, int(rng.integers(1, 5)), kind)
+            rec.eigen_hat = eigenvalues(rng, int(rng.integers(1, 5)), kind)
         records.append(rec)
     path = tmp_path / "golden.spectra"
     path.write_text(format_spectra(records))
@@ -106,7 +98,7 @@ def _kittaneh_eigen_pairs():
         s = int(rng.integers(1, 7))
         r = int(rng.integers(max(1, s - 2), min(s, 5) + 1))
         kind = i % 3
-        yield validate_eigen_pair(_eigenvalues(rng, r, kind), _eigenvalues(rng, s, kind))
+        yield validate_eigen_pair(eigenvalues(rng, r, kind), eigenvalues(rng, s, kind))
 
 
 def _arrangement_digest(lower, upper, pairs=None) -> str:
@@ -115,48 +107,6 @@ def _arrangement_digest(lower, upper, pairs=None) -> str:
         for res in (lower(eig), upper(eig)):
             h.update(repr((res.coefficient, res.optimal_tuple, res.degenerate)).encode())
     return h.hexdigest()
-
-
-WIDE_FAMILIES = ("tied-real", "unit", "identical", "generic-1e100", "generic-1e-100",
-                 "generic-1e150", "generic-1e-150")
-# both searches; (1, 1) identical and the tiny scales give all-0/0 pairs
-WIDE_SIZES = ((1, 1), (1, 3), (2, 2), (2, 5), (3, 3), (3, 6), (4, 4), (4, 6), (5, 5),
-              (5, 6), (6, 6))
-# the oracle alone, past the closed forms' enumeration cap, on the families
-# whose ratio intervals close (at the other scales every injection is
-# evaluated one by one, as at every size)
-WIDE_ORACLE_SIZES = ((6, 7), (7, 7))
-WIDE_ORACLE_FAMILIES = ("tied-real", "unit", "identical", "generic-1e100")
-
-
-def _wide_eigen_pair(rng, family, r, s):
-    """One seeded eigen pair of a family that stresses ties, 0/0 pairings or
-    the ends of the double range."""
-    if family == "tied-real":
-        values = lambda size: [complex(v) for v in rng.choice([-2.0, -1.0, 1.0, 2.0], size)]
-        return validate_eigen_pair(values(r), values(s))
-    if family == "unit":
-        values = lambda size: [1j ** int(e) for e in rng.integers(0, 4, size)]
-        return validate_eigen_pair(values(r), values(s))
-    if family == "identical":
-        # lam_hat holds lam, so each pairing that matches lam onto its own
-        # values with nothing left over (r == s) is 0/0
-        lam = [1j ** int(e) * float(m) for e, m in
-               zip(rng.integers(0, 4, r), rng.integers(1, 3, r))]
-        lam_hat = lam + _eigenvalues(rng, s - r, 1)
-        return validate_eigen_pair(lam, [lam_hat[i] for i in rng.permutation(s)])
-    scale = float(family.removeprefix("generic-"))
-    return validate_eigen_pair([z * scale for z in _eigenvalues(rng, r, 0)],
-                               [z * scale for z in _eigenvalues(rng, s, 0)])
-
-
-def wide_eigen_pairs(sizes, families=WIDE_FAMILIES):
-    """Two pairs of each wide family at each size, seeded per size."""
-    for r, s in sizes:
-        rng = np.random.default_rng(100 * r + s)
-        for family in families:
-            for _ in range(2):
-                yield _wide_eigen_pair(rng, family, r, s)
 
 
 def kittaneh_digest() -> str:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from polarbounds.oracle import (
     extreme_point_count,
 )
 from polarbounds.spectra import (
+    BoundResult,
     NumericalRangeError,
     SpectrumPair,
     fg_scalars,
@@ -32,7 +34,7 @@ from polarbounds.spectra import (
     validate_spectrum_pair,
 )
 
-from conftest import random_pair
+from conftest import WIDE_FAMILIES, WIDE_SIZES, random_pair, wide_eigen_pairs
 
 
 def scalar_f_extrema(pair):
@@ -69,6 +71,47 @@ def scalar_f_extrema(pair):
     if best_max is None:
         raise NumericalRangeError("every extreme point is 0/0")
     return best_max, best_min
+
+
+def scalar_kittaneh(eig, mode, n=None):
+    """Reference: the arrangement ratio at every injection, one at a time,
+    column-subset-first.
+
+    This is the loop `brute_force_kittaneh` ran before it bounded the
+    injections over index arrays, with its own F, so the two share no code.
+    """
+    F = math.fsum([abs(z) ** 2 for z in eig.lam] + [abs(z) ** 2 for z in eig.lam_hat])
+    tol = 1e-12 * max(1.0, F)
+
+    def ratio(pairs):
+        num = F - 2.0 * math.fsum(abs(eig.lam_hat[i]) * abs(eig.lam[j]) for i, j in pairs)
+        den = F - 2.0 * math.fsum((eig.lam_hat[i] * eig.lam[j].conjugate()).real
+                                  for i, j in pairs)
+        if abs(num) < tol and abs(den) < tol:
+            return None
+        return num / den
+
+    if mode == "upper":
+        better = operator.gt
+        labels = ((rows, range(eig.r), rows)
+                  for rows in itertools.permutations(range(n), eig.r))
+    else:
+        better = operator.lt
+        labels = ((rows, cols, (rows, cols))
+                  for k in range(1, eig.r + 1)
+                  for cols in itertools.combinations(range(eig.r), k)
+                  for rows in itertools.permutations(range(eig.s), k))
+    best = best_tuple = None
+    for rows, cols, label in labels:
+        val = ratio(list(zip(rows, cols)))
+        if val is not None and (best is None or better(val, best)):
+            best, best_tuple = val, label
+    theorem_id = f"kittaneh-{mode}"
+    if best is None:
+        return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)
+    return BoundResult(theorem_id=theorem_id,
+                       coefficient=min(math.sqrt(max(best, 0.0)), 1.0),
+                       optimal_tuple=best_tuple)
 
 
 def _desc(values):
@@ -363,3 +406,81 @@ class TestKittanehCross:
         eig = validate_eigen_pair(lam, lam)
         with pytest.raises(BudgetExceededError):
             brute_force_kittaneh(eig, "lower", budget=10)
+
+
+class TestKittanehArrays:
+    def test_f_summed_by_the_oracle_is_f_hat(self):
+        for eig in wide_eigen_pairs(WIDE_SIZES):
+            assert oracle._eigen_sum_of_squares(eig) == eig.F_hat
+
+    @pytest.mark.parametrize("mode", ["lower", "upper"])
+    def test_budget_before_any_allocation(self, monkeypatch, mode):
+        def refuse(*args):
+            raise AssertionError("injections bounded")
+        monkeypatch.setattr(oracle, "_kittaneh_intervals", refuse)
+        eig = validate_eigen_pair(list(range(1, 8)), list(range(1, 8)))
+        with pytest.raises(BudgetExceededError) as exc:
+            brute_force_kittaneh(eig, mode, n=7, budget=100)
+        assert exc.value.exact_count == (5040 if mode == "upper" else 130921)
+
+    @pytest.mark.parametrize("r,s", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4)])
+    def test_intervals_hold_each_value(self, r, s):
+        # every injection once, in order; a closed interval holds the value
+        # the exact evaluation gives, which is never 0/0
+        for eig in wide_eigen_pairs([(r, s)]):
+            F = oracle._eigen_sum_of_squares(eig)
+            tol = 1e-12 * max(1.0, F)
+            injections = ((rows, cols) for k in range(1, r + 1)
+                          for cols in itertools.combinations(range(r), k)
+                          for rows in itertools.permutations(range(s), k))
+            for rows, cols, lo, hi, is_open in oracle._kittaneh_intervals(eig, F, range(1, r + 1)):
+                for t in range(len(rows)):
+                    i, j = next(injections)
+                    assert (i, j) == (tuple(rows[t]), tuple(cols[t]))
+                    num = F - 2.0 * math.fsum(abs(eig.lam_hat[a]) * abs(eig.lam[b])
+                                              for a, b in zip(i, j))
+                    den = F - 2.0 * math.fsum((eig.lam_hat[a] * eig.lam[b].conjugate()).real
+                                              for a, b in zip(i, j))
+                    if not is_open[t]:
+                        assert not (abs(num) < tol and abs(den) < tol)
+                        assert lo[t] <= num / den <= hi[t]
+            assert next(injections, None) is None
+
+    @pytest.mark.parametrize("family", WIDE_FAMILIES)
+    def test_matches_scalar_reference(self, family):
+        for eig in wide_eigen_pairs(WIDE_SIZES, (family,)):
+            for mode in ("lower", "upper"):
+                assert (repr(brute_force_kittaneh(eig, mode, n=eig.s))
+                        == repr(scalar_kittaneh(eig, mode, n=eig.s)))
+
+    @pytest.mark.parametrize("seed", [14, 21, 29])
+    def test_ties_the_array_sums_round_apart(self, seed):
+        # tied values whose products are inexact: the array sums of tied
+        # injections round apart, and without the slack a later tie wins
+        rng = np.random.default_rng(seed)
+        values = np.array([-2.0, -1.0, 1.0, 2.0]) / 3 * 1.1
+        eig = validate_eigen_pair(rng.choice(values, 5) * 1j ** rng.integers(0, 4, 5),
+                                  rng.choice(values, 6) * 1j ** rng.integers(0, 4, 6))
+        for mode in ("lower", "upper"):
+            assert (repr(brute_force_kittaneh(eig, mode, n=6))
+                    == repr(scalar_kittaneh(eig, mode, n=6)))
+
+    @pytest.mark.parametrize("delta", [1e-6, 5e-7])
+    def test_near_zero_over_zero_box(self, delta):
+        # matching each value with its shifted copy gives num and den below
+        # tol, so the exact evaluation skips it as 0/0, but its bounded
+        # value is far below the true minimum: only an open interval keeps
+        # that minimum
+        eig = validate_eigen_pair([3, 2j, -1], [3 + 1j * delta, 2j - delta, -1 + 1j * delta])
+        for mode in ("lower", "upper"):
+            assert (repr(brute_force_kittaneh(eig, mode, n=3))
+                    == repr(scalar_kittaneh(eig, mode, n=3)))
+
+    def test_ties_past_the_closed_forms_cap(self):
+        # tied real values at (7, 7): many injections share the optimum
+        rng = np.random.default_rng(77)
+        eig = validate_eigen_pair(rng.choice([-2.0, -1.0, 1.0, 2.0], 7),
+                                  rng.choice([-2.0, -1.0, 1.0, 2.0], 7))
+        for mode in ("lower", "upper"):
+            assert (repr(brute_force_kittaneh(eig, mode, n=7))
+                    == repr(scalar_kittaneh(eig, mode, n=7)))
