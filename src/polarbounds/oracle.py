@@ -3,9 +3,10 @@
 Enumerates the extreme points of the signed doubly-substochastic polytope
 (row and column absolute sums <= 1), bounds the ratio function at every
 point over index arrays and evaluates it exactly wherever the max or the min
-may lie, re-derives the normal-matrix arrangement optima with an independent
-iteration strategy, and checks the directional-move steps used to reduce the
-optimum to a one-index search.
+may lie, and checks the directional-move steps used to reduce the optimum
+to a one-index search. `brute_force_kittaneh`, re-derived in
+`kittaneh_oracle` with an independent iteration strategy, is exported here
+too; the two oracles share only `enumeration`'s budget and index arrays.
 
 The two Kittaneh searches agree bit for bit but share no code. The closed
 form (`bounds.kittaneh_*_coeff`) evaluates every pairing exactly, one at a
@@ -19,27 +20,18 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from . import kittaneh_oracle
 from .bounds import q_lower_numden, q_upper_numden
-from .spectra import BoundResult, EigenPair, NumericalRangeError, SpectrumPair, fg_scalars
+from .enumeration import (_BLOCK_POINTS, _F_RANGE, _U, DEFAULT_BUDGET, BudgetExceededError,
+                          _index_array)
+from .spectra import NumericalRangeError, SpectrumPair, fg_scalars
 
-DEFAULT_BUDGET = 10 ** 7
-_BLOCK_POINTS = 4096     # extreme points per index block
-_U = 2.0 ** -53          # unit roundoff of a double
-_F_RANGE = (2.0 ** -960, 2.0 ** 960)    # F where the oracle's value bounds hold
-
-
-class BudgetExceededError(ValueError):
-    """Enumeration would emit more points than the caller's budget."""
-
-    def __init__(self, message: str, exact_count: int):
-        super().__init__(message)
-        self.exact_count = exact_count
+brute_force_kittaneh = kittaneh_oracle.brute_force_kittaneh
 
 
 @dataclass(frozen=True)
@@ -87,11 +79,6 @@ def extreme_point_count(r: int, s: int) -> int:
     """Closed-form count: zero point plus all signed partial pairings."""
     return 1 + sum(math.comb(s, k) * math.comb(r, k) * math.factorial(k) * 2 ** k
                    for k in range(1, r + 1))
-
-
-def _index_array(tuples, k: int) -> np.ndarray:
-    """The k-tuples of an itertools iterator as the rows of an int array."""
-    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, k)
 
 
 def _index_blocks(r: int, s: int, budget: int
@@ -280,160 +267,6 @@ def brute_force_f_extrema(pair: SpectrumPair,
     if best_max is None or best_min is None:
         raise NumericalRangeError("every extreme point is 0/0, impossible for a valid pair")
     return best_max, best_min
-
-
-def _eigen_sum_of_squares(eig: EigenPair) -> float:
-    """F^, the sum of the squared moduli of both eigenvalue lists.
-
-    The oracle sums F^ itself rather than reading `EigenPair.F_hat`, which
-    the closed forms read, so a wrong F_hat there cannot pass both.
-    `math.fsum` rounds the exact sum once, so this equals `F_hat` bit for bit.
-    """
-    return math.fsum([abs(z) ** 2 for z in eig.lam] + [abs(z) ** 2 for z in eig.lam_hat])
-
-
-def _kittaneh_intervals(eig: EigenPair, F: float, ks):
-    """Every injection's ratio bounded over index arrays, in blocks.
-
-    The injections pair k-subsets of lam's indices (`combinations`) with
-    k-arrangements of lam_hat's (`permutations`), for k in ks,
-    column-subset-first. Yields (rows, cols, lo, hi, is_open) per block of
-    _BLOCK_POINTS // k injections, so its index arrays hold about
-    _BLOCK_POINTS entries: injection t of the block is zip(rows[t], cols[t]).
-
-    num = F - 2*sum(|l^_i||l_j|) and den = F - 2*sum(Re l^_i conj(l_j)) are
-    summed from the terms `brute_force_kittaneh` sums, added in order. Each
-    differs from that function's value by at most (k + 4)*u*F (u = 2**-53):
-    with T the sum of the k terms' moduli, T <= F/2 since |l^_i||l_j| <=
-    (|l^_i|^2 + |l_j|^2)/2 and |Re l^_i conj(l_j)| <= |l^_i||l_j|; the
-    ordered sum errs by (k - 1)*u*T, fsum by u*T, doubling is exact, and
-    each subtraction errs by u*|F - 2S| <= 2u*F. The box num -+ slack, den
-    -+ slack with slack = (k + 8)*u*F also absorbs the rounding of its ends,
-    at most u*(2F + slack) each, with 2u*F to spare for second-order terms.
-    Where den - slack > tol, that function's den exceeds tol, so its value
-    is not 0/0, and since division rounds monotonically that value lies in
-    [lo, hi], the least and greatest quotients of the box's corners.
-    Elsewhere, and everywhere when F is too near the ends of the double
-    range for those relative bounds to hold, the interval is open.
-    """
-    r, s = eig.r, eig.s
-    tol = 1e-12 * max(1.0, F)
-    bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
-    # the terms at index j * s + i, pairing lam_hat[i] with lam[j]
-    mods = np.array([abs(a) * abs(b) for b in eig.lam for a in eig.lam_hat])
-    reals = np.array([(a * b.conjugate()).real for b in eig.lam for a in eig.lam_hat])
-
-    def block(row_maps, col_sets, start, stop, slack):
-        # injections start..stop of one k; the temporaries die on return,
-        # before the next block is built
-        c, p = np.divmod(np.arange(start, stop), len(row_maps))
-        rows, cols = row_maps[p], col_sets[c]
-        index = cols * s
-        index += rows
-        num = np.zeros(len(index))
-        den = np.zeros(len(index))
-        for a in range(index.shape[1]):
-            num += mods[index[:, a]]
-            den += reals[index[:, a]]
-        num *= -2.0
-        num += F
-        den *= -2.0
-        den += F
-        num_lo, num_hi = num - slack, np.add(num, slack, out=num)
-        den_hi, den_lo = den + slack, np.subtract(den, slack, out=den)
-        is_open = ~(den_lo > tol)
-        is_open |= not bounded
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lo = num_lo / den_hi
-            np.minimum(lo, np.divide(num_lo, den_lo, out=num_lo), out=lo)
-            hi = num_hi / den_lo
-            np.maximum(hi, np.divide(num_hi, den_hi, out=num_hi), out=hi)
-        return rows, cols, lo, hi, is_open
-
-    for k in ks:
-        col_sets = _index_array(itertools.combinations(range(r), k), k)
-        row_maps = _index_array(itertools.permutations(range(s), k), k)
-        count = len(col_sets) * len(row_maps)
-        step = max(1, _BLOCK_POINTS // k)
-        for start in range(0, count, step):
-            yield block(row_maps, col_sets, start, min(start + step, count),
-                        (k + 8) * _U * F)
-
-
-def _kittaneh_candidates(eig: EigenPair, F: float, ks, upper: bool
-                         ) -> Iterator[Tuple[tuple, tuple]]:
-    """The injections (rows, cols) that may hold the max (upper) or the
-    min, in enumeration order.
-
-    An injection is left out only when its interval lies above a value some
-    injection is known to reach (min) or below one (max). One whose interval
-    is open is always kept.
-    """
-    best = -math.inf if upper else math.inf    # a floor under the max, a ceiling over the min
-    for rows, cols, lo, hi, is_open in _kittaneh_intervals(eig, F, ks):
-        closed = ~is_open
-        if upper:
-            if closed.any():
-                best = max(best, float(lo[closed].max()))
-            keep = is_open | (hi >= best)
-        else:
-            if closed.any():
-                best = min(best, float(hi[closed].min()))
-            keep = is_open | (lo <= best)
-        for t in np.flatnonzero(keep).tolist():
-            yield tuple(rows[t].tolist()), tuple(cols[t].tolist())
-
-
-def brute_force_kittaneh(eig: EigenPair, mode: str, n: Optional[int] = None,
-                         budget: int = DEFAULT_BUDGET) -> BoundResult:
-    """Re-derive the normal-matrix arrangement optimum by dense injections.
-
-    Deliberately iterates injection maps column-subset-first (the closed-form
-    module iterates row-subset-first) so a shared indexing bug cannot hide.
-    Every injection is bounded over index arrays; the candidates are then
-    evaluated exactly, in enumeration order, with the strict comparison of
-    a scan of every injection, so the optimum and its tuple, ties included,
-    are that scan's.
-    """
-    if mode not in ("lower", "upper"):
-        raise ValueError(f"mode must be 'lower' or 'upper', got {mode!r}")
-    F = _eigen_sum_of_squares(eig)
-    tol = 1e-12 * max(1.0, F)
-
-    def ratio(pairs) -> Optional[float]:
-        num = F - 2.0 * math.fsum(abs(eig.lam_hat[i]) * abs(eig.lam[j])
-                                  for i, j in pairs)
-        den = F - 2.0 * math.fsum((eig.lam_hat[i] * eig.lam[j].conjugate()).real
-                                  for i, j in pairs)
-        if abs(num) < tol and abs(den) < tol:
-            return None
-        return num / den
-
-    upper = mode == "upper"
-    if upper:
-        if n is None:
-            raise ValueError("mode='upper' requires n")
-        if eig.s != n:
-            raise ValueError(f"full-rank second matrix required: s={eig.s}, n={n}")
-        # injections from all r columns into [n], iterated row-list-first
-        count, what, better, ks = math.perm(n, eig.r), "arrangements", operator.gt, (eig.r,)
-    else:
-        count = sum(math.comb(eig.r, k) * math.perm(eig.s, k)
-                    for k in range(1, eig.r + 1))
-        what, better, ks = "injections", operator.lt, range(1, eig.r + 1)
-    if count > budget:
-        raise BudgetExceededError(f"{count} {what} exceed budget {budget}", count)
-    best = best_tuple = None
-    for rows, cols in _kittaneh_candidates(eig, F, ks, upper):
-        val = ratio(list(zip(rows, cols)))
-        if val is not None and (best is None or better(val, best)):
-            best, best_tuple = val, rows if upper else (rows, cols)
-    theorem_id = f"kittaneh-{mode}"
-    if best is None:
-        return BoundResult(theorem_id=theorem_id, coefficient=1.0, degenerate=True)
-    return BoundResult(theorem_id=theorem_id,
-                       coefficient=min(math.sqrt(max(best, 0.0)), 1.0),
-                       optimal_tuple=best_tuple)
 
 
 def _top_cross(pair: SpectrumPair, k: int) -> float:

@@ -5,7 +5,7 @@ import operator
 import numpy as np
 import pytest
 
-from polarbounds import oracle
+from polarbounds import kittaneh_oracle, oracle
 from polarbounds.bounds import (
     kittaneh_lower_coeff,
     kittaneh_upper_coeff,
@@ -411,29 +411,34 @@ class TestKittanehCross:
 class TestKittanehArrays:
     def test_f_summed_by_the_oracle_is_f_hat(self):
         for eig in wide_eigen_pairs(WIDE_SIZES):
-            assert oracle._eigen_sum_of_squares(eig) == eig.F_hat
+            assert kittaneh_oracle._eigen_sum_of_squares(eig) == eig.F_hat
 
     @pytest.mark.parametrize("mode", ["lower", "upper"])
     def test_budget_before_any_allocation(self, monkeypatch, mode):
         def refuse(*args):
             raise AssertionError("injections bounded")
-        monkeypatch.setattr(oracle, "_kittaneh_intervals", refuse)
+        monkeypatch.setattr(kittaneh_oracle, "_kittaneh_intervals", refuse)
         eig = validate_eigen_pair(list(range(1, 8)), list(range(1, 8)))
         with pytest.raises(BudgetExceededError) as exc:
             brute_force_kittaneh(eig, mode, n=7, budget=100)
         assert exc.value.exact_count == (5040 if mode == "upper" else 130921)
 
+    @pytest.mark.parametrize("block_points", [kittaneh_oracle._BLOCK_POINTS, 7])
     @pytest.mark.parametrize("r,s", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4)])
-    def test_intervals_hold_each_value(self, r, s):
+    def test_intervals_hold_each_value(self, monkeypatch, r, s, block_points):
         # every injection once, in order; a closed interval holds the value
-        # the exact evaluation gives, which is never 0/0
+        # the exact evaluation gives, which is never 0/0. Blocks of 7 entries
+        # span column subsets while the arrangements fit in one, and stream
+        # each subset's arrangements once they do not
+        monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", block_points)
         for eig in wide_eigen_pairs([(r, s)]):
-            F = oracle._eigen_sum_of_squares(eig)
+            F = kittaneh_oracle._eigen_sum_of_squares(eig)
             tol = 1e-12 * max(1.0, F)
             injections = ((rows, cols) for k in range(1, r + 1)
                           for cols in itertools.combinations(range(r), k)
                           for rows in itertools.permutations(range(s), k))
-            for rows, cols, lo, hi, is_open in oracle._kittaneh_intervals(eig, F, range(1, r + 1)):
+            blocks = kittaneh_oracle._kittaneh_intervals(eig, F, range(1, r + 1))
+            for rows, cols, lo, hi, is_open in blocks:
                 for t in range(len(rows)):
                     i, j = next(injections)
                     assert (i, j) == (tuple(rows[t]), tuple(cols[t]))
@@ -449,6 +454,14 @@ class TestKittanehArrays:
     @pytest.mark.parametrize("family", WIDE_FAMILIES)
     def test_matches_scalar_reference(self, family):
         for eig in wide_eigen_pairs(WIDE_SIZES, (family,)):
+            for mode in ("lower", "upper"):
+                assert (repr(brute_force_kittaneh(eig, mode, n=eig.s))
+                        == repr(scalar_kittaneh(eig, mode, n=eig.s)))
+
+    def test_small_blocks_match_scalar_reference(self, monkeypatch):
+        monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", 7)
+        for eig in wide_eigen_pairs([(2, 5), (4, 4), (4, 6)], ("tied-real", "identical",
+                                                              "generic-1e100")):
             for mode in ("lower", "upper"):
                 assert (repr(brute_force_kittaneh(eig, mode, n=eig.s))
                         == repr(scalar_kittaneh(eig, mode, n=eig.s)))
