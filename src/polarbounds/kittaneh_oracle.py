@@ -80,22 +80,21 @@ def _kittaneh_intervals(eig: EigenPair, F: float, ks):
     Elsewhere, and everywhere when F is too near the ends of the double
     range for those relative bounds to hold, the interval is open.
     """
-    s = eig.s
     tol = 1e-12 * max(1.0, F)
     bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
-    # the terms at index j * s + i, pairing lam_hat[i] with lam[j]
-    mods = np.array([abs(a) * abs(b) for b in eig.lam for a in eig.lam_hat])
-    reals = np.array([(a * b.conjugate()).real for b in eig.lam for a in eig.lam_hat])
+    # the terms at [j, i], pairing lam_hat[i] with lam[j]
+    mods = np.array([[abs(a) * abs(b) for a in eig.lam_hat] for b in eig.lam])
+    reals = np.array([[(a * b.conjugate()).real for a in eig.lam_hat] for b in eig.lam])
 
     def block(rows, cols, slack):
         # the temporaries die on return, before the next block is built
-        index = cols * s
-        index += rows
-        num = np.zeros(len(index))
-        den = np.zeros(len(index))
-        for a in range(index.shape[1]):
-            num += mods[index[:, a]]
-            den += reals[index[:, a]]
+        index = np.ravel_multi_index((cols, rows), mods.shape)
+        mod_terms, real_terms = mods.take(index), reals.take(index)
+        num = np.zeros(len(rows))
+        den = np.zeros(len(rows))
+        for a in range(rows.shape[1]):
+            num += mod_terms[:, a]
+            den += real_terms[:, a]
         num *= -2.0
         num += F
         den *= -2.0
@@ -112,7 +111,7 @@ def _kittaneh_intervals(eig: EigenPair, F: float, ks):
         return rows, cols, lo, hi, is_open
 
     for k in ks:
-        for rows, cols in _injection_blocks(eig.r, s, k):
+        for rows, cols in _injection_blocks(eig.r, eig.s, k):
             yield block(rows, cols, (k + 8) * _U * F)
 
 
