@@ -159,8 +159,18 @@ class TestUnitaryCompletion:
 
     def test_rejects_nonorthogonal(self):
         partial = np.array([[1.0, 1.0], [0.0, 1e-3], [0.0, 0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not mutually orthogonal"):
             unitary_completion(partial)
+
+    def test_rejects_column_norm_above_one(self):
+        partial = np.array([[0.0, 0.6], [1.0 + 1e-9, 0.0], [0.0, 0.8]])
+        with pytest.raises(ValueError, match="column norm exceeds 1"):
+            unitary_completion(partial)
+
+    def test_rejects_nonzero_constrained_band(self):
+        partial = np.array([[0.6], [0.0], [0.8]])
+        with pytest.raises(ValueError, match="nonzero inside the constrained row band"):
+            unitary_completion(partial, zero_rows=[1, 2])
 
 
 def _seeds(kind, count):
