@@ -68,8 +68,8 @@ class ExtremalWitness:
 
 def _embed_diag(values, m: int) -> np.ndarray:
     out = np.zeros((m, m), dtype=complex)
-    for j, v in enumerate(values):
-        out[j, j] = v
+    # the diagonal is every (m + 1)-th entry of the row-major flat view
+    out.ravel()[:len(values) * (m + 1):m + 1] = values
     return out
 
 
@@ -82,12 +82,10 @@ def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
     j < r.
     """
     r, s = pair.r, pair.s
-    sig = np.asarray(pair.sigma)
-    sigt = np.asarray(pair.sigma_tilde)
-    w = np.outer(sigt, sig)
+    w = np.multiply.outer(pair.sigma_tilde, pair.sigma)
     st = np.real(S[:s, :r] * np.conj(T[:s, :r]))
-    M = float(np.sum(w * st))
-    N = float(np.sum(w * np.abs(T[:s, :r]) ** 2))
+    M = float((w * st).sum())
+    N = float((w * np.abs(T[:s, :r]) ** 2).sum())
     return M, N
 
 

@@ -7,6 +7,7 @@ carry line numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -104,30 +105,46 @@ def _format_complex(z: complex) -> str:
 
 def write_matrix_text(a: np.ndarray) -> str:
     """Header plus row-major re/im pairs at 17 significant digits."""
-    a = np.asarray(a, dtype=complex)
+    a = np.ascontiguousarray(a, dtype=complex)
     m, n = a.shape
-    lines = [MATRIX_MAGIC, f"{m} {n} complex"]
-    for i in range(m):
-        lines.append(" ".join(f"{a[i, j].real:.17g} {a[i, j].imag:.17g}"
-                              for j in range(n)))
-    return "\n".join(lines) + "\n"
+    row = " ".join(["%.17g"] * (2 * n))
+    lines = [row % tuple(x) for x in a.view(np.float64).tolist()]
+    return "\n".join([MATRIX_MAGIC, f"{m} {n} complex", *lines]) + "\n"
 
 
 def read_matrix_text(text: str) -> np.ndarray:
+    """Inverse of write_matrix_text. ValueError on a malformed header or row
+    count, and on a row with the wrong number of values or a bad or
+    non-finite one; the error names that row, counted from 0."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != MATRIX_MAGIC:
         raise ValueError("not a matrix file (bad magic line)")
-    header = lines[1].split()
-    if len(header) != 3 or header[2] != "complex":
-        raise ValueError(f"bad matrix header: {lines[1]!r}")
-    m, n = int(header[0]), int(header[1])
+    header = lines[1] if len(lines) > 1 else ""
+    try:
+        m, n, kind = header.split()
+        m, n = int(m), int(n)
+    except ValueError:
+        kind = None
+    if kind != "complex":
+        raise ValueError(f"bad matrix header: {header!r}")
+    if m < 1 or n < 1:
+        raise ValueError(f"matrix dimensions must be at least 1, got {m} x {n}")
     if len(lines) != 2 + m:
         raise ValueError(f"expected {m} data rows, found {len(lines) - 2}")
-    out = np.zeros((m, n), dtype=complex)
-    for i in range(m):
-        toks = lines[2 + i].split()
+    values: List[float] = []
+    for i, line in enumerate(lines[2:]):
+        toks = line.split()
         if len(toks) != 2 * n:
             raise ValueError(f"row {i}: expected {2 * n} numbers, found {len(toks)}")
-        for j in range(n):
-            out[i, j] = complex(float(toks[2 * j]), float(toks[2 * j + 1]))
+        try:
+            row = [*map(float, toks)]
+        except ValueError as exc:
+            raise ValueError(f"row {i}: {exc}") from None
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"row {i}: non-finite value in {line.strip()!r}")
+        values += row
+    # filled in place, not viewed: a view would keep a second array object
+    # alive beside every matrix read
+    out = np.empty((m, n), dtype=complex)
+    out.view(np.float64).reshape(-1)[:] = values
     return out

@@ -9,7 +9,10 @@ there.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from polarbounds import extremal
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -25,3 +28,19 @@ def test_every_traced_name_exists():
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
 def test_workload_setup_op_runs(name, tmp_path):
     workloads.WORKLOADS[name].setup_op(1, tmp_path)
+
+
+WITNESS_SPANS = ("extremal.make_witness", "extremal.verify_witness",
+                 "linalg.polar_decompose", "linalg.unitary_completion",
+                 "fileio.write_matrix_text", "fileio.read_matrix_text",
+                 "numpy.linalg.svd", "numpy.linalg.qr")
+
+
+def test_witness_op_calls_every_name_its_metrics_read():
+    # a metric whose name is never called reads 0 rather than dropping out
+    pair = workloads.criterion3_pairs(np.random.default_rng(1), 1)[0]
+    tracer = spans.Tracer(layers.targets())
+    with tracer:
+        _, stats = tracer.run_pass(
+            lambda: [workloads.Witness._op(pair, b) for b in extremal.BOUND_IDS])
+    assert [name for name in WITNESS_SPANS if stats.calls[name] == 0] == []

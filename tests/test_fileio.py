@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from polarbounds.fileio import (
+    MATRIX_MAGIC,
     SpectraParseError,
     SpectraRecord,
     format_spectra,
@@ -66,7 +69,57 @@ class TestSpectraFormat:
         assert back[0].eigen_hat == recs[0].eigen_hat
 
 
+def scalar_write_matrix_text(a):
+    """Reference: the matrix writer formatting one entry at a time."""
+    a = np.asarray(a, dtype=complex)
+    m, n = a.shape
+    lines = [MATRIX_MAGIC, f"{m} {n} complex"]
+    for i in range(m):
+        lines.append(" ".join(f"{a[i, j].real:.17g} {a[i, j].imag:.17g}"
+                              for j in range(n)))
+    return "\n".join(lines) + "\n"
+
+
+def scalar_read_matrix_text(text):
+    """Reference: the matrix reader parsing one entry at a time, without the
+    header and row checks."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    m, n = (int(tok) for tok in lines[1].split()[:2])
+    out = np.zeros((m, n), dtype=complex)
+    for i in range(m):
+        toks = lines[2 + i].split()
+        for j in range(n):
+            out[i, j] = complex(float(toks[2 * j]), float(toks[2 * j + 1]))
+    return out
+
+
+ENTRIES = (st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300])
+           | st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def matrices(draw):
+    """1x1 to 8x8, C-ordered, Fortran-ordered, a transposed view, or real."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["C", "F", "transposed", "real"]))
+    shape = (n, m) if layout == "transposed" else (m, n)
+    re = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    if layout == "real":
+        return re
+    a = np.empty(shape, dtype=complex)
+    a.real = re
+    a.imag = draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    return {"C": a, "F": np.asfortranarray(a), "transposed": a.T}[layout]
+
+
 class TestMatrixFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(matrices())
+    def test_matches_entrywise_reference(self, a):
+        text = write_matrix_text(a)
+        assert text == scalar_write_matrix_text(a)
+        assert read_matrix_text(text).tobytes() == scalar_read_matrix_text(text).tobytes()
+
     def test_round_trip_lossless(self, rng):
         a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
         b = read_matrix_text(write_matrix_text(a))
@@ -85,3 +138,25 @@ class TestMatrixFormat:
     def test_wrong_column_count(self):
         with pytest.raises(ValueError, match="row 0"):
             read_matrix_text("polarbounds-matrix 1\n1 2 complex\n0 0\n")
+
+    @pytest.mark.parametrize("row", ["nan inf", "1e999 0", "0 -inf"])
+    def test_rejects_non_finite(self, row):
+        with pytest.raises(ValueError, match="row 1: non-finite value in"):
+            read_matrix_text(f"polarbounds-matrix 1\n2 1 complex\n1 0\n{row}\n")
+
+    @pytest.mark.parametrize("dims", ["0 3", "3 0", "-1 1"])
+    def test_rejects_empty_dimensions(self, dims):
+        with pytest.raises(ValueError, match="at least 1"):
+            read_matrix_text(f"polarbounds-matrix 1\n{dims} complex\n")
+
+    def test_bad_token_names_its_row(self):
+        with pytest.raises(ValueError, match="row 1: could not convert string to float: '0x1'"):
+            read_matrix_text("polarbounds-matrix 1\n2 1 complex\n1 0\n0x1 0\n")
+
+    @pytest.mark.parametrize("text", ["polarbounds-matrix 1\n",
+                                      "polarbounds-matrix 1\n1 1 real\n0 0\n",
+                                      "polarbounds-matrix 1\n1 one complex\n0 0\n",
+                                      "polarbounds-matrix 1\n1 1\n0 0\n"])
+    def test_bad_header(self, text):
+        with pytest.raises(ValueError, match="bad matrix header"):
+            read_matrix_text(text)
