@@ -429,6 +429,27 @@ class TestRangeErrors:
                  if isinstance(node, ast.Assert)]
         assert found == []
 
+    def test_closed_forms_and_oracles_import_apart(self):
+        # a closed form and its oracle share no code, so one bug cannot pass
+        # both; oracle.py reads only the q numerators and denominators, whose
+        # sign claims directional_move_check tests
+        package = Path(polarbounds.__file__).resolve().parent
+        imports = {}
+        for path in sorted(package.glob("*.py")):
+            found = imports[path.stem] = {}
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    for alias in node.names:
+                        module = node.module or alias.name
+                        found.setdefault(module, set()).add(alias.name)
+                elif isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.startswith("polarbounds."):
+                            found.setdefault(alias.name.split(".")[1], set()).add("*")
+        assert not {"oracle", "kittaneh_oracle", "enumeration"} & set(imports["bounds"])
+        assert not {"bounds", "oracle"} & set(imports["kittaneh_oracle"])
+        assert imports["oracle"]["bounds"] == {"q_lower_numden", "q_upper_numden"}
+
     def test_no_unused_import_in_library(self):
         # a name a module imports and never uses is left over from deleted code
         package = Path(polarbounds.__file__).resolve().parent

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -25,6 +26,10 @@ def run_json(capsys, argv):
 
 
 GOLDEN_SINGLE = "record one\nsigma 1\nsigma_tilde 1\n"
+# powers of ten the golden rows are scaled by for `polarbounds oracle`, and
+# the SHA-256 of its structured reports there, in this order
+ORACLE_SCALES = (-4, 0, 2, 4, 6)
+ORACLE_SCALED_DIGEST = "760acd6e63ae9655b1948e3347508f5670d033e1837efa463ff6ad1a23e71941"
 GOOD = "record good\nsigma 2 1\nsigma_tilde 1\n"
 OVERFLOW = "record bad\nsigma 1e200\nsigma_tilde 1e200 1\n"
 
@@ -124,16 +129,20 @@ def _no_constant(name):
     raise ValueError(f"non-finite number {name} in the report")
 
 
+def golden_rows_text(e: int) -> str:
+    """The bundled golden rows times 10^e, scaled exactly in decimal."""
+    with open(table1_path()) as fh:
+        records = parse_spectra_text(fh.read())
+    return "".join(
+        f"record {rec.id}\n"
+        f"sigma {' '.join(f'{v!r}e{e}' for v in rec.sigma)}\n"
+        f"sigma_tilde {' '.join(f'{v!r}e{e}' for v in rec.sigma_tilde)}\n"
+        for rec in records)
+
+
 class TestScale:
     def _report(self, tmp_path, capsys, e):
-        with open(table1_path()) as fh:
-            records = parse_spectra_text(fh.read())
-        text = "".join(
-            f"record {rec.id}\n"
-            f"sigma {' '.join(f'{v!r}e{e}' for v in rec.sigma)}\n"
-            f"sigma_tilde {' '.join(f'{v!r}e{e}' for v in rec.sigma_tilde)}\n"
-            for rec in records)
-        code = main(["bounds", write(tmp_path, "in.spectra", text)])
+        code = main(["bounds", write(tmp_path, "in.spectra", golden_rows_text(e))])
         return code, json.loads(capsys.readouterr().out, parse_constant=_no_constant)
 
     def test_golden_rows_exact_or_rejected(self, tmp_path, capsys):
@@ -254,6 +263,14 @@ class TestOracle:
         path = write(tmp_path, "in.spectra",
                      "record a\nsigma 2 1\nsigma_tilde 3 2 1\n")
         assert main(["oracle", path, "--budget", "3"]) == 4
+
+    def test_scaled_golden_rows_report_digest(self, tmp_path, capsys):
+        # the report bytes on the golden rows at every ORACLE_SCALES scale
+        h = hashlib.sha256()
+        for e in ORACLE_SCALES:
+            assert main(["oracle", write(tmp_path, "in.spectra", golden_rows_text(e))]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == ORACLE_SCALED_DIGEST
 
 
 class TestVerify:
