@@ -12,9 +12,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .spectra import (BoundResult, EigenPair, NumericalRangeError, SpectrumPair,
                       check_range, fg_scalars)
@@ -23,6 +26,13 @@ SQRT2 = math.sqrt(2.0)
 LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
 
 ENUM_CAP = 6   # largest r or s the arrangement bounds enumerate
+# shapes with at most this many pairings skip the arrangement prefilter: its
+# numpy calls cost about as much as the exact loop they spare up to ~100
+# pairings (72 at (r, s) = (3, 4) ran faster exact, 120 and up ran faster
+# prefiltered)
+PREFILTER_MIN_PAIRINGS = 100
+_U = 2.0 ** -53                          # unit roundoff of a double
+_F_RANGE = (2.0 ** -960, 2.0 ** 960)     # F where the prefilter's bounds hold
 
 
 class RankMismatchError(ValueError):
@@ -218,13 +228,75 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _arrangements(n: int, k: int) -> Tuple[bytes, ...]:
-    """Each arrangement cols of k of range(n), in `permutations` order, as
-    its offsets a * n + cols[a] into a flat k x n block, one byte each
-    (k * n <= ENUM_CAP**2 < 256). Bytes hold a cached arrangement in a
-    quarter of the memory of tuples."""
-    return tuple(bytes([a * n + j for a, j in enumerate(cols)])
-                 for cols in itertools.permutations(range(n), k))
+def _index_arrays(nrows: int, n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, subsets, arrangements) of the pairings of k-subsets of
+    range(nrows) (`combinations`) with k-arrangements of range(n)
+    (`permutations`), as read-only uint8 arrays (nrows * n <= ENUM_CAP**2 <
+    256). subsets and arrangements hold one tuple a row; offsets[a, c, p] =
+    subsets[c, a] * n + arrangements[p, a] locates pairing (c, p)'s a-th entry
+    in a flat nrows x n table, pairings in scan order."""
+    subsets, arrangements = (
+        np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.uint8).reshape(-1, k)
+        for tuples in (itertools.combinations(range(nrows), k),
+                       itertools.permutations(range(n), k)))
+    offsets = subsets.T[:, :, None] * np.uint8(n) + arrangements.T[:, None, :]
+    for array in (offsets, subsets, arrangements):
+        array.flags.writeable = False
+    return offsets, subsets, arrangements
+
+
+def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, upper: bool):
+    """The pairings of one k that may hold the max (upper) or the min, as
+    (rows, [cols, ...]) groups in scan order.
+
+    terms holds the flat tables of per-entry terms, |l^_i||l_j| then Re l^_i
+    conj(l_j), with n columns each. num = F - 2 sum(mod terms) and den = F -
+    2 sum(real terms) are summed for every pairing at once, in numpy's
+    order. Each differs from the exact loop's value, whose sum `fsum` rounds
+    once, by at most (k + 4) u F (u = 2**-53):
+    - the k terms' moduli sum to T <= F/2, since |l^_i||l_j| <= (|l^_i|^2 +
+      |l_j|^2)/2 over distinct i and distinct j, and |Re l^_i conj(l_j)| <=
+      |l^_i||l_j|;
+    - k terms added in any order err by (k - 1) u T and `fsum` by u T, and
+      doubling is exact, so the two 2 sums differ by (k - 1) u F + u F;
+    - subtracting from F errs by u |F - 2 sum| <= 2 u F on each side.
+    The box num -+ slack, den -+ slack with slack = (k + 8) u F also absorbs
+    the rounding of its ends, u (2F + slack) each, with u F left for the
+    second-order terms. Where den - slack > tol the exact den exceeds tol,
+    so that pairing is not 0/0, and since division rounds monotonically its
+    value lies in [lo, hi], the least and greatest quotients of the box's
+    corners. Elsewhere the interval is open. F must lie in _F_RANGE, where
+    slack and the box's ends are normal doubles.
+
+    A pairing is dropped only when its interval is closed and lies above
+    (min) or below (max) a value that `best` or a closed interval of this k
+    shows some pairing reaches. Under strict comparisons in scan order such
+    a pairing can neither hold the optimum nor be the first to tie it.
+    """
+    offsets, subsets, arrangements = _index_arrays(terms.shape[1] // n, n, k)
+    sums = terms.take(offsets, axis=1).sum(axis=1)
+    sums *= -2.0
+    sums += F
+    slack = (k + 8) * _U * F
+    box = sums[:, None] + np.array([[[-slack]], [[slack]]])   # [num, den][lo end, hi end]
+    closed = box[1, 0] > tol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        quotients = box[0][:, None] / box[1]                  # [num end][den end]
+    if upper:
+        hi = quotients[1].max(axis=0)
+        reached = max(np.max(quotients[0].min(axis=0), where=closed, initial=-math.inf),
+                      -math.inf if best is None else best)
+        keep = hi >= reached
+    else:
+        lo = quotients[0].min(axis=0)
+        reached = min(np.min(quotients[1].max(axis=0), where=closed, initial=math.inf),
+                      math.inf if best is None else best)
+        keep = lo <= reached
+    keep |= ~closed
+    cs, ps = np.nonzero(keep)
+    for rows, group in itertools.groupby(zip(subsets[cs].tolist(), arrangements[ps].tolist()),
+                                         key=operator.itemgetter(0)):
+        yield tuple(rows), [tuple(cols) for _, cols in group]
 
 
 def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
@@ -234,30 +306,41 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
 
     mods and reals are tables of per-entry terms; a pairing matches the rows
     of a k-subset (`combinations`, for k in ks) with the columns of a
-    k-arrangement, row-subset-first. Each subset's rows are laid out once as
-    a flat block, and a pairing's terms are read from it at its offsets.
-    `fsum` rounds the exact sum once, so the terms' order moves no bit.
+    k-arrangement (`permutations`), row-subset-first. One exact loop decides
+    the optimum: `fsum` rounds each pairing's exact sums once, 0/0 pairings
+    are skipped, and strict comparisons keep the first of tied pairings.
+    Shapes with more than PREFILTER_MIN_PAIRINGS pairings, when F lies in
+    _F_RANGE, send it only each k's `_survivors`, which drops no pairing
+    that could change its result.
     """
-    n = len(mods[0])
+    nrows, n = len(mods), len(mods[0])
     tol = 1e-12 * max(1.0, F)
-    fsum = math.fsum
-    best = best_rows = best_offsets = None
+    prefilter = (sum(math.comb(nrows, k) * math.perm(n, k) for k in ks) > PREFILTER_MIN_PAIRINGS
+                 and _F_RANGE[0] <= F <= _F_RANGE[1])
+    if prefilter:
+        terms = np.array([mods, reals]).reshape(2, -1)
+    fsum, getitem = math.fsum, operator.getitem
+    best = best_rows = best_cols = None
     for k in ks:
-        arrangements = _arrangements(n, k)
-        for rows in itertools.combinations(range(len(mods)), k):
-            mod_term = [x for i in rows for x in mods[i]].__getitem__
-            real_term = [x for i in rows for x in reals[i]].__getitem__
-            for offsets in arrangements:
-                num = F - 2.0 * fsum(map(mod_term, offsets))
-                den = F - 2.0 * fsum(map(real_term, offsets))
+        if prefilter:
+            groups = _survivors(F, tol, terms, n, k, best, upper)
+        else:
+            groups = zip(itertools.combinations(range(nrows), k),
+                         itertools.repeat(list(itertools.permutations(range(n), k))))
+        for rows, arrangements in groups:
+            mod_rows = [mods[i] for i in rows]
+            real_rows = [reals[i] for i in rows]
+            for cols in arrangements:
+                num = F - 2.0 * fsum(map(getitem, mod_rows, cols))
+                den = F - 2.0 * fsum(map(getitem, real_rows, cols))
                 if abs(num) < tol and abs(den) < tol:
                     continue
                 value = num / den
                 if best is None or (value > best if upper else value < best):
-                    best, best_rows, best_offsets = value, rows, offsets
+                    best, best_rows, best_cols = value, rows, cols
     if best is None:
         return None
-    return best, best_rows, tuple([o - a * n for a, o in enumerate(best_offsets)])
+    return best, best_rows, best_cols
 
 
 def _arrangement_coeff(eig: EigenPair, theorem_id: str, count, upper: bool) -> BoundResult:

@@ -30,6 +30,16 @@ def eigenvalues(rng, size, kind):
     return [complex(v) for v in z]
 
 
+def seeded_eigen_pairs():
+    """45 seeded eigen pairs, sizes up to (5, 6), ties among them."""
+    rng = np.random.default_rng(606)
+    for i in range(45):
+        s = int(rng.integers(1, 7))
+        r = int(rng.integers(max(1, s - 2), min(s, 5) + 1))
+        kind = i % 3
+        yield validate_eigen_pair(eigenvalues(rng, r, kind), eigenvalues(rng, s, kind))
+
+
 WIDE_FAMILIES = ("tied-real", "unit", "identical", "generic-1e100", "generic-1e-100",
                  "generic-1e150", "generic-1e-150")
 # both searches; (1, 1) identical and the tiny scales give all-0/0 pairs

@@ -18,10 +18,10 @@ from polarbounds.extremal import BOUND_IDS, make_witness
 from polarbounds.fileio import SpectraRecord, format_spectra
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.oracle import brute_force_kittaneh
-from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
+from polarbounds.spectra import validate_spectrum_pair
 
 from conftest import (WIDE_ORACLE_FAMILIES, WIDE_ORACLE_SIZES, WIDE_SIZES, eigenvalues,
-                      wide_eigen_pairs)
+                      seeded_eigen_pairs, wide_eigen_pairs)
 
 CAMPAIGN_DIGESTS = {
     "complex": "bc00f8fe6dca10c530b60b429249c7d4075d292dfc351182c9f439c78f547a24",
@@ -91,19 +91,9 @@ def bounds_digest(tmp_path, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
-def _kittaneh_eigen_pairs():
-    """45 seeded eigen pairs, sizes up to (5, 6), ties among them."""
-    rng = np.random.default_rng(606)
-    for i in range(45):
-        s = int(rng.integers(1, 7))
-        r = int(rng.integers(max(1, s - 2), min(s, 5) + 1))
-        kind = i % 3
-        yield validate_eigen_pair(eigenvalues(rng, r, kind), eigenvalues(rng, s, kind))
-
-
 def _arrangement_digest(lower, upper, pairs=None) -> str:
     h = hashlib.sha256()
-    for eig in _kittaneh_eigen_pairs() if pairs is None else pairs:
+    for eig in seeded_eigen_pairs() if pairs is None else pairs:
         for res in (lower(eig), upper(eig)):
             h.update(repr((res.coefficient, res.optimal_tuple, res.degenerate)).encode())
     return h.hexdigest()
