@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
-DECREASING_SLACK = 1e-14
+DECREASING_SLACK = 1e-14   # relative rise allowed between neighbours
 
 
 class SpectrumValidationError(ValueError):
@@ -112,7 +112,7 @@ def _check_decreasing_positive(values: Sequence[float], name: str) -> tuple:
     for i, v in enumerate(vals):
         if not math.isfinite(v) or v <= 0:
             raise SpectrumValidationError(f"{name}[{i}] = {v} is not positive")
-        if i > 0 and v > vals[i - 1] + DECREASING_SLACK:
+        if i > 0 and v > vals[i - 1] * (1 + DECREASING_SLACK):
             raise SpectrumValidationError(
                 f"{name} not decreasing at index {i}: {vals[i-1]} < {v}")
     return vals

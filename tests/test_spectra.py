@@ -27,6 +27,24 @@ class TestValidation:
         with pytest.raises(SpectrumValidationError, match="index 1"):
             validate_spectrum_pair([1, 2], [1])
 
+    def test_increasing_rejected_at_every_scale(self):
+        # the slack is relative, so no scale lets an increasing spectrum
+        # through, subnormal ones included; ties and rises below the slack
+        # pass at every scale
+        bases = ([1.0, 2.0], [1e-20, 5e-15], [0.5, 0.75, 1.0], [2.0 ** -60, 1.5 * 2.0 ** -60])
+        for k in range(-1000, 1001):
+            for base in bases:
+                vals = [math.ldexp(v, k) for v in base]
+                if 0.0 in vals:
+                    continue
+                if vals == sorted(vals, reverse=True):   # rounded to a tie
+                    validate_spectrum_pair(vals, [1.0])
+                    continue
+                with pytest.raises(SpectrumValidationError, match="not decreasing"):
+                    validate_spectrum_pair(vals, [1.0])
+            for tie in ([1.0, 1.0], [1.0, 1.0 + 4e-15], [3.0, 2.0, 2.0]):
+                validate_spectrum_pair([math.ldexp(v, k) for v in tie], [1.0])
+
     def test_swap_recorded(self):
         p = validate_spectrum_pair([3, 2, 1], [5])
         assert p.swapped and p.sigma == (5.0,) and p.r == 1
