@@ -250,9 +250,9 @@ def cmd_oracle(args) -> int:
             return EXIT_BUDGET
         q_up, _ = bounds.q_upper_coeff(pair)
         q_lo, _ = bounds.q_lower_coeff(pair)
-        tol = 1e-10 * max(1.0, abs(ev_max.value), abs(ev_min.value))
-        ok = (abs(ev_max.value - q_up.coefficient ** 2) <= tol
-              and abs(ev_min.value - q_lo.coefficient ** 2) <= tol)
+        ok = all(abs(brute - closed) <= 1e-10 * max(abs(brute), abs(closed))
+                 for brute, closed in ((ev_max.value, q_up.coefficient ** 2),
+                                       (ev_min.value, q_lo.coefficient ** 2)))
         all_ok = all_ok and ok
         entries.append({"id": rec.id, "agrees": ok,
                         "brute_force_max": ev_max.value,

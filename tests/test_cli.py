@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -85,6 +86,15 @@ class TestBounds:
                      "record bad\nsigma 1 2\nsigma_tilde 1\n")
         code = main(["bounds", path])
         assert code == 2
+
+    def test_tiny_increasing_spectra_rejected(self, tmp_path, capsys):
+        # below 1e-14 an absolute slack let any order through, and every
+        # constant came out wrong with exit 0
+        path = write(tmp_path, "in.spectra",
+                     "record a\nsigma 1e-20 5e-15\nsigma_tilde 3e-15 1e-15 1e-20\n")
+        code, rep = run_json(capsys, ["bounds", path])
+        assert code == 2
+        assert "not decreasing" in rep["records"][0]["rejected"]
 
     def test_parse_error_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", "record a\nsigma x\nsigma_tilde 1\n")
@@ -263,6 +273,23 @@ class TestOracle:
         path = write(tmp_path, "in.spectra",
                      "record a\nsigma 2 1\nsigma_tilde 3 2 1\n")
         assert main(["oracle", path, "--budget", "3"]) == 4
+
+    @pytest.mark.parametrize("name,factor", [("q_upper_coeff", 1.01), ("q_lower_coeff", 0.99)])
+    def test_one_percent_fault_found_at_every_scale(self, tmp_path, capsys, monkeypatch,
+                                                    name, factor):
+        # q scales as 1/sigma, so a tolerance absolute below 1 let a 1%
+        # fault pass once the spectra exceeded about 1e3
+        closed_form = getattr(bounds, name)
+
+        def faulty(pair):
+            result, table = closed_form(pair)
+            return dataclasses.replace(result, coefficient=result.coefficient * factor), table
+
+        monkeypatch.setattr(bounds, name, faulty)
+        for e in ORACLE_SCALES:
+            assert main(["oracle", write(tmp_path, "in.spectra", golden_rows_text(e))]) == 1, e
+            rep = json.loads(capsys.readouterr().out)
+            assert not any(rec["agrees"] for rec in rep["records"]), e
 
     def test_scaled_golden_rows_report_digest(self, tmp_path, capsys):
         # the report bytes on the golden rows at every ORACLE_SCALES scale
