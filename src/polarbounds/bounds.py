@@ -26,11 +26,12 @@ SQRT2 = math.sqrt(2.0)
 LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
 
 ENUM_CAP = 6   # largest r or s the arrangement bounds enumerate
-# shapes with at most this many pairings skip the arrangement prefilter: its
-# numpy calls cost about as much as the exact loop they spare up to ~100
-# pairings (72 at (r, s) = (3, 4) ran faster exact, 120 and up ran faster
-# prefiltered)
-PREFILTER_MIN_PAIRINGS = 100
+# a k with at most this many pairings skips the arrangement prefilter: its
+# numpy calls cost a fixed 25-30 us per k, about what the exact loop spends
+# on 30-60 pairings, so only larger k gain; at 100 the campaign (at most 33
+# pairings in all) and `polarbounds bounds` (at most 96 per k, up to (4, 4))
+# never pay it
+EXACT_ONLY_PAIRINGS = 100
 _U = 2.0 ** -53                          # unit roundoff of a double
 _F_RANGE = (2.0 ** -960, 2.0 ** 960)     # F where the prefilter's bounds hold
 
@@ -245,6 +246,13 @@ def _index_arrays(nrows: int, n: int, k: int) -> Tuple[np.ndarray, np.ndarray, n
     return offsets, subsets, arrangements
 
 
+@functools.lru_cache(maxsize=None)
+def _arrangement_tuples(n: int, k: int) -> tuple:
+    """Every k-arrangement of range(n), in `permutations` order, for the k
+    that the exact loop scans whole."""
+    return tuple(itertools.permutations(range(n), k))
+
+
 def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, upper: bool):
     """The pairings of one k that may hold the max (upper) or the min, as
     (rows, [cols, ...]) groups in scan order.
@@ -274,25 +282,25 @@ def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, up
     a pairing can neither hold the optimum nor be the first to tie it.
     """
     offsets, subsets, arrangements = _index_arrays(terms.shape[1] // n, n, k)
-    sums = terms.take(offsets, axis=1).sum(axis=1)
+    sums = terms.take(offsets[0], axis=1)
+    for a in range(1, k):
+        sums += terms.take(offsets[a], axis=1)
     sums *= -2.0
     sums += F
+    num, den = sums
     slack = (k + 8) * _U * F
-    box = sums[:, None] + np.array([[[-slack]], [[slack]]])   # [num, den][lo end, hi end]
-    closed = box[1, 0] > tol
+    num_lo, num_hi, den_lo, den_hi = num - slack, num + slack, den - slack, den + slack
+    closed = den_lo > tol
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quotients = box[0][:, None] / box[1]                  # [num end][den end]
-    if upper:
-        hi = quotients[1].max(axis=0)
-        reached = max(np.max(quotients[0].min(axis=0), where=closed, initial=-math.inf),
-                      -math.inf if best is None else best)
-        keep = hi >= reached
-    else:
-        lo = quotients[0].min(axis=0)
-        reached = min(np.min(quotients[1].max(axis=0), where=closed, initial=math.inf),
-                      math.inf if best is None else best)
-        keep = lo <= reached
-    keep |= ~closed
+        lo = np.minimum(num_lo / den_lo, num_lo / den_hi)
+        hi = np.maximum(num_hi / den_lo, num_hi / den_hi)
+    reached = best
+    if closed.any():
+        this_k = float(lo[closed].max()) if upper else float(hi[closed].min())
+        reached = this_k if best is None else (max if upper else min)(this_k, best)
+    keep = ~closed
+    if reached is not None:
+        keep |= (hi >= reached) if upper else (lo <= reached)
     cs, ps = np.nonzero(keep)
     for rows, group in itertools.groupby(zip(subsets[cs].tolist(), arrangements[ps].tolist()),
                                          key=operator.itemgetter(0)):
@@ -309,24 +317,24 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
     k-arrangement (`permutations`), row-subset-first. One exact loop decides
     the optimum: `fsum` rounds each pairing's exact sums once, 0/0 pairings
     are skipped, and strict comparisons keep the first of tied pairings.
-    Shapes with more than PREFILTER_MIN_PAIRINGS pairings, when F lies in
-    _F_RANGE, send it only each k's `_survivors`, which drops no pairing
-    that could change its result.
+    A k with more than EXACT_ONLY_PAIRINGS pairings, when F lies in
+    _F_RANGE, sends it only its `_survivors`, which drop no pairing that
+    could change its result; every other k sends every pairing.
     """
     nrows, n = len(mods), len(mods[0])
     tol = 1e-12 * max(1.0, F)
-    prefilter = (sum(math.comb(nrows, k) * math.perm(n, k) for k in ks) > PREFILTER_MIN_PAIRINGS
-                 and _F_RANGE[0] <= F <= _F_RANGE[1])
-    if prefilter:
-        terms = np.array([mods, reals]).reshape(2, -1)
+    bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
+    terms = None
     fsum, getitem = math.fsum, operator.getitem
     best = best_rows = best_cols = None
     for k in ks:
-        if prefilter:
+        if bounded and math.comb(nrows, k) * math.perm(n, k) > EXACT_ONLY_PAIRINGS:
+            if terms is None:
+                terms = np.array([mods, reals]).reshape(2, -1)
             groups = _survivors(F, tol, terms, n, k, best, upper)
         else:
             groups = zip(itertools.combinations(range(nrows), k),
-                         itertools.repeat(list(itertools.permutations(range(n), k))))
+                         itertools.repeat(_arrangement_tuples(n, k)))
         for rows, arrangements in groups:
             mod_rows = [mods[i] for i in rows]
             real_rows = [reals[i] for i in rows]

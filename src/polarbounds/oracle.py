@@ -11,8 +11,8 @@ too; the two oracles share only `enumeration`'s budget and index arrays.
 The two Kittaneh searches agree bit for bit but share no code. The closed
 form (`bounds.kittaneh_*_coeff`) reads F_hat from the pair, walks the
 pairings row-subset-first and evaluates exactly, one at a time, every
-pairing of a small shape, or those its own numpy bounds leave of a larger
-one. `brute_force_kittaneh` sums its own F_hat, walks the injections
+pairing of a k with few pairings, or those its own numpy bounds leave of a
+k with many. `brute_force_kittaneh` sums its own F_hat, walks the injections
 column-subset-first, bounds them all over index arrays, and evaluates
 exactly, in order, only those that may hold the optimum.
 """

@@ -69,14 +69,6 @@ def assert_matches_scalar_scan(eigs):
         assert got == want, (eig.lam, eig.lam_hat)
 
 
-def pairing_counts():
-    """{(r, s): (lower pairings, upper pairings)} for every shape the closed
-    forms accept."""
-    return {(r, s): (sum(math.comb(s, k) * math.perm(r, k) for k in range(1, r + 1)),
-                     math.perm(s, r))
-            for s in range(1, ENUM_CAP + 1) for r in range(1, s + 1)}
-
-
 def tied_reals(rng, r, s):
     return validate_eigen_pair(rng.choice([-2.0, -1.0, 1.0, 2.0], r),
                                rng.choice([-2.0, -1.0, 1.0, 2.0], s))
@@ -147,35 +139,39 @@ def test_fuzzed_generic_pairs():
 
 
 def test_routes_around_the_threshold(monkeypatch):
-    # for each bound, the shapes with the most pairings at or below the
-    # threshold run the exact loop alone and those with the fewest above it
-    # run the prefilter, unless F leaves its range; both agree with the
-    # reference on generic and tied pairs
+    # each k with more than EXACT_ONLY_PAIRINGS pairings, and only those,
+    # runs the prefilter, unless F leaves its range; on the shapes whose
+    # largest k sits just at or just above the threshold both routes agree
+    # with the reference on generic and tied pairs
     calls = []
     survivors = bounds._survivors
 
     def spy(*args):
-        calls.append(args[3])
+        calls.append(args[4])
         return survivors(*args)
 
     monkeypatch.setattr(bounds, "_survivors", spy)
-    counts = pairing_counts()
-    threshold = bounds.PREFILTER_MIN_PAIRINGS
+    threshold = bounds.EXACT_ONLY_PAIRINGS
     rng = np.random.default_rng(64)
-    for side, bound in enumerate((kittaneh_lower_coeff,
-                                  lambda eig: kittaneh_upper_coeff(eig, n=eig.s))):
-        below = max(c[side] for c in counts.values() if c[side] <= threshold)
-        above = min(c[side] for c in counts.values() if c[side] > threshold)
-        for (r, s), c in counts.items():
-            if c[side] not in (below, above):
-                continue
+    for s in range(1, ENUM_CAP + 1):
+        for r in range(1, s + 1):
             unit = [tied_reals(rng, r, s),
                     validate_eigen_pair(eigenvalues(rng, r, 0), eigenvalues(rng, s, 0))]
-            for scale in (1.0, 1e150):
-                eigs = [validate_eigen_pair([z * scale for z in eig.lam],
-                                            [z * scale for z in eig.lam_hat]) for eig in unit]
-                for eig in eigs:
-                    calls.clear()
-                    bound(eig)
-                    assert bool(calls) == (c[side] == above and scale == 1.0), (r, s, side)
-                assert_matches_scalar_scan(eigs)
+            for upper, ks in ((False, range(1, r + 1)), (True, (r,))):
+                # the lower bound pairs k of s rows with k of r columns, the
+                # upper bound r rows with r of s columns
+                counts = {k: (math.comb(s, k) * math.perm(r, k) if not upper
+                              else math.perm(s, r)) for k in ks}
+                expected = [k for k in ks if counts[k] > threshold]
+                for scale in (1.0, 1e150):
+                    for eig in unit:
+                        eig = validate_eigen_pair([z * scale for z in eig.lam],
+                                                  [z * scale for z in eig.lam_hat])
+                        calls.clear()
+                        if upper:
+                            kittaneh_upper_coeff(eig, n=s)
+                        else:
+                            kittaneh_lower_coeff(eig)
+                        assert calls == (expected if scale == 1.0 else []), (r, s, upper)
+                if 0.5 * threshold < max(counts.values()) <= 2 * threshold:
+                    assert_matches_scalar_scan(unit)
