@@ -229,21 +229,19 @@ def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
 
 
 @functools.lru_cache(maxsize=None)
-def _index_arrays(nrows: int, n: int, k: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(offsets, subsets, arrangements) of the pairings of k-subsets of
-    range(nrows) (`combinations`) with k-arrangements of range(n)
-    (`permutations`), as read-only uint8 arrays (nrows * n <= ENUM_CAP**2 <
-    256). subsets and arrangements hold one tuple a row; offsets[a, c, p] =
-    subsets[c, a] * n + arrangements[p, a] locates pairing (c, p)'s a-th entry
-    in a flat nrows x n table, pairings in scan order."""
+def _offsets(nrows: int, n: int, k: int) -> np.ndarray:
+    """offsets[a, c, p] = i * n + j locates the a-th entry (i, j) of pairing
+    (c, p), the c-th k-subset of range(nrows) (`combinations`) with the p-th
+    k-arrangement of range(n) (`permutations`), in a flat nrows x n table:
+    a read-only uint8 array (nrows * n <= ENUM_CAP**2 < 256), pairings in
+    scan order."""
     subsets, arrangements = (
-        np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.uint8).reshape(-1, k)
+        np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.uint8).reshape(-1, k).T
         for tuples in (itertools.combinations(range(nrows), k),
                        itertools.permutations(range(n), k)))
-    offsets = subsets.T[:, :, None] * np.uint8(n) + arrangements.T[:, None, :]
-    for array in (offsets, subsets, arrangements):
-        array.flags.writeable = False
-    return offsets, subsets, arrangements
+    offsets = subsets[:, :, None] * np.uint8(n) + arrangements[:, None, :]
+    offsets.flags.writeable = False
+    return offsets
 
 
 @functools.lru_cache(maxsize=None)
@@ -281,7 +279,7 @@ def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, up
     shows some pairing reaches. Under strict comparisons in scan order such
     a pairing can neither hold the optimum nor be the first to tie it.
     """
-    offsets, subsets, arrangements = _index_arrays(terms.shape[1] // n, n, k)
+    offsets = _offsets(terms.shape[1] // n, n, k)
     sums = terms.take(offsets[0], axis=1)
     for a in range(1, k):
         sums += terms.take(offsets[a], axis=1)
@@ -301,8 +299,8 @@ def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, up
     keep = ~closed
     if reached is not None:
         keep |= (hi >= reached) if upper else (lo <= reached)
-    cs, ps = np.nonzero(keep)
-    for rows, group in itertools.groupby(zip(subsets[cs].tolist(), arrangements[ps].tolist()),
+    entries = offsets[:, keep].T       # the survivors' entries, one row each
+    for rows, group in itertools.groupby(zip((entries // n).tolist(), (entries % n).tolist()),
                                          key=operator.itemgetter(0)):
         yield tuple(rows), [tuple(cols) for _, cols in group]
 
