@@ -5,7 +5,8 @@ Subcommands::
     bounds   compute every applicable coefficient for each record in a
              spectra file
     witness  construct and persist an equality-attaining matrix pair
-    oracle   brute-force cross-check of the closed-form optima
+    oracle   brute-force cross-check of the closed-form optima: q, and
+             both Kittaneh bounds on records with eigen lines
     verify   randomized falsification campaign
     table1   `bounds` on the bundled four-row golden file
 
@@ -15,7 +16,8 @@ invalid spectrum, spectra beyond the floating-point range, including a
 witness whose F = ||A||^2 + ||A~||^2 is not a normal double, a report
 that would hold a non-finite number, or an SVD that LAPACK could not
 converge; `bounds` rejects a record out of range, or one with more than
-6 eigenvalues, in place and reports the rest); 3 degenerate witness
+6 eigenvalues, in place and reports the rest, while `oracle` rejects the
+file); 3 degenerate witness
 (h-upper on spectra identical, or too close for any double-precision
 pair to attain its constant); 4 budget exceeded; 5 witness construction
 failed (the built pair missed its constant or a norm identity, or a
@@ -237,28 +239,47 @@ def cmd_witness(args) -> int:
     return EXIT_OK
 
 
+def _agrees(brute: float, closed: float) -> bool:
+    """Brute force and closed form within 1e-10 relative, at any scale."""
+    return abs(brute - closed) <= 1e-10 * max(abs(brute), abs(closed))
+
+
 def cmd_oracle(args) -> int:
     records, digest = _load_records(args.input)
     entries = []
     all_ok = True
     for rec in records:
         pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)
+        eig = None if rec.eigen is None else validate_eigen_pair(rec.eigen, rec.eigen_hat)
         try:
             ev_max, ev_min = oracle.brute_force_f_extrema(pair, budget=args.budget)
+            if eig is not None:
+                closed = {"lower": bounds.kittaneh_lower_coeff(eig),
+                          "upper": bounds.kittaneh_upper_coeff(eig, n=eig.s)}
+                brute = {mode: oracle.brute_force_kittaneh(eig, mode, n=eig.s,
+                                                           budget=args.budget)
+                         for mode in closed}
         except BudgetExceededError as exc:
             sys.stderr.write(f"record {rec.id}: {exc}\n")
             return EXIT_BUDGET
         q_up, _ = bounds.q_upper_coeff(pair)
         q_lo, _ = bounds.q_lower_coeff(pair)
-        ok = all(abs(brute - closed) <= 1e-10 * max(abs(brute), abs(closed))
-                 for brute, closed in ((ev_max.value, q_up.coefficient ** 2),
-                                       (ev_min.value, q_lo.coefficient ** 2)))
+        ok = (_agrees(ev_max.value, q_up.coefficient ** 2)
+              and _agrees(ev_min.value, q_lo.coefficient ** 2))
+        entry = {"id": rec.id, "agrees": ok,
+                 "brute_force_max": ev_max.value,
+                 "closed_form_max": q_up.coefficient ** 2,
+                 "brute_force_min": ev_min.value,
+                 "closed_form_min": q_lo.coefficient ** 2}
+        if eig is not None:
+            for mode in closed:
+                ok = (ok and brute[mode].degenerate == closed[mode].degenerate
+                      and _agrees(brute[mode].coefficient, closed[mode].coefficient))
+                entry[f"brute_force_kittaneh_{mode}"] = brute[mode].coefficient
+                entry[f"closed_form_kittaneh_{mode}"] = closed[mode].coefficient
+            entry["agrees"] = ok
         all_ok = all_ok and ok
-        entries.append({"id": rec.id, "agrees": ok,
-                        "brute_force_max": ev_max.value,
-                        "closed_form_max": q_up.coefficient ** 2,
-                        "brute_force_min": ev_min.value,
-                        "closed_form_min": q_lo.coefficient ** 2})
+        entries.append(entry)
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "oracle", "input_digest": digest, "records": entries}
     _emit(report, args.format, args.out)
@@ -333,7 +354,7 @@ _EXITS = (
     ((WitnessVerificationError, CompletionInfeasibleError), EXIT_WITNESS,
      "witness construction failed"),
     ((fileio.SpectraParseError, UnicodeDecodeError, SpectrumValidationError,
-      ArithmeticError), EXIT_INPUT, "input rejected"),
+      EnumerationCapError, ArithmeticError), EXIT_INPUT, "input rejected"),
 )
 
 

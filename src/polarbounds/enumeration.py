@@ -1,10 +1,12 @@
 """What the brute-force searches share: the enumeration budget, index
-arrays built in blocks, and the constants their value bounds rest on.
+arrays built in blocks or read from a bounded cache, and the constants
+their value bounds rest on.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -12,6 +14,10 @@ DEFAULT_BUDGET = 10 ** 7
 _BLOCK_POINTS = 4096     # points, or index entries, per index block
 _U = 2.0 ** -53          # unit roundoff of a double
 _F_RANGE = (2.0 ** -960, 2.0 ** 960)    # F where the oracles' value bounds hold
+_LEVEL_BYTES = 2 ** 17   # the most one cached level holds; larger ones are built per block
+_CACHE_BYTES = 2 ** 20   # the most the cache holds; the oldest levels go first
+
+_cache: dict = {}
 
 
 class BudgetExceededError(ValueError):
@@ -22,6 +28,83 @@ class BudgetExceededError(ValueError):
         self.exact_count = exact_count
 
 
-def _index_array(tuples, k: int) -> np.ndarray:
+def _index_array(tuples, k: int, dtype=np.intp) -> np.ndarray:
     """The k-tuples of an itertools iterator as the rows of an int array."""
-    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=np.intp).reshape(-1, k)
+    return np.fromiter(itertools.chain.from_iterable(tuples), dtype=dtype).reshape(-1, k)
+
+
+def _cached(key, build):
+    """The read-only arrays build() returns, kept under key unless they take
+    more than _LEVEL_BYTES. The oldest entries make room for a new one."""
+    arrays = _cache.get(key)
+    if arrays is None:
+        arrays = build()
+        for a in arrays:
+            a.flags.writeable = False
+        size = sum(a.nbytes for a in arrays)
+        if size <= _LEVEL_BYTES:
+            while cache_nbytes() + size > _CACHE_BYTES:
+                del _cache[next(iter(_cache))]
+            _cache[key] = arrays
+    return arrays
+
+
+def cache_nbytes() -> int:
+    """Bytes held by the cached index arrays."""
+    return sum(a.nbytes for arrays in _cache.values() for a in arrays)
+
+
+def pairings(a: int, b: int, k: int):
+    """Every k-subset of range(a) (`combinations`) paired with every
+    k-arrangement of range(b) (`permutations`), subset-major, if the level
+    is small enough to keep.
+
+    Returns (subsets, arrangements, offsets), read-only: row t of the two
+    (m, k) arrays is the t-th pairing, and offsets[:, t] its entries
+    subset * b + arrangement, the flat positions in an a x b table, as a
+    (k, m) array. Each is uint8 where its values fit. Returns None when the
+    three would take more than _LEVEL_BYTES.
+    """
+    index = np.uint8 if max(a, b) <= 256 else np.intp
+    flat = np.uint8 if a * b <= 256 else np.intp
+    entries = math.comb(a, k) * math.perm(b, k) * k
+    if entries * (2 * np.dtype(index).itemsize + np.dtype(flat).itemsize) > _LEVEL_BYTES:
+        return None
+
+    def build():
+        subsets = _index_array(itertools.combinations(range(a), k), k, index)
+        arrangements = _index_array(itertools.permutations(range(b), k), k, index)
+        n_subsets, n_arrangements = len(subsets), len(arrangements)
+        subsets = np.repeat(subsets, n_arrangements, axis=0)
+        arrangements = np.tile(arrangements, (n_subsets, 1))
+        offsets = subsets.T.astype(np.intp) * b + arrangements.T
+        return subsets, arrangements, np.ascontiguousarray(offsets, dtype=flat)
+    return _cached(("pairings", a, b, k), build)
+
+
+def pairing_blocks(a: int, b: int, k: int, step: int):
+    """The level of `pairings` in blocks (subsets, arrangements, offsets) of
+    at most step pairings: sliced from the cache when the level is kept
+    there, and otherwise gathered block by block from the subsets and the
+    arrangements, which are built once."""
+    level = pairings(a, b, k)
+    if level is not None:
+        subsets, arrangements, offsets = level
+        for start in range(0, len(subsets), step):
+            stop = start + step
+            yield subsets[start:stop], arrangements[start:stop], offsets[:, start:stop]
+        return
+    subsets = _index_array(itertools.combinations(range(a), k), k)
+    arrangements = _index_array(itertools.permutations(range(b), k), k)
+    count = len(subsets) * len(arrangements)
+    for start in range(0, count, step):
+        c, p = np.divmod(np.arange(start, min(start + step, count)), len(arrangements))
+        block_subsets, block_arrangements = subsets[c], arrangements[p]
+        yield block_subsets, block_arrangements, (block_subsets * b + block_arrangements).T
+
+
+def sign_vectors(k: int) -> np.ndarray:
+    """The 2**k sign vectors of length k in `product((1, -1))` order, as a
+    read-only int8 array."""
+    return _cached(("signs", k), lambda: (
+        _index_array(itertools.product((1, -1), repeat=k), k, np.int8),))[0]

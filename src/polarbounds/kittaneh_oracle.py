@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Tuple
 import numpy as np
 
 from .enumeration import (_BLOCK_POINTS, _F_RANGE, _U, DEFAULT_BUDGET, BudgetExceededError,
-                          _index_array)
+                          _index_array, pairing_blocks)
 from .spectra import BoundResult, EigenPair
 
 
@@ -32,29 +32,29 @@ def _eigen_sum_of_squares(eig: EigenPair) -> float:
 
 
 def _injection_blocks(r: int, s: int, k: int
-                      ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+                      ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The injections of k of lam's r indices into lam_hat's s, in blocks.
 
     Column subsets (`combinations`) come first, then arrangements of rows
-    (`permutations`). Yields (rows, cols), (m, k) int arrays of at most
-    _BLOCK_POINTS // k injections, so each holds about _BLOCK_POINTS
-    entries; injection t is zip(rows[t], cols[t]). The arrangements are
-    built once when they fit in a block, and streamed per column subset
-    when they do not, so memory stays bounded at every size.
+    (`permutations`). Yields (rows, cols, index): rows and cols are (m, k)
+    int arrays of at most _BLOCK_POINTS // k injections, so each holds
+    about _BLOCK_POINTS entries, and injection t is zip(rows[t], cols[t]);
+    index[a, t] = cols[t, a] * s + rows[t, a] places its entries in a flat
+    r x s table. When a column subset's arrangements fit in one block, the
+    blocks span column subsets (`enumeration.pairing_blocks`); otherwise
+    each subset's arrangements are streamed, so memory stays bounded at
+    every size.
     """
     step = max(1, _BLOCK_POINTS // k)
-    col_sets = _index_array(itertools.combinations(range(r), k), k)
     if math.perm(s, k) <= step:
-        row_maps = _index_array(itertools.permutations(range(s), k), k)
-        count = len(col_sets) * len(row_maps)
-        for start in range(0, count, step):
-            c, p = np.divmod(np.arange(start, min(start + step, count)), len(row_maps))
-            yield row_maps[p], col_sets[c]
+        for cols, rows, index in pairing_blocks(r, s, k, step):
+            yield rows, cols, index
         return
-    for cols in col_sets:
+    for col_set in itertools.combinations(range(r), k):
         arrangements = itertools.permutations(range(s), k)
         while len(rows := _index_array(itertools.islice(arrangements, step), k)):
-            yield rows, np.broadcast_to(cols, rows.shape)
+            cols = np.broadcast_to(col_set, rows.shape)
+            yield rows, cols, np.ravel_multi_index((cols.T, rows.T), (r, s))
 
 
 def _kittaneh_intervals(eig: EigenPair, F: float, ks):
@@ -86,15 +86,14 @@ def _kittaneh_intervals(eig: EigenPair, F: float, ks):
     mods = np.array([[abs(a) * abs(b) for a in eig.lam_hat] for b in eig.lam])
     reals = np.array([[(a * b.conjugate()).real for a in eig.lam_hat] for b in eig.lam])
 
-    def block(rows, cols, slack):
+    def block(rows, cols, index, slack):
         # the temporaries die on return, before the next block is built
-        index = np.ravel_multi_index((cols, rows), mods.shape)
-        mod_terms, real_terms = mods.take(index), reals.take(index)
+        mod_terms, real_terms = mods.take(index), reals.take(index)    # (k, m)
         num = np.zeros(len(rows))
         den = np.zeros(len(rows))
         for a in range(rows.shape[1]):
-            num += mod_terms[:, a]
-            den += real_terms[:, a]
+            num += mod_terms[a]
+            den += real_terms[a]
         num *= -2.0
         num += F
         den *= -2.0
@@ -111,8 +110,8 @@ def _kittaneh_intervals(eig: EigenPair, F: float, ks):
         return rows, cols, lo, hi, is_open
 
     for k in ks:
-        for rows, cols in _injection_blocks(eig.r, eig.s, k):
-            yield block(rows, cols, (k + 8) * _U * F)
+        for rows, cols, index in _injection_blocks(eig.r, eig.s, k):
+            yield block(rows, cols, index, (k + 8) * _U * F)
 
 
 def _kittaneh_candidates(eig: EigenPair, F: float, ks, upper: bool

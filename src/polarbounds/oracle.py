@@ -19,7 +19,6 @@ exactly, in order, only those that may hold the optimum.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -29,7 +28,7 @@ import numpy as np
 from . import kittaneh_oracle
 from .bounds import q_lower_numden, q_upper_numden
 from .enumeration import (_BLOCK_POINTS, _F_RANGE, _U, DEFAULT_BUDGET, BudgetExceededError,
-                          _index_array)
+                          pairing_blocks, sign_vectors)
 from .spectra import NumericalRangeError, SpectrumPair, fg_scalars
 
 brute_force_kittaneh = kittaneh_oracle.brute_force_kittaneh
@@ -83,16 +82,19 @@ def extreme_point_count(r: int, s: int) -> int:
 
 
 def _index_blocks(r: int, s: int, budget: int
-                  ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Every extreme point once, as blocks (rows, cols, signs) of int arrays.
+                  ) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Every extreme point once, as blocks (rows, cols, offsets, signs) of
+    int arrays.
 
     rows and cols are (m, k): m row subsets paired with column arrangements.
-    signs is (2**k, k). The block's points are each pairing with each sign
-    vector, pairing-major: point t is zip(rows[p], cols[p], signs[q]) with
-    p, q = divmod(t, 2**k). The order is k ascending, then row subsets
-    (`combinations`), column arrangements (`permutations`) and signs
-    (`product`, + before -). A block holds about _BLOCK_POINTS points, so
-    the arrays derived from it stay small however many points there are.
+    offsets is (k, m), offsets[j, p] = rows[p, j] * r + cols[p, j], the
+    entries' places in a flat s x r table. signs is (2**k, k). The block's
+    points are each pairing with each sign vector, pairing-major: point t is
+    zip(rows[p], cols[p], signs[q]) with p, q = divmod(t, 2**k). The order
+    is k ascending, then row subsets (`combinations`), column arrangements
+    (`permutations`) and signs (`product`, + before -). A block holds about
+    _BLOCK_POINTS points, so the arrays derived from it stay small however
+    many points there are (`enumeration.pairing_blocks`).
     """
     if not (1 <= r <= s):
         raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")
@@ -102,17 +104,12 @@ def _index_blocks(r: int, s: int, budget: int
             f"enumeration of r={r}, s={s} needs {count} points, budget is {budget}",
             count)
     zero = np.zeros((1, 0), dtype=np.intp)
-    yield zero, zero, zero
+    yield zero, zero, zero.T, zero
     for k in range(1, r + 1):
-        row_sets = _index_array(itertools.combinations(range(s), k), k)
-        arrangements = _index_array(itertools.permutations(range(r), k), k)
-        signs = _index_array(itertools.product((1, -1), repeat=k), k)
-        n_arr = len(arrangements)
-        n_pairings = len(row_sets) * n_arr
+        signs = sign_vectors(k)
         step = max(1, _BLOCK_POINTS // len(signs))
-        for start in range(0, n_pairings, step):
-            pairing = np.arange(start, min(start + step, n_pairings))
-            yield row_sets[pairing // n_arr], arrangements[pairing % n_arr], signs
+        for rows, cols, offsets in pairing_blocks(s, r, k, step):
+            yield rows, cols, offsets, signs
 
 
 def _point_builder(r: int, s: int):
@@ -135,7 +132,7 @@ def enumerate_extreme_points(r: int, s: int,
                              ) -> Iterator[SignedSubPermutation]:
     """Stream every extreme point exactly once, k ascending then lexicographic."""
     point = _point_builder(r, s)
-    for rows, cols, signs in _index_blocks(r, s, budget):
+    for rows, cols, _, signs in _index_blocks(r, s, budget):
         sign_lists = signs.tolist()
         for i, j in zip(rows.tolist(), cols.tolist()):
             for sg in sign_lists:
@@ -190,58 +187,132 @@ def _ratio_blocks(pair: SpectrumPair, budget: int):
     rounds each of its nonnegative terms to within 3u of itself and their
     sum once, so it errs by 4u*d <= 8u*F. That is (k + 12)*u*F to first
     order, with (k + 4)*u*F to spare.
+
+    The sums are built by doubling: from a row of zeros, step j puts sum +
+    w_j and sum + (-w_j) side by side, so the 2**(j + 1) sums of the first
+    j + 1 entries come out in `product` order, each added in the order j.
+    They are stored sign-major, so each step writes contiguous rows, and
+    den is the transpose of that array.
     """
     F = _sum_of_squares(pair)
-    w = np.multiply.outer(np.array(pair.sigma_tilde), np.array(pair.sigma))
-    for rows, cols, signs in _index_blocks(pair.r, pair.s, budget):
-        picked, sign_values = w[rows, cols], signs.astype(float)
-        den = np.zeros((len(rows), len(signs)))
-        for j in range(signs.shape[1]):
-            den += picked[:, j, None] * sign_values[:, j]
+    w = np.multiply.outer(np.array(pair.sigma_tilde), np.array(pair.sigma)).ravel()
+    plus_minus = np.array([[1.0], [-1.0]])
+    level = None
+    for rows, cols, offsets, signs in _index_blocks(pair.r, pair.s, budget):
+        if signs is not level:
+            level = signs
+            num = pair.r + pair.s - 2.0 * signs.sum(axis=1)
+            err = (2 * signs.shape[1] + 16) * _U * F
+        m = len(rows)
+        den = np.zeros((1, m))
+        for terms in w.take(offsets)[:, None, :] * plus_minus:    # (k, 2, m)
+            den = (den[:, None, :] + terms).reshape(-1, m)
         den *= -2.0
         den += F
-        num = pair.r + pair.s - 2.0 * sign_values.sum(axis=1)
-        yield rows, cols, signs, num, den, (2 * signs.shape[1] + 16) * _U * F
+        yield rows, cols, signs, num, den.T, err
 
 
 def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutation]:
     """The extreme points that may hold the max or the min, in enumeration order.
 
-    A point is left out only when its value interval lies below a value some
+    A point is left out only when its value is provably below a value some
     point is known to reach (so it cannot be the max) and above one (so it
-    cannot be the min). The interval divides num >= 0 by den -+ (err + 5u*F):
-    the 5u*F absorbs the rounding of that sum and of the quotient, each at
-    most u relative on |den| <= 2F, so the computed ends enclose the exact
-    value. A point whose interval is open, its denominator possibly 0 or in
-    the 0/0 box, is always kept, and so is every point when F is too near
-    the ends of the double range for those relative bounds to hold.
+    cannot be the min). num = r + s - 2k + 4c >= 0 depends only on the
+    number c of minus signs, so each test compares den (`_ratio_blocks`)
+    with a threshold per c. `evaluate_f`'s denominator d lies within err of
+    den, and its value is fl(num/d); let slack = err + 5u*F.
+
+    * Open points. A point with den <= 2*(slack + tol) when num < tol, or
+      den <= 2*slack otherwise, may be in the 0/0 box or near a 0
+      denominator and is always kept. Any other point has d > den - err >
+      tol, so a value, and den > 0; its value lies in [lo, hi] =
+      [num/(den + slack), num/(den - slack)], each end rounded twice: den +
+      slack rounds to at least d, since 5u*F covers its rounding error of
+      at most u*(2F + slack), and division rounds monotonically (hi alike).
+    * Reached values. max_floor is the greatest lo, and min_ceiling the
+      least hi, over the points closed so far, this block's included. lo
+      falls and hi rises with den, so a sign vector's greatest lo is at its
+      least closed den and its least hi at its greatest den.
+    * The max. If d >= (1 + 4u)*num/max_floor, then num/d <= (1 - 3u) *
+      max_floor, which rounds to below max_floor, a normal double. Since
+      d > den - err, den > (1 + 12u)*num/max_floor + (1 - u)*slack implies
+      it, as (1 - u)*slack > err. The computed threshold (1 + 16u) *
+      (num/max_floor) + slack, three roundings of at most u each, is at
+      least that. A point is kept for the max when den is at most the
+      threshold, or open.
+    * The min. If d <= (1 - 4u)*num/min_ceiling, then num/d >= (1 + 4u) *
+      min_ceiling, which rounds to above min_ceiling, 0 or a normal double.
+      Likewise the computed (1 - 16u)*(num/min_ceiling) - slack is at most
+      (1 - 12u)*num/min_ceiling - (1 - u)*slack, so a point is kept for the
+      min when den is at least that threshold. A point with num = 0 has
+      value 0, which no value is below, so it is always kept for the min,
+      also once min_ceiling = 0 and num/min_ceiling = 0/0.
+
+    Before any point is closed, max_floor = -inf keeps every point for the
+    max and min_ceiling = inf every point for the min; a reached value that
+    is not finite is not used, and a threshold that overflows keeps more.
+    A sign vector whose den range meets neither threshold holds no kept
+    point, and none that could move a reached value, so only the others are
+    compared point by point. When F is too near the ends of the double
+    range for these relative bounds to hold, every point is kept.
     """
     F = _sum_of_squares(pair)
     tol = 1e-12 * max(1.0, F)
     bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
     point = _point_builder(pair.r, pair.s)
     max_floor, min_ceiling = -math.inf, math.inf
+    level = None
+
+    def thresholds():
+        """Per sign vector, keep a point when den <= upper or den >= lower."""
+        uppers, lowers = [], []
+        for x, top in zip(nums, tops):
+            if not bounded:
+                upper, lower = math.inf, -math.inf
+            else:
+                upper = (1 + 16 * _U) * (x / max_floor) + slack if max_floor > 0 else math.inf
+                lower = ((1 - 16 * _U) * (x / min_ceiling) - slack if min_ceiling > 0
+                         else math.inf)
+                if x == 0:
+                    lower = -math.inf
+            uppers.append(max(upper, top))
+            lowers.append(lower)
+        return np.array(uppers).take(minus), np.array(lowers).take(minus)
+
     for rows, cols, signs, num, den, err in _ratio_blocks(pair, budget):
-        slack = err + 5 * _U * F
-        is_open = np.abs(den) <= 2.0 * (slack + np.where(np.abs(num) < tol, tol, 0.0))
-        # the value falls as den rises, on either side of 0; hi reuses den
-        lo = den + slack
-        hi = np.subtract(den, slack, out=den)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            np.divide(num, lo, out=lo)
-            np.divide(num, hi, out=hi)
-        is_open |= ~np.isfinite(lo)
-        is_open |= ~np.isfinite(hi)
-        is_open |= not bounded
-        closed = ~is_open
-        if closed.any():
-            max_floor = max(max_floor, float(lo[closed].max()))
-            min_ceiling = min(min_ceiling, float(hi[closed].min()))
-        keep = is_open
-        keep |= hi >= max_floor
-        keep |= lo <= min_ceiling
-        for t in np.flatnonzero(keep).tolist():
-            p, q = divmod(t, len(signs))
+        if signs is not level:    # a new k: a threshold per count c of minus signs
+            level, k = signs, signs.shape[1]
+            minus = (signs < 0).sum(axis=1)
+            minus_list = minus.tolist()
+            nums = [float(pair.r + pair.s - 2 * k + 4 * c) for c in range(k + 1)]
+            slack = err + 5 * _U * F
+            tops = [2.0 * (slack + (tol if x < tol else 0.0)) for x in nums]
+            upper, lower = thresholds()
+        den = den.T    # sign-major
+        least, greatest = den.min(axis=1), den.max(axis=1)
+        hits = np.flatnonzero((least <= upper) | (greatest >= lower))
+        if not len(hits):
+            continue
+        den = den[hits]
+        moved = False
+        for c, (q, low, high) in enumerate(zip(hits.tolist(), least[hits].tolist(),
+                                               greatest[hits].tolist())):
+            x, top = nums[minus_list[q]], tops[minus_list[q]]
+            if not bounded or high <= top:    # no closed point
+                continue
+            if low <= top:
+                low = float(den[c][den[c] > top].min())
+            lo, hi = x / (low + slack), x / (high - slack)
+            if lo > max_floor and math.isfinite(lo):
+                max_floor, moved = lo, True
+            if hi < min_ceiling and math.isfinite(hi):
+                min_ceiling, moved = hi, True
+        if moved:
+            upper, lower = thresholds()
+        keep = den <= upper[hits, None]
+        keep |= den >= lower[hits, None]
+        p_list, c_list = np.divmod(np.flatnonzero(keep.T), len(hits))
+        for p, q in zip(p_list.tolist(), hits[c_list].tolist()):
             yield point(rows[p].tolist(), cols[p].tolist(), signs[q].tolist())
 
 

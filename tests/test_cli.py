@@ -291,6 +291,45 @@ class TestOracle:
             rep = json.loads(capsys.readouterr().out)
             assert not any(rec["agrees"] for rec in rep["records"]), e
 
+    def test_kittaneh_bounds_on_eigen_lines(self, tmp_path, capsys):
+        path = write(tmp_path, "in.spectra",
+                     "record a\nsigma 2 1\nsigma_tilde 3 2 1\n"
+                     "eigen 1 2j\neigen_hat -1 1+1j 3\n"
+                     "record b\nsigma 2 1\nsigma_tilde 3 2 1\n")
+        code, rep = run_json(capsys, ["oracle", path])
+        assert code == 0
+        with_eigen, without = rep["records"]
+        assert with_eigen["agrees"] is True
+        for mode in ("lower", "upper"):
+            brute = with_eigen[f"brute_force_kittaneh_{mode}"]
+            assert 0 < brute == with_eigen[f"closed_form_kittaneh_{mode}"] < 1
+        assert not any("kittaneh" in key for key in without)
+
+    @pytest.mark.parametrize("name,factor", [("kittaneh_lower_coeff", 1.001),
+                                             ("kittaneh_upper_coeff", 0.999)])
+    def test_kittaneh_fault_found(self, tmp_path, capsys, monkeypatch, name, factor):
+        closed_form = getattr(bounds, name)
+
+        def faulty(*args, **kwargs):
+            result = closed_form(*args, **kwargs)
+            return dataclasses.replace(result, coefficient=result.coefficient * factor)
+
+        monkeypatch.setattr(bounds, name, faulty)
+        path = write(tmp_path, "in.spectra",
+                     "record a\nsigma 2 1\nsigma_tilde 3 2 1\n"
+                     "eigen 1 2j\neigen_hat -1 1+1j 3\n"
+                     "record b\nsigma 2 1\nsigma_tilde 3 2 1\n")
+        code, rep = run_json(capsys, ["oracle", path])
+        assert code == 1
+        assert [rec["agrees"] for rec in rep["records"]] == [False, True]
+
+    def test_kittaneh_past_the_cap_rejected(self, tmp_path, capsys):
+        values = " ".join(str(v) for v in range(1, 8))
+        path = write(tmp_path, "in.spectra", "record a\nsigma 2 1\nsigma_tilde 3 2 1\n"
+                                             f"eigen {values}\neigen_hat {values}\n")
+        assert main(["oracle", path]) == 2
+        assert "exceed enumeration cap 6" in capsys.readouterr().err
+
     def test_scaled_golden_rows_report_digest(self, tmp_path, capsys):
         # the report bytes on the golden rows at every ORACLE_SCALES scale
         h = hashlib.sha256()

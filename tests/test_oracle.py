@@ -4,8 +4,9 @@ import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polarbounds import kittaneh_oracle, oracle
+from polarbounds import enumeration, kittaneh_oracle, oracle
 from polarbounds.bounds import (
     kittaneh_lower_coeff,
     kittaneh_upper_coeff,
@@ -272,6 +273,67 @@ class TestArrayPath:
         cl = q_lower_coeff(pair)[0].coefficient ** 2
         assert abs(mx.value - cu) <= 1e-10 * cu
         assert abs(mn.value - cl) <= 1e-10 * max(1.0, cl)
+
+
+@st.composite
+def tied_pairs(draw):
+    """Spectra of {1, 2, 3} * 2**e: independent, identical, or near-identical
+    copies, r = s half the time, so points with num = 0, a min ceiling of 0
+    and 0/0 boxes all occur."""
+    s = draw(st.integers(1, 5))
+    r = draw(st.one_of(st.just(s), st.integers(1, s)))
+    e = draw(st.integers(-30, 30))
+    value = st.builds(lambda m, d: m * 2.0 ** (e + d), st.sampled_from([1, 2, 3]),
+                      st.integers(0, 3))
+    sigma_tilde = draw(st.lists(value, min_size=s, max_size=s))
+    kind = draw(st.sampled_from(["independent", "identical", "near-identical"]))
+    if kind == "independent":
+        sigma = draw(st.lists(value, min_size=r, max_size=r))
+    else:
+        sigma = sorted(sigma_tilde, reverse=True)[:r]
+        if kind == "near-identical":
+            nudges = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=r, max_size=r))
+            p = draw(st.integers(20, 52))
+            sigma = [x * (1 + d * 2.0 ** -p) for x, d in zip(sigma, nudges)]
+    return validate_spectrum_pair(sorted(sigma, reverse=True),
+                                  sorted(sigma_tilde, reverse=True))
+
+
+def _outcome(search, pair):
+    try:
+        return repr(search(pair))
+    except NumericalRangeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestTiedSpectra:
+    @settings(max_examples=100, deadline=None)
+    @given(tied_pairs())
+    def test_matches_scalar_reference(self, pair):
+        assert _outcome(brute_force_f_extrema, pair) == _outcome(scalar_f_extrema, pair)
+
+
+class TestIndexCache:
+    def test_cached_arrays_are_read_only(self):
+        for array in enumeration.pairings(3, 4, 2) + (enumeration.sign_vectors(3),):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    def test_large_levels_stream(self):
+        # (7, 7) at k = 5 has 52,920 pairings of 5 entries: too many to keep
+        assert enumeration.pairings(7, 7, 5) is None
+        assert enumeration.pairings(7, 7, 3) is not None
+
+    def test_bounded_past_the_largest_budgeted_sizes(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "_cache", {})
+        rng = np.random.default_rng(89)
+        pair = validate_spectrum_pair(_desc(rng.uniform(0.1, 10, 7)),
+                                      _desc(rng.uniform(0.1, 10, 7)))
+        brute_force_f_extrema(pair)
+        eig = validate_eigen_pair(rng.uniform(0.2, 3, 8) * 1j ** rng.integers(0, 4, 8),
+                                  rng.uniform(0.2, 3, 9) * 1j ** rng.integers(0, 4, 9))
+        brute_force_kittaneh(eig, "lower")
+        assert 0 < enumeration.cache_nbytes() <= 256 * 1024
 
 
 class TestOracleEquivalence:
