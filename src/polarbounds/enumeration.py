@@ -67,17 +67,12 @@ def pairings(a: int, b: int, k: int):
     """
     index = np.uint8 if max(a, b) <= 256 else np.intp
     flat = np.uint8 if a * b <= 256 else np.intp
-    entries = math.comb(a, k) * math.perm(b, k) * k
-    if entries * (2 * np.dtype(index).itemsize + np.dtype(flat).itemsize) > _LEVEL_BYTES:
+    count = math.comb(a, k) * math.perm(b, k)
+    if count * k * (2 * np.dtype(index).itemsize + np.dtype(flat).itemsize) > _LEVEL_BYTES:
         return None
 
     def build():
-        subsets = _index_array(itertools.combinations(range(a), k), k, index)
-        arrangements = _index_array(itertools.permutations(range(b), k), k, index)
-        n_subsets, n_arrangements = len(subsets), len(arrangements)
-        subsets = np.repeat(subsets, n_arrangements, axis=0)
-        arrangements = np.tile(arrangements, (n_subsets, 1))
-        offsets = subsets.T.astype(np.intp) * b + arrangements.T
+        subsets, arrangements, offsets = next(_gathered(a, b, k, count, index))
         return subsets, arrangements, np.ascontiguousarray(offsets, dtype=flat)
     return _cached(("pairings", a, b, k), build)
 
@@ -85,22 +80,28 @@ def pairings(a: int, b: int, k: int):
 def pairing_blocks(a: int, b: int, k: int, step: int):
     """The level of `pairings` in blocks (subsets, arrangements, offsets) of
     at most step pairings: sliced from the cache when the level is kept
-    there, and otherwise gathered block by block from the subsets and the
-    arrangements, which are built once."""
+    there, and gathered block by block otherwise."""
     level = pairings(a, b, k)
-    if level is not None:
-        subsets, arrangements, offsets = level
-        for start in range(0, len(subsets), step):
-            stop = start + step
-            yield subsets[start:stop], arrangements[start:stop], offsets[:, start:stop]
+    if level is None:
+        yield from _gathered(a, b, k, step)
         return
-    subsets = _index_array(itertools.combinations(range(a), k), k)
-    arrangements = _index_array(itertools.permutations(range(b), k), k)
+    subsets, arrangements, offsets = level
+    for start in range(0, len(subsets), step):
+        stop = start + step
+        yield subsets[start:stop], arrangements[start:stop], offsets[:, start:stop]
+
+
+def _gathered(a: int, b: int, k: int, step: int, dtype=np.intp):
+    """`pairing_blocks` gathered from the subsets and the arrangements,
+    which are built once."""
+    subsets = _index_array(itertools.combinations(range(a), k), k, dtype)
+    arrangements = _index_array(itertools.permutations(range(b), k), k, dtype)
     count = len(subsets) * len(arrangements)
     for start in range(0, count, step):
         c, p = np.divmod(np.arange(start, min(start + step, count)), len(arrangements))
         block_subsets, block_arrangements = subsets[c], arrangements[p]
-        yield block_subsets, block_arrangements, (block_subsets * b + block_arrangements).T
+        offsets = block_subsets.T.astype(np.intp, copy=False) * b + block_arrangements.T
+        yield block_subsets, block_arrangements, offsets
 
 
 def sign_vectors(k: int) -> np.ndarray:

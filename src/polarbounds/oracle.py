@@ -225,10 +225,11 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
     * Open points. A point with den <= 2*(slack + tol) when num < tol, or
       den <= 2*slack otherwise, may be in the 0/0 box or near a 0
       denominator and is always kept. Any other point has d > den - err >
-      tol, so a value, and den > 0; its value lies in [lo, hi] =
-      [num/(den + slack), num/(den - slack)], each end rounded twice: den +
-      slack rounds to at least d, since 5u*F covers its rounding error of
-      at most u*(2F + slack), and division rounds monotonically (hi alike).
+      0, and d > tol where num < tol, so a value; its value lies in [lo,
+      hi] = [num/(den + slack), num/(den - slack)], each end rounded twice:
+      den + slack rounds to at least d, since 5u*F covers its rounding
+      error of at most u*(2F + slack), and division rounds monotonically
+      (hi alike).
     * Reached values. max_floor is the greatest lo, and min_ceiling the
       least hi, over the points closed so far, this block's included. lo
       falls and hi rises with den, so a sign vector's greatest lo is at its
