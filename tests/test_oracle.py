@@ -278,8 +278,8 @@ class TestArrayPath:
 @st.composite
 def tied_pairs(draw):
     """Spectra of {1, 2, 3} * 2**e: independent, identical, or near-identical
-    copies, r = s half the time, so points with num = 0, a min ceiling of 0
-    and 0/0 boxes all occur."""
+    copies, r = s at least half the time, so points with num = 0, a min
+    ceiling of 0 and 0/0 boxes all occur."""
     s = draw(st.integers(1, 5))
     r = draw(st.one_of(st.just(s), st.integers(1, s)))
     e = draw(st.integers(-30, 30))
@@ -319,7 +319,7 @@ class TestIndexCache:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
 
-    def test_large_levels_stream(self):
+    def test_large_levels_are_not_kept(self):
         # (7, 7) at k = 5 has 52,920 pairings of 5 entries: too many to keep
         assert enumeration.pairings(7, 7, 5) is None
         assert enumeration.pairings(7, 7, 3) is not None
