@@ -120,13 +120,17 @@ def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
     if pair.r != pair.s:
         raise RankMismatchError(f"equal ranks required, got r={pair.r}, s={pair.s}")
     c = 2.0 / (pair.sigma[-1] + pair.sigma_tilde[-1])
+    check_range("li-sun", c, 0.0, sys.float_info.max)
     return BoundResult(theorem_id="li-sun", coefficient=c)
 
 
 def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
              upper: bool) -> Tuple[BoundResult, KRatioTable]:
     """Square root of the max (upper) or min of the ratio table over k."""
-    values = tuple(_ratios(fg_scalars(pair).F, map(numden, range(pair.r + 1))))
+    try:   # a squared term overflows, or a denominator underflows to 0
+        values = tuple(_ratios(fg_scalars(pair).F, map(numden, range(pair.r + 1))))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalRangeError(f"{theorem_id}: {exc}") from exc
     for v in values:
         if v is not None:
             check_range(theorem_id, v, 0.0, sys.float_info.max)
@@ -162,8 +166,8 @@ def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
     """Sharp upper constant for the positive-factor difference."""
     # sqrt((F - sqrt(F^2 - 2GF)) / G) as sqrt(2 / (1 + sqrt(D / F))) with
     # D = F - 2G: no cancellation, no F^2
-    fg = fg_scalars(pair)
-    c = math.sqrt(2.0 / (1.0 + math.sqrt(fg.D / fg.F)))
+    u = pair.unit_sums
+    c = math.sqrt(2.0 / (1.0 + math.sqrt(u.D / u.F)))
     check_range("h-upper", c, 0.0, SQRT2 * (1 + 1e-12))
     return BoundResult(theorem_id="h-upper", coefficient=c)
 
@@ -171,8 +175,8 @@ def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
 def _fg_lower(pair: SpectrumPair, theorem_id: str) -> BoundResult:
     """sqrt((F - 2G) / (F + 2G)), the h-lower and lee-lower constant, with
     F - 2G summed as D."""
-    fg = fg_scalars(pair)
-    c = math.sqrt(fg.D / (fg.F + 2.0 * fg.G))
+    u = pair.unit_sums
+    c = math.sqrt(u.D / (u.F + 2.0 * u.G))
     check_range(theorem_id, c, 0.0, 1.0)
     return BoundResult(theorem_id=theorem_id, coefficient=c)
 
@@ -185,8 +189,8 @@ def h_lower_coeff(pair: SpectrumPair) -> BoundResult:
 def lee_upper_coeff(pair: SpectrumPair) -> BoundResult:
     """Sharp upper constant relating ||A + A~|| to ||H + H~||."""
     # sqrt(G / (sqrt(F^2 + 2GF) - F)) with x = G / F: no cancellation, no F^2
-    fg = fg_scalars(pair)
-    x = fg.G / fg.F
+    u = pair.unit_sums
+    x = u.G / u.F
     c = math.sqrt((1.0 + math.sqrt(1.0 + 2.0 * x)) / 2.0)
     check_range("lee-upper", c, 0.0, LEE_CLASSICAL * (1 + 1e-12))
     return BoundResult(theorem_id="lee-upper", coefficient=c)
@@ -197,33 +201,18 @@ def lee_lower_coeff(pair: SpectrumPair) -> BoundResult:
     return _fg_lower(pair, "lee-lower")
 
 
-def _unit_scaled(pair: SpectrumPair) -> Tuple[list, list]:
-    """Both spectra divided by the even power of two that brings
-    max(sigma_1, sigma~_1) into [0.5, 2). The division is exact, and the
-    squares and fourth powers of a degree-0 constant then neither overflow
-    nor underflow at any scale of the input."""
-    _, e = math.frexp(max(pair.sigma[0], pair.sigma_tilde[0]))
-    e -= e % 2
-    return ([math.ldexp(x, -e) for x in pair.sigma],
-            [math.ldexp(y, -e) for y in pair.sigma_tilde])
-
-
 def amgm_coeff(pair: SpectrumPair) -> BoundResult:
     """Refined constant for ||A B*|| <= c ||  |A|^2 + |B|^2 ||."""
-    sig, sigh = _unit_scaled(pair)
-    cross = math.fsum((x * y) ** 2 for x, y in zip(sig, sigh))
-    quarts = math.fsum([x ** 4 for x in sig] + [y ** 4 for y in sigh])
-    c = math.sqrt(cross / (quarts + 2.0 * cross))
+    u = pair.unit_sums
+    c = math.sqrt(u.cross_squares / (u.quarts + 2.0 * u.cross_squares))
     check_range("amgm", c, 0.0, 0.5 * (1 + 1e-12))
     return BoundResult(theorem_id="amgm", coefficient=c)
 
 
 def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     """Refined constant for |tr B* A| <= c ||A|| ||B||."""
-    sig, sigh = _unit_scaled(pair)
-    cross = math.fsum(x * y for x, y in zip(sig, sigh))
-    c = cross / (math.sqrt(math.fsum(x * x for x in sig))
-                 * math.sqrt(math.fsum(y * y for y in sigh)))
+    u = pair.unit_sums
+    c = u.G / (math.sqrt(u.squares) * math.sqrt(u.squares_tilde))
     check_range("cauchy-schwarz", c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 

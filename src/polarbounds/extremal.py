@@ -211,12 +211,13 @@ def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
         return _build_witness(bound_id, pair, unitary_completion(S_part, zero_rows=band),
                               unitary_completion(T_part, zero_rows=band), result.coefficient)
 
-    fg = _witness_scalars(pair)
+    _witness_scalars(pair)   # rejects a pair outside the witnesses' range first
+    u = pair.unit_sums
     target = bounds.closed_form(bound_id)(pair).coefficient
     U = np.eye(m, dtype=complex)
     V = np.eye(m, dtype=complex)
     if bound_id == "h-upper":
-        c = 1.0 / (1.0 + math.sqrt(fg.D / fg.F))
+        c = 1.0 / (1.0 + math.sqrt(u.D / u.F))
         if c == 1.0:
             raise DegenerateSupremumError(
                 "spectra identical, or too close for the shrink factor to fall "
@@ -226,7 +227,7 @@ def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
     else:
         U[np.arange(r), np.arange(r)] = -1.0
         if bound_id == "lee-upper":
-            c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * fg.G / fg.F))
+            c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * u.G / u.F))
             # the shrunken block must carry the same sign as the leading block
             # of U: equality needs the alignment scalar M positive at +sqrt(G N)
             V = _shrunken_diag_unitary(pair, -c)

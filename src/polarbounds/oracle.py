@@ -144,7 +144,8 @@ def _sum_of_squares(pair: SpectrumPair) -> float:
 
     The oracle sums F itself rather than reading the closed forms' cached
     scalar, so a wrong F there cannot pass both. `math.fsum` rounds the exact
-    sum once, so this equals `fg_scalars(pair).F` bit for bit.
+    sum once, so this equals `fg_scalars(pair).F` bit for bit wherever the
+    squares and F are normal doubles.
     """
     return math.fsum([x * x for x in pair.sigma] + [x * x for x in pair.sigma_tilde])
 

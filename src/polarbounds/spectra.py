@@ -3,6 +3,17 @@
 Every coefficient in the library is a function of two decreasing positive
 singular spectra (or two non-zero eigenvalue lists for the normal-matrix
 bounds) through the scalars F, G, D = F - 2G and F_hat defined here.
+
+`SpectrumPair.unit_sums` is the one place the singular spectra are summed
+for a constant of degree 0 (h, lee, AM-GM, Cauchy-Schwarz). It divides both
+spectra by the even power of two 2**e that brings the larger leading value
+into [0.5, 2), which is exact wherever the quotients are normal doubles, and
+forms F, G and D and the four sums AM-GM and Cauchy-Schwarz read in one
+pass. A degree-0 constant is a ratio of such sums: its squares and fourth
+powers neither overflow nor underflow, and scaling both spectra by 4**k
+leaves its bits unchanged wherever the scaled values are normal doubles. `SpectrumPair.scalars` is the same F, G and
+D times 4**e, at the pair's own scale, for the q tables, the witness checks
+and the oracle's grid check.
 """
 
 from __future__ import annotations
@@ -39,6 +50,19 @@ class FGScalars:
 
 
 @dataclass(frozen=True)
+class UnitSums:
+    """The sums of a pair's spectra divided by 2**e (e even)."""
+    e: int
+    F: float               # sum of squares of both spectra
+    G: float               # top-aligned cross products, first r terms
+    D: float               # F - 2G, summed without cancellation
+    squares: float         # sum of sigma**2
+    squares_tilde: float   # sum of sigma~**2
+    cross_squares: float   # top-aligned (sigma sigma~)**2, first r terms
+    quarts: float          # sum of sigma**4 and sigma~**4
+
+
+@dataclass(frozen=True)
 class SpectrumPair:
     """Two validated decreasing positive spectra with ranks r <= s.
 
@@ -58,16 +82,31 @@ class SpectrumPair:
         return len(self.sigma_tilde)
 
     @cached_property
-    def scalars(self) -> FGScalars:
-        """`fg_scalars` of the pair, computed on first use: the pair is
-        immutable, and every coefficient of a pair reads them."""
-        sig, sigt = self.sigma, self.sigma_tilde
-        F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
+    def unit_sums(self) -> UnitSums:
+        """The sums of both spectra divided by 2**e, computed on first use:
+        the pair is immutable, and every coefficient of a pair reads them."""
+        _, e = math.frexp(max(self.sigma[0], self.sigma_tilde[0]))
+        e -= e % 2
+        sig = [math.ldexp(x, -e) for x in self.sigma]
+        sigt = [math.ldexp(y, -e) for y in self.sigma_tilde]
+        sq, sqt = [x * x for x in sig], [y * y for y in sigt]
+        F = math.fsum(sq + sqt)
         G = math.fsum(x * y for x, y in zip(sig, sigt))
-        D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)]
-                      + [y * y for y in sigt[len(sig):]])
+        D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)] + sqt[len(sig):])
         check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
-        return FGScalars(F=F, G=G, D=D)
+        return UnitSums(e=e, F=F, G=G, D=D, squares=math.fsum(sq),
+                        squares_tilde=math.fsum(sqt),
+                        cross_squares=math.fsum((x * y) ** 2 for x, y in zip(sig, sigt)),
+                        quarts=math.fsum([x ** 4 for x in sig] + [y ** 4 for y in sigt]))
+
+    @cached_property
+    def scalars(self) -> FGScalars:
+        """F, G and D at the pair's own scale: the unit sums times 4**e,
+        exact where the product is a normal double, inf or 0 where it
+        leaves the double range."""
+        u = self.unit_sums
+        h = 2.0 ** (u.e // 2)    # 4**e = h**4, and h is a normal double for every e
+        return FGScalars(*(x * h * h * h * h for x in (u.F, u.G, u.D)))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from polarbounds.bounds import (
     q_upper_coeff,
     refined_li_sun_coeff,
 )
-from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
+from polarbounds.spectra import NumericalRangeError, validate_eigen_pair, validate_spectrum_pair
 
 from conftest import random_pair
 
@@ -354,8 +354,9 @@ def _upper_references(sig, sigt):
 
 class TestSmallOverlap:
     # G << F: the defining formulas subtract nearly equal numbers, and at
-    # scale 1e100 they square an F near 1e200
-    @pytest.mark.parametrize("scale", [1.0, 1e100])
+    # scale 1e100 they square an F near 1e200; at 1e-160 and 1e200 F itself
+    # is subnormal or overflows
+    @pytest.mark.parametrize("scale", [1.0, 1e100, 1e-160, 1e200])
     @pytest.mark.parametrize("t", [1e-2, 1e-4, 1e-6, 1e-8])
     @pytest.mark.parametrize("fn", [h_upper_coeff, lee_upper_coeff],
                              ids=["h-upper", "lee-upper"])
@@ -391,28 +392,51 @@ class TestNearIdentical:
         assert abs(Decimal(c) - ref) <= Decimal(1e-15) * ref
 
 
+DEGREE_0 = [h_upper_coeff, h_lower_coeff, lee_upper_coeff, lee_lower_coeff,
+            amgm_coeff, cauchy_schwarz_coeff]
+DEGREE_0_IDS = ["h-upper", "h-lower", "lee-upper", "lee-lower", "amgm", "cauchy-schwarz"]
+
+
+def _scaled_spectrum(draws, k):
+    """Values m * 2**j, sorted decreasing, each times 4**k (exact)."""
+    return sorted((math.ldexp(m, j + 2 * k) for m, j in draws), reverse=True)
+
+
+scalable_spectrum = st.lists(st.tuples(st.floats(min_value=1.0, max_value=4.0, exclude_max=True),
+                                       st.integers(min_value=-20, max_value=20)),
+                             min_size=1, max_size=5)
+
+
 class TestAnyScale:
-    # scaled by a power of two, the degree-0 amgm and Cauchy-Schwarz
-    # constants neither overflow nor underflow: at the parent amgm raised
-    # ZeroDivisionError at 1e-150, lost digits at 1e-80 and overflowed from
-    # 1e77, and Cauchy-Schwarz raised NumericalRangeError from 1e160
-    @pytest.mark.parametrize("t", [1e-300, 1e-150, 1e-80, 1e80, 1e200, 1e300])
-    @pytest.mark.parametrize("fn", [amgm_coeff, cauchy_schwarz_coeff],
-                             ids=["amgm", "cauchy-schwarz"])
+    # the degree-0 constants read sums formed at unit scale: no square or
+    # fourth power overflows, and none loses digits where F, G or D would be
+    # subnormal at the input's own scale
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e-150, 1e-80, 1e80, 1e200, 1e300])
+    @pytest.mark.parametrize("fn", DEGREE_0, ids=DEGREE_0_IDS)
     def test_scale_invariant(self, fn, t):
         ref = fn(pair_of([3.0, 2.0], [1.5, 1.0, 0.5])).coefficient
         c = fn(pair_of([3 * t, 2 * t], [1.5 * t, 1.0 * t, 0.5 * t])).coefficient
         assert abs(c - ref) <= 1e-15 * ref
 
+    @settings(max_examples=300, deadline=None)
+    @given(scalable_spectrum, scalable_spectrum, st.integers(min_value=-490, max_value=490))
+    def test_same_bits_at_every_power_of_four(self, a, b, k):
+        # 4**k leaves the unit copy unchanged (an odd power of two picks the
+        # other copy, and x ** 4 is not correctly rounded)
+        p = pair_of(_scaled_spectrum(a, 0), _scaled_spectrum(b, 0))
+        q = pair_of(_scaled_spectrum(a, k), _scaled_spectrum(b, k))
+        for fn in DEGREE_0:
+            assert fn(q).coefficient == fn(p).coefficient, fn.__name__
+
 
 class TestRangeErrors:
     def test_typed_error_under_optimize(self):
-        # F and D overflow, inf / inf makes the constant nan, and `python -O`
-        # strips asserts: the range check must still raise
-        code = ("from polarbounds.bounds import h_upper_coeff\n"
+        # the k = 1 ratio 4 / (sigma + sigma~)**2 overflows to inf, and
+        # `python -O` strips asserts: the range check must still raise
+        code = ("from polarbounds.bounds import q_upper_coeff\n"
                 "from polarbounds.spectra import NumericalRangeError, validate_spectrum_pair\n"
                 "try:\n"
-                "    c = h_upper_coeff(validate_spectrum_pair([1e200], [1e199])).coefficient\n"
+                "    c = q_upper_coeff(validate_spectrum_pair([1e-160], [1e-161]))[0].coefficient\n"
                 "except NumericalRangeError:\n"
                 "    raise SystemExit(0)\n"
                 "raise SystemExit(f'returned {c!r}')\n")
@@ -420,6 +444,24 @@ class TestRangeErrors:
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                               text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("e", [-170, -164, 155, 200])
+    @pytest.mark.parametrize("fn, sig, sigt", [
+        (q_upper_coeff, *TABLE1_ROWS[0][:2]),
+        (q_lower_coeff, *TABLE1_ROWS[1][:2]),
+        (refined_li_sun_coeff, [3.0, 2.0], [1.5, 1.0])],
+        ids=["q-upper", "q-lower", "refined-li-sun"])
+    def test_degree_minus_one_typed_error(self, fn, sig, sigt, e):
+        # a denominator underflows to 0 (ZeroDivisionError) or a squared term
+        # overflows (OverflowError) at these scales
+        t = 10.0 ** e
+        with pytest.raises(NumericalRangeError):
+            fn(pair_of([x * t for x in sig], [y * t for y in sigt]))
+
+    def test_li_sun_typed_error(self):
+        # 2 / (sigma_r + sigma~_s) exceeds the largest double
+        with pytest.raises(NumericalRangeError, match="li-sun"):
+            li_sun_coeff(pair_of([1e-309], [1e-309]))
 
     def test_no_assert_in_library(self):
         # `python -O` strips assert statements, so no check may rely on one
@@ -449,6 +491,19 @@ class TestRangeErrors:
         assert not {"oracle", "kittaneh_oracle", "enumeration"} & set(imports["bounds"])
         assert not {"bounds", "oracle"} & set(imports["kittaneh_oracle"])
         assert imports["oracle"]["bounds"] == {"q_lower_numden", "q_upper_numden"}
+
+    def test_spectrum_sums_have_one_owner(self):
+        # the degree-0 constants read the sums SpectrumPair.unit_sums forms
+        # once, at unit scale; none rescales or sums the spectra itself
+        tree = ast.parse(Path(polarbounds.bounds.__file__).read_text())
+        functions = {node.name: node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef)}
+        assert "_unit_scaled" not in functions
+        summing = [name for name in ("h_upper_coeff", "_fg_lower", "lee_upper_coeff",
+                                     "amgm_coeff", "cauchy_schwarz_coeff")
+                   for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                   and "fsum" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+        assert summing == []
 
     def test_no_unused_import_in_library(self):
         # a name a module imports and never uses is left over from deleted code

@@ -88,6 +88,14 @@ class TestFGScalars:
         fg = fg_scalars(p)
         assert fg.F == math.fsum([x * x for x in sig] * 2)
 
+    @pytest.mark.parametrize("a, b, F", [([1e200], [1e199], math.inf),
+                                         ([1.3e154, 1.3e154], [1.3e154], math.inf),
+                                         ([1e-300], [1e-301], 0.0)])
+    def test_out_of_range_reads_inf_or_0(self, a, b, F):
+        # F is the unit-scale sum times 4**e; summed at the pair's own scale,
+        # finite squares whose sum overflows made fsum raise OverflowError
+        assert fg_scalars(validate_spectrum_pair(a, b)).F == F
+
 
 class TestEigenPair:
     def test_basic(self):
