@@ -92,8 +92,8 @@ class TestFGScalars:
                                          ([1.3e154, 1.3e154], [1.3e154], math.inf),
                                          ([1e-300], [1e-301], 0.0)])
     def test_out_of_range_reads_inf_or_0(self, a, b, F):
-        # F is the unit-scale sum times 4**e; summed at the pair's own scale,
-        # finite squares whose sum overflows made fsum raise OverflowError
+        # F is the unit-scale sum times 4**e, so finite squares whose sum
+        # passes the largest double give inf, not fsum's OverflowError
         assert fg_scalars(validate_spectrum_pair(a, b)).F == F
 
 
