@@ -371,6 +371,47 @@ class TestExitCodes:
             assert "q_upper" in good and set(bad) == {"id", "rejected"}
 
 
+EIGEN_RECORDS = (GOOD + "record e\nsigma 1\nsigma_tilde 1 1\neigen 1\neigen_hat -1 -1\n"
+                 "record t\nsigma 3 2 1\nsigma_tilde 2 2 1\neigen 2 -1j 0.5\n"
+                 "eigen_hat 1 1+1j -0.25\n")
+# command: argv with {path} and {tmp}; each writes its report to stdout
+STRUCTURED_COMMANDS = {
+    "bounds": ["bounds", "{path}"],
+    "table1": ["table1"],
+    "oracle": ["oracle", "{path}"],
+    "witness": ["witness", "{path}", "t", "q-upper", "--out", "{tmp}/w"],
+    "verify": ["verify", "--trials", "20", "--dims", "3"],
+}
+
+
+class TestStructuredFormat:
+    """Every structured report is json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False) of itself plus a newline, on stdout and in --out."""
+
+    @staticmethod
+    def _argv(tmp_path, command):
+        path = write(tmp_path, "in.spectra", EIGEN_RECORDS)
+        return [a.format(path=path, tmp=tmp_path) for a in STRUCTURED_COMMANDS[command]]
+
+    @pytest.mark.parametrize("command", sorted(STRUCTURED_COMMANDS))
+    def test_stdout_is_sorted_indented_json(self, tmp_path, capsys, command):
+        assert main(self._argv(tmp_path, command)) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2,
+                                 allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("command", sorted(set(STRUCTURED_COMMANDS) - {"witness"}))
+    def test_out_file_holds_stdout_bytes(self, tmp_path, capsys, command):
+        # witness's --out names the directory of its matrix files
+        argv = self._argv(tmp_path, command)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        report = tmp_path / "report.json"
+        assert main([*argv, "--out", str(report)]) == 0
+        assert capsys.readouterr().out == ""
+        assert report.read_bytes() == out.encode()
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 64
