@@ -25,6 +25,14 @@ unitary could not be completed; no known input does this); 64 usage
 error (bad arguments or tolerances, an option the command does not take,
 an unreadable input, an unwritable --out). Report bodies are
 byte-deterministic for fixed inputs and seeds; timing goes to stderr.
+
+A structured report (the default --format) is one JSON document and a
+newline: keys sorted, a 2-space indent, every non-ASCII and control
+character escaped as \\uXXXX, floats in their shortest round-trip form.
+These are the bytes of json.dumps(report, sort_keys=True, indent=2,
+allow_nan=False) + "\\n", which reports had before `_structured` took over
+writing them; --out gets the same bytes as stdout. A non-finite number
+anywhere in a report rejects it whole, in either format, with exit 2.
 """
 
 from __future__ import annotations
@@ -32,11 +40,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import os
 import sys
 import tempfile
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import __version__, bounds, extremal, fileio, oracle
@@ -91,10 +99,89 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+# a float x is finite exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX: NaN fails both
+_FLOAT_MAX = sys.float_info.max
+
+
+def _write(value, append, pad: str) -> None:
+    """Pass the structured form of value, its first line indented by pad, in
+    pieces to append (a list's append method).
+
+    A non-finite float raises ValueError; a type other than dict, list,
+    tuple, str, int, float, bool and None, or a key that is not a str,
+    raises TypeError. The recursion goes through this module-level
+    function: a closure calling itself would form a reference cycle that
+    holds each call's pieces until a garbage collection.
+    """
+    if isinstance(value, dict):
+        if not value:
+            append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            cls = type(item)
+            # the common scalars in one piece each, the rest by recursion
+            if cls is float and -_FLOAT_MAX <= item <= _FLOAT_MAX:
+                append(f"{sep}{encode_basestring_ascii(key)}: {float.__repr__(item)}")
+            elif cls is str:
+                append(f"{sep}{encode_basestring_ascii(key)}: {encode_basestring_ascii(item)}")
+            elif cls is int:
+                append(f"{sep}{encode_basestring_ascii(key)}: {int.__repr__(item)}")
+            else:
+                append(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write(item, append, inner)
+            sep = ",\n" + inner
+        append("\n" + pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            if type(item) is float and -_FLOAT_MAX <= item <= _FLOAT_MAX:
+                append(f"{sep}{float.__repr__(item)}")
+            else:
+                append(sep)
+                _write(item, append, inner)
+            sep = ",\n" + inner
+        append("\n" + pad + "]")
+    elif isinstance(value, str):
+        append(encode_basestring_ascii(value))
+    elif value is None:
+        append("null")
+    elif value is True:     # before int: bool is a subclass of int
+        append("true")
+    elif value is False:
+        append("false")
+    elif isinstance(value, int):
+        append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise ValueError(f"out-of-range float {float.__repr__(value)}")
+        append(float.__repr__(value))
+    else:
+        raise TypeError(f"object of type {type(value).__name__} has no structured form")
+
+
+def _structured(report: dict) -> str:
+    """The bytes of json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False) + "\\n", in one pass: json.dumps runs its pure-Python
+    encoder whenever indent is set."""
+    pieces = []
+    _write(report, pieces.append, "")
+    pieces.append("\n")
+    return "".join(pieces)
+
+
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     # serialised in either format: a non-finite number is an error, never Infinity or NaN
     try:
-        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        text = _structured(report)
     except ValueError as exc:
         raise NumericalRangeError(f"report holds a non-finite number: {exc}") from exc
     if fmt != "structured":

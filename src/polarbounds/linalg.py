@@ -47,10 +47,6 @@ def frobenius_norms(a) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def frobenius(a: np.ndarray) -> float:
-    return float(frobenius_norms(a))
-
-
 def inner_products(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """trace(B* A) for each pair of matrices of two (..., m, n) arrays.
 

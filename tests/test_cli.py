@@ -6,9 +6,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polarbounds import bounds, extremal
-from polarbounds.cli import main, table1_path
+from polarbounds.bounds import KRatioTable
+from polarbounds.cli import _structured, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
 from polarbounds.spectra import BoundResult
@@ -129,6 +131,15 @@ class TestBounds:
         monkeypatch.setattr(bounds, "amgm_coeff",
                             lambda pair: BoundResult(theorem_id="amgm", coefficient=value))
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        assert main(["bounds", path, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input rejected: report holds a non-finite number" in captured.err
+        # nested: an entry of the q-upper ratio table, three levels down
+        monkeypatch.undo()
+        q_upper = bounds.q_upper_coeff
+        monkeypatch.setattr(bounds, "q_upper_coeff",
+                            lambda pair: (q_upper(pair)[0], KRatioTable((1.0, value))))
         assert main(["bounds", path, "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -412,6 +423,90 @@ class TestStructuredFormat:
         assert report.read_bytes() == out.encode()
 
 
+def reference_structured(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+KEYS = st.one_of(st.sampled_from(["", '"', "\\", "a\"b\\c", "\x00", "\x1f\n\t", "\x7f",
+                                  "é", "\u2028", "\U0001f600", "k"]),
+                 st.text(max_size=6))
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                                    -1.7976931348623157e308, 0.1, 1e16, 1e-7]),
+                   st.floats(allow_nan=False, allow_infinity=False))
+LEAVES = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.sampled_from([2 ** 70, -2 ** 70, 0, True, False, None, {}, [], ()]),
+    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    KEYS,
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.lists(children, max_size=4).map(tuple),
+                               st.dictionaries(KEYS, children, max_size=4)),
+    max_leaves=12)
+NON_FINITE = [math.inf, -math.inf, math.nan, np.float64(-math.inf), np.float64(math.nan)]
+# values json.dumps cannot write, and keys json.dumps writes but the CLI
+# never makes
+NO_FORM = [np.int64(3), {1.5}, b"bytes"]
+BAD_KEYS = [1, 2.5, None, True, (1, 2)]
+PLACES = ("top", "dict", "list")
+
+
+def _place(bad, where, value, key):
+    """bad at the top level, as a dict value, or as a list element."""
+    if where == "top":
+        return bad
+    if where == "dict":
+        return {key: bad} if not isinstance(value, dict) else {**value, key: bad}
+    items = list(value) if isinstance(value, (list, tuple)) else [value]
+    return items[:1] + [bad] + items[1:]
+
+
+class TestStructuredWriter:
+    """cli._structured against json.dumps(..., sort_keys=True, indent=2,
+    allow_nan=False), the encoder it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(VALUES)
+    def test_same_bytes_as_json_dumps(self, value):
+        assert _structured(value) == reference_structured(value)
+
+    @settings(max_examples=15, deadline=None)
+    @given(VALUES, KEYS)
+    def test_non_finite_raises_value_error(self, value, key):
+        for bad in NON_FINITE:
+            for where in PLACES:
+                placed = _place(bad, where, value, key)
+                with pytest.raises(ValueError):
+                    reference_structured(placed)
+                with pytest.raises(ValueError):
+                    _structured(placed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(VALUES, KEYS)
+    def test_no_structured_form_raises_type_error(self, value, key):
+        for bad in NO_FORM:
+            for where in PLACES:
+                placed = _place(bad, where, value, key)
+                with pytest.raises(TypeError):
+                    reference_structured(placed)
+                with pytest.raises(TypeError):
+                    _structured(placed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.dictionaries(KEYS, VALUES, max_size=3), VALUES)
+    def test_non_str_key_raises_type_error(self, value, item):
+        for key in BAD_KEYS:
+            with pytest.raises(TypeError):
+                _structured([{**value, key: item}])
+
+    @pytest.mark.parametrize("value", [True, False, None, 0, -0.0, 5e-324, "", {}, [], ()])
+    def test_top_level_scalars_and_empty_containers(self, value):
+        assert _structured(value) == reference_structured(value)
+
+
 class TestUsage:
     def test_no_command(self):
         assert main([]) == 64
@@ -436,8 +531,8 @@ class TestUsage:
 
 
 def _h_gap_ratio(a, at):
-    from polarbounds.linalg import frobenius, polar_decompose
+    from polarbounds.linalg import polar_decompose
     # the witness of sigma = (1,), sigma~ = (1, 1) has ranks 1 and 2
     ha = polar_decompose(a, 1).H
     hat = polar_decompose(at, 2).H
-    return frobenius(ha - hat) / frobenius(at - a)
+    return np.linalg.norm(ha - hat) / np.linalg.norm(at - a)
