@@ -192,27 +192,29 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _text_lines(obj, append, indent: str) -> None:
+    """Pass the text-format lines of obj to append; module-level, like
+    _write, so that no reference cycle holds the lines."""
+    if isinstance(obj, dict):
+        for key in obj:
+            val = obj[key]
+            if isinstance(val, (dict, list)):
+                append(f"{indent}{key}:")
+                _text_lines(val, append, indent + "  ")
+            else:
+                append(f"{indent}{key}: {val}")
+    elif isinstance(obj, list):
+        for item in obj:
+            if isinstance(item, (dict, list)):
+                _text_lines(item, append, indent + "  ")
+                append("")
+            else:
+                append(f"{indent}- {item}")
+
+
 def _render_text(report: dict) -> str:
     lines = []
-
-    def walk(obj, indent=""):
-        if isinstance(obj, dict):
-            for key in obj:
-                val = obj[key]
-                if isinstance(val, (dict, list)):
-                    lines.append(f"{indent}{key}:")
-                    walk(val, indent + "  ")
-                else:
-                    lines.append(f"{indent}{key}: {val}")
-        elif isinstance(obj, list):
-            for item in obj:
-                if isinstance(item, (dict, list)):
-                    walk(item, indent + "  ")
-                    lines.append("")
-                else:
-                    lines.append(f"{indent}- {item}")
-
-    walk(report)
+    _text_lines(report, lines.append, "")
     return "\n".join(lines).rstrip() + "\n"
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from polarbounds import bounds, extremal
 from polarbounds.bounds import KRatioTable
-from polarbounds.cli import _structured, main, table1_path
+from polarbounds.cli import _render_text, _structured, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
 from polarbounds.spectra import BoundResult
@@ -421,6 +422,19 @@ class TestStructuredFormat:
         assert main([*argv, "--out", str(report)]) == 0
         assert capsys.readouterr().out == ""
         assert report.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("writer", [_structured, _render_text])
+    def test_writers_leave_no_reference_cycle(self, writer):
+        # a writer recursing through a nested closure forms a cycle that
+        # holds all of its output until the next garbage collection
+        report = {"records": [{"id": "a", "f_table": [1.0, None], "q": {"k": [1, (2, 3)]}}]}
+        gc.collect()
+        gc.disable()
+        try:
+            writer(report)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 def reference_structured(value) -> str:
