@@ -136,7 +136,7 @@ class TestBounds:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "input rejected: report holds a non-finite number" in captured.err
-        # nested: an entry of the q-upper ratio table, three levels down
+        # nested: an entry of the q-upper ratio table
         monkeypatch.undo()
         q_upper = bounds.q_upper_coeff
         monkeypatch.setattr(bounds, "q_upper_coeff",
@@ -461,8 +461,8 @@ VALUES = st.recursive(
                                st.dictionaries(KEYS, children, max_size=4)),
     max_leaves=12)
 NON_FINITE = [math.inf, -math.inf, math.nan, np.float64(-math.inf), np.float64(math.nan)]
-# values json.dumps cannot write, and keys json.dumps writes but the CLI
-# never makes
+# values neither writer has a form for; keys json.dumps would write as
+# strings, which the writer rejects
 NO_FORM = [np.int64(3), {1.5}, b"bytes"]
 BAD_KEYS = [1, 2.5, None, True, (1, 2)]
 PLACES = ("top", "dict", "list")
