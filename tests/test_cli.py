@@ -437,6 +437,25 @@ class TestStructuredFormat:
             gc.enable()
 
 
+# command: the SHA-256 of its --format text stdout, on EIGEN_RECORDS where it
+# reads a file; none of the three calls BLAS, so the bytes hold under every
+# OpenBLAS kernel set
+TEXT_DIGESTS = {
+    "bounds": "a37350504db4f8bcd262f6fc3a93b20b9c23d28345ae4cdb414c2d1bf622e706",
+    "oracle": "1f5ceecb8e7a31c6c96bf67184a79b6551608909da65d2a46b04880db0ecdc0d",
+    "table1": "4b2ebe8eed5e84c7ae3359ac6c46491e6f1e008eb95fbb9ea842eb3a9eb49c57",
+}
+
+
+class TestTextFormat:
+    @pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+    def test_stdout_digest(self, tmp_path, capsys, command):
+        argv = TestStructuredFormat._argv(tmp_path, command)
+        assert main([*argv, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[command]
+
+
 def reference_structured(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
