@@ -179,13 +179,11 @@ def _structured(report: dict) -> str:
 
 
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
-    # serialised in either format: a non-finite number is an error, never Infinity or NaN
+    writer = _structured if fmt == "structured" else _render_text
     try:
-        text = _structured(report)
+        text = writer(report)
     except ValueError as exc:
         raise NumericalRangeError(f"report holds a non-finite number: {exc}") from exc
-    if fmt != "structured":
-        text = _render_text(report)
     if out:
         _atomic_write(out, text)
     else:
@@ -193,23 +191,31 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
 
 
 def _text_lines(obj, append, indent: str) -> None:
-    """Pass the text-format lines of obj to append; module-level, like
-    _write, so that no reference cycle holds the lines."""
+    """Pass the text-format lines of obj, a tuple walked as a list, to
+    append; a non-finite float raises ValueError. Module-level, like _write,
+    so that no reference cycle holds the lines."""
     if isinstance(obj, dict):
         for key in obj:
             val = obj[key]
-            if isinstance(val, (dict, list)):
+            if isinstance(val, (dict, list, tuple)):
                 append(f"{indent}{key}:")
                 _text_lines(val, append, indent + "  ")
             else:
-                append(f"{indent}{key}: {val}")
-    elif isinstance(obj, list):
+                append(f"{indent}{key}: {_finite(val)}")
+    elif isinstance(obj, (list, tuple)):
         for item in obj:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 _text_lines(item, append, indent + "  ")
                 append("")
             else:
-                append(f"{indent}- {item}")
+                append(f"{indent}- {_finite(item)}")
+
+
+def _finite(value):
+    """value, or ValueError if it is a non-finite float."""
+    if isinstance(value, float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise ValueError(f"out-of-range float {float.__repr__(value)}")
+    return value
 
 
 def _render_text(report: dict) -> str:
@@ -230,12 +236,6 @@ def _load_records(path: str):
     return records, _digest(raw)
 
 
-def _as_lists(value):
-    """value with its tuples, at any depth, turned into lists, as JSON reads
-    them back."""
-    return [_as_lists(v) for v in value] if isinstance(value, tuple) else value
-
-
 def _bound_entry(result) -> dict:
     entry = {"coefficient": result.coefficient}
     if result.optimal_index is not None:
@@ -243,7 +243,7 @@ def _bound_entry(result) -> dict:
     if result.degenerate:
         entry["degenerate"] = True
     if result.optimal_tuple is not None:
-        entry["optimal_tuple"] = _as_lists(result.optimal_tuple)
+        entry["optimal_tuple"] = result.optimal_tuple
     return entry
 
 

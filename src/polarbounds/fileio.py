@@ -33,6 +33,11 @@ class SpectraRecord:
     eigen_hat: Optional[List[complex]] = None
 
 
+# list field: (type of its tokens, the noun an error on a bad token uses)
+_LIST_FIELDS = {"sigma": (float, "number"), "sigma_tilde": (float, "number"),
+                "eigen": (complex, "complex token"), "eigen_hat": (complex, "complex token")}
+
+
 def parse_spectra_text(text: str) -> List[SpectraRecord]:
     """Parse records of the form::
 
@@ -61,24 +66,16 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
             continue
         if current is None:
             raise SpectraParseError(line_no, f"field {key!r} before any record")
-        if key in ("sigma", "sigma_tilde"):
-            try:
-                values = [float(tok) for tok in rest]
-            except ValueError as exc:
-                raise SpectraParseError(line_no, f"bad number in {key}: {exc}") from exc
-            if not values:
-                raise SpectraParseError(line_no, f"{key} needs at least one value")
-            setattr(current, key, values)
-        elif key in ("eigen", "eigen_hat"):
-            try:
-                values = [complex(tok) for tok in rest]
-            except ValueError as exc:
-                raise SpectraParseError(line_no, f"bad complex token in {key}: {exc}") from exc
-            if not values:
-                raise SpectraParseError(line_no, f"{key} needs at least one value")
-            setattr(current, "eigen" if key == "eigen" else "eigen_hat", values)
-        else:
+        if key not in _LIST_FIELDS:
             raise SpectraParseError(line_no, f"unknown field {key!r}")
+        kind, noun = _LIST_FIELDS[key]
+        try:
+            values = [kind(tok) for tok in rest]
+        except ValueError as exc:
+            raise SpectraParseError(line_no, f"bad {noun} in {key}: {exc}") from exc
+        if not values:
+            raise SpectraParseError(line_no, f"{key} needs at least one value")
+        setattr(current, key, values)
     for rec in records:
         if not rec.sigma or not rec.sigma_tilde:
             raise SpectraParseError(0, f"record {rec.id!r} missing sigma or sigma_tilde")

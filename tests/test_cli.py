@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarbounds import bounds, extremal
+from polarbounds import bounds, cli, extremal
 from polarbounds.bounds import KRatioTable
 from polarbounds.cli import _render_text, _structured, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
@@ -454,6 +454,16 @@ class TestTextFormat:
         assert main([*argv, "--format", "text"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[command]
+
+    def test_text_runs_no_structured_writer(self, tmp_path, capsys, monkeypatch):
+        # one walk per report: the text writer checks finiteness itself
+        def no_structured(report):
+            raise AssertionError("structured writer called for a text report")
+        monkeypatch.setattr(cli, "_structured", no_structured)
+        argv = TestStructuredFormat._argv(tmp_path, "bounds")
+        assert main([*argv, "--format", "text"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS["bounds"]
 
 
 def reference_structured(value) -> str:
