@@ -48,9 +48,10 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
         eigen_hat -1 -1      # optional
 
     A record runs until the next ``record`` line. Blank lines and ``#``
-    comments are ignored.
+    comments are ignored. A repeated field is an error at its second line.
     """
     records: List[SpectraRecord] = []
+    starts: List[int] = []   # the line number of each `record` line
     current: Optional[SpectraRecord] = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -63,11 +64,14 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
                 raise SpectraParseError(line_no, "record needs exactly one id")
             current = SpectraRecord(id=rest[0])
             records.append(current)
+            starts.append(line_no)
             continue
         if current is None:
             raise SpectraParseError(line_no, f"field {key!r} before any record")
         if key not in _LIST_FIELDS:
             raise SpectraParseError(line_no, f"unknown field {key!r}")
+        if getattr(current, key):
+            raise SpectraParseError(line_no, f"repeated field {key!r}")
         kind, noun = _LIST_FIELDS[key]
         try:
             values = [kind(tok) for tok in rest]
@@ -76,11 +80,11 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
         if not values:
             raise SpectraParseError(line_no, f"{key} needs at least one value")
         setattr(current, key, values)
-    for rec in records:
+    for line_no, rec in zip(starts, records):
         if not rec.sigma or not rec.sigma_tilde:
-            raise SpectraParseError(0, f"record {rec.id!r} missing sigma or sigma_tilde")
+            raise SpectraParseError(line_no, f"record {rec.id!r} missing sigma or sigma_tilde")
         if (rec.eigen is None) != (rec.eigen_hat is None):
-            raise SpectraParseError(0, f"record {rec.id!r} has only one eigen list")
+            raise SpectraParseError(line_no, f"record {rec.id!r} has only one eigen list")
     return records
 
 

@@ -104,6 +104,16 @@ class TestBounds:
         assert main(["bounds", path]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("record a\nsigma 2 1\nsigma 5\nsigma_tilde 3 2 1\n", 3),
+        ("record a\nsigma 1\nsigma_tilde 1\neigen 1\neigen_hat -1\neigen_hat 2\n", 6),
+    ], ids=["sigma", "eigen_hat"])
+    def test_repeated_field_exit_2(self, tmp_path, capsys, text, line_no):
+        assert main(["bounds", write(tmp_path, "in.spectra", text)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"input rejected: line {line_no}: repeated field" in captured.err
+
     def test_byte_deterministic_report(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
         main(["bounds", path])

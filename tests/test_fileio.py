@@ -51,12 +51,30 @@ class TestSpectraFormat:
             parse_spectra_text("record a\nwidth 1\n")
 
     def test_missing_sigma(self):
-        with pytest.raises(SpectraParseError):
+        with pytest.raises(SpectraParseError) as exc:
             parse_spectra_text("record a\nsigma 1\n")
+        assert exc.value.line_no == 1
+        # reported at the record's own line, not at the end of the file
+        with pytest.raises(SpectraParseError) as exc:
+            parse_spectra_text("record a\nsigma 1\nsigma_tilde 1\nrecord b\nsigma 1\n"
+                               "record c\nsigma 1\nsigma_tilde 1\n")
+        assert exc.value.line_no == 4
 
     def test_lonely_eigen_list(self):
-        with pytest.raises(SpectraParseError):
+        with pytest.raises(SpectraParseError) as exc:
             parse_spectra_text("record a\nsigma 1\nsigma_tilde 1\neigen 1\n")
+        assert exc.value.line_no == 1
+
+    @pytest.mark.parametrize("text, line_no", [
+        ("record a\nsigma 2 1\nsigma 5\nsigma_tilde 3 2 1\n", 3),
+        ("record a\nsigma 1\nsigma_tilde 1\neigen 1\neigen_hat -1\n# c\neigen_hat 2\n", 7),
+    ], ids=["sigma", "eigen_hat"])
+    def test_repeated_field(self, text, line_no):
+        # the second line once replaced the first without a word
+        with pytest.raises(SpectraParseError) as exc:
+            parse_spectra_text(text)
+        assert exc.value.line_no == line_no
+        assert "repeated field" in str(exc.value)
 
     def test_round_trip(self):
         recs = [SpectraRecord(id="x", sigma=[np.pi, 1 / 3],
