@@ -378,6 +378,20 @@ class TestVerify:
     def test_dims_zero_usage_error(self, capsys):
         assert main(["verify", "--dims", "0"]) == 64
 
+    def test_violations_render_as_nested_items(self, capsys, monkeypatch):
+        # an AM-GM constant far too small: every trial violates it
+        monkeypatch.setattr(bounds, "amgm_coeff",
+                            lambda pair: BoundResult(theorem_id="amgm", coefficient=0.01))
+        argv = ["verify", "--trials", "2", "--dims", "3"]
+        code, rep = run_json(capsys, argv)
+        assert code == 1 and rep["body"]["violations"]
+        assert main([*argv, "--format", "text"]) == 1
+        out = capsys.readouterr().out
+        assert "  violations:\n" in out
+        for trial, inequality, margin in rep["body"]["violations"]:
+            assert f"\n      - {trial}\n      - {inequality}\n      - {margin!r}\n" in out
+        assert "- (" not in out    # no violation rendered as one tuple repr
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("case", sorted(EXIT_CASES))
@@ -508,13 +522,14 @@ PLACES = ("top", "dict", "list")
 
 
 def _place(bad, where, value, key):
-    """bad at the top level, as a dict value, or as a list element."""
+    """bad at the top level, as a dict value, or as a list or tuple element."""
     if where == "top":
         return bad
     if where == "dict":
         return {key: bad} if not isinstance(value, dict) else {**value, key: bad}
     items = list(value) if isinstance(value, (list, tuple)) else [value]
-    return items[:1] + [bad] + items[1:]
+    items = items[:1] + [bad] + items[1:]
+    return tuple(items) if where == "tuple" else items
 
 
 class TestStructuredWriter:
@@ -558,6 +573,20 @@ class TestStructuredWriter:
     @pytest.mark.parametrize("value", [True, False, None, 0, -0.0, 5e-324, "", {}, [], ()])
     def test_top_level_scalars_and_empty_containers(self, value):
         assert _structured(value) == reference_structured(value)
+
+
+class TestTextWriter:
+    """cli._render_text checks finiteness itself: a text report is written
+    without the structured writer's walk."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(VALUES, KEYS)
+    def test_non_finite_raises_value_error(self, value, key):
+        _render_text({"v": value})
+        for bad in NON_FINITE:
+            for where in (*PLACES, "tuple"):
+                with pytest.raises(ValueError):
+                    _render_text({"v": _place(bad, where, value, key)})
 
 
 class TestUsage:
