@@ -31,8 +31,14 @@ newline: keys sorted, a 2-space indent, every non-ASCII and control
 character escaped as \\uXXXX, floats in their shortest round-trip form.
 These are the bytes of json.dumps(report, sort_keys=True, indent=2,
 allow_nan=False) + "\\n", which reports had before `_structured` took over
-writing them; --out gets the same bytes as stdout. A non-finite number
-anywhere in a report rejects it whole, in either format, with exit 2.
+writing them; --out gets the same bytes as stdout.
+
+A text report (--format text) is one walk of the same report, without
+building the structured form: a dict as key: value lines in insertion
+order, a list or tuple as - item lines, each nested value indented two
+spaces, so a tuple reads as a list in both formats. A non-finite number
+anywhere in a report rejects it whole, in either format, with exit 2;
+each writer checks every number it writes.
 """
 
 from __future__ import annotations

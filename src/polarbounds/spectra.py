@@ -167,14 +167,9 @@ def validate_spectrum_pair(sigma, sigma_tilde) -> SpectrumPair:
 
 
 def fg_scalars(pair: SpectrumPair) -> FGScalars:
-    """F = sum of squared singular values, G = top-aligned cross products,
-    and D = F - 2G as the sum of squared top-aligned differences and of the
-    squared tail of the longer spectrum, which keeps every digit when the
-    spectra nearly agree.
-
-    math.fsum makes all three reproducible across summation orders and
-    platforms.
-    """
+    """F = sum of squared singular values, G = top-aligned cross products
+    and D = F - 2G, at the pair's own scale: `pair.scalars`, the pair's
+    unit sums times 4**e, summed once per pair."""
     return pair.scalars
 
 
