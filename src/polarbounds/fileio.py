@@ -48,7 +48,8 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
         eigen_hat -1 -1      # optional
 
     A record runs until the next ``record`` line. Blank lines and ``#``
-    comments are ignored. A repeated field is an error at its second line.
+    comments are ignored. A repeated field is an error at its second line,
+    a missing one at its ``record`` line.
     """
     records: List[SpectraRecord] = []
     starts: List[int] = []   # the line number of each `record` line
@@ -68,13 +69,13 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
             continue
         if current is None:
             raise SpectraParseError(line_no, f"field {key!r} before any record")
-        if key not in _LIST_FIELDS:
+        kind, noun = _LIST_FIELDS.get(key, (None, None))
+        if kind is None:
             raise SpectraParseError(line_no, f"unknown field {key!r}")
         if getattr(current, key):
             raise SpectraParseError(line_no, f"repeated field {key!r}")
-        kind, noun = _LIST_FIELDS[key]
         try:
-            values = [kind(tok) for tok in rest]
+            values = list(map(kind, rest))
         except ValueError as exc:
             raise SpectraParseError(line_no, f"bad {noun} in {key}: {exc}") from exc
         if not values:
