@@ -22,23 +22,20 @@ file); 3 degenerate witness
 pair to attain its constant); 4 budget exceeded; 5 witness construction
 failed (the built pair missed its constant or a norm identity, or a
 unitary could not be completed; no known input does this); 64 usage
-error (bad arguments or tolerances, an option the command does not take,
-an unreadable input, an unwritable --out). Report bodies are
-byte-deterministic for fixed inputs and seeds; timing goes to stderr.
+error (bad arguments or tolerances, an option or choice the command does
+not take, --format text included, an unreadable input, an unwritable
+--out, such as a report --out that names a directory or a witness --out
+that names a file). Report bodies are byte-deterministic for fixed inputs
+and seeds; timing goes to stderr.
 
-A structured report (the default --format) is one JSON document and a
-newline: keys sorted, a 2-space indent, every non-ASCII and control
-character escaped as \\uXXXX, floats in their shortest round-trip form.
-These are the bytes of json.dumps(report, sort_keys=True, indent=2,
-allow_nan=False) + "\\n", which reports had before `_structured` took over
-writing them; --out gets the same bytes as stdout.
-
-A text report (--format text) is one walk of the same report, without
-building the structured form: a dict as key: value lines in insertion
-order, a list or tuple as - item lines, each nested value indented two
-spaces, so a tuple reads as a list in both formats. A non-finite number
-anywhere in a report rejects it whole, in either format, with exit 2;
-each writer checks every number it writes.
+A report has one format, structured (--format structured is still
+accepted): one JSON document and a newline, keys sorted, a 2-space
+indent, every non-ASCII and control character escaped as \\uXXXX, floats
+in their shortest round-trip form. These are the bytes of
+json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\\n",
+which reports had before `_structured` took over writing them; --out gets
+the same bytes as stdout. A non-finite number anywhere in a report
+rejects it whole with exit 2.
 """
 
 from __future__ import annotations
@@ -90,19 +87,25 @@ def _digest(data: bytes) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it, with the mode
+    a shell redirect would give (0o666 less the umask; mkstemp makes 0o600).
+    Any OSError, the temporary file removed, is a UsageError."""
     d = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(dir=d, prefix=".polarbounds-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~umask)
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # a float x is finite exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX: NaN fails both
@@ -184,50 +187,15 @@ def _structured(report: dict) -> str:
     return "".join(pieces)
 
 
-def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
-    writer = _structured if fmt == "structured" else _render_text
+def _emit(report: dict, out: Optional[str]) -> None:
     try:
-        text = writer(report)
+        text = _structured(report)
     except ValueError as exc:
         raise NumericalRangeError(f"report holds a non-finite number: {exc}") from exc
     if out:
         _atomic_write(out, text)
     else:
         sys.stdout.write(text)
-
-
-def _text_lines(obj, append, indent: str) -> None:
-    """Pass the text-format lines of obj, a tuple walked as a list, to
-    append; a non-finite float raises ValueError. Module-level, like _write,
-    so that no reference cycle holds the lines."""
-    if isinstance(obj, dict):
-        for key in obj:
-            val = obj[key]
-            if isinstance(val, (dict, list, tuple)):
-                append(f"{indent}{key}:")
-                _text_lines(val, append, indent + "  ")
-            else:
-                append(f"{indent}{key}: {_finite(val)}")
-    elif isinstance(obj, (list, tuple)):
-        for item in obj:
-            if isinstance(item, (dict, list, tuple)):
-                _text_lines(item, append, indent + "  ")
-                append("")
-            else:
-                append(f"{indent}- {_finite(item)}")
-
-
-def _finite(value):
-    """value, or ValueError if it is a non-finite float."""
-    if isinstance(value, float) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"out-of-range float {float.__repr__(value)}")
-    return value
-
-
-def _render_text(report: dict) -> str:
-    lines = []
-    _text_lines(report, lines.append, "")
-    return "\n".join(lines).rstrip() + "\n"
 
 
 def _load_records(path: str):
@@ -293,7 +261,7 @@ def cmd_bounds(args) -> int:
             rejected = True
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "bounds", "input_digest": digest, "records": entries}
-    _emit(report, args.format, args.out)
+    _emit(report, args.out)
     return EXIT_INPUT if rejected else EXIT_OK
 
 
@@ -310,7 +278,10 @@ def cmd_witness(args) -> int:
         sys.stderr.write(f"degenerate witness: {exc}\n")
         return EXIT_DEGENERATE
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc}") from exc
     path_a = os.path.join(args.out, f"{rec.id}-{args.bound}-A.mat")
     path_b = os.path.join(args.out, f"{rec.id}-{args.bound}-Atilde.mat")
     _atomic_write(path_a, fileio.write_matrix_text(w.A))
@@ -330,7 +301,7 @@ def cmd_witness(args) -> int:
               "achieved_ratio": diag.achieved_ratio,
               "alignment_scalars": {"M": diag.M, "N": diag.N},
               "files": {"A": path_a, "A_tilde": path_b}}
-    _emit(report, args.format, None)
+    _emit(report, None)
     return EXIT_OK
 
 
@@ -377,7 +348,7 @@ def cmd_oracle(args) -> int:
         entries.append(entry)
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "oracle", "input_digest": digest, "records": entries}
-    _emit(report, args.format, args.out)
+    _emit(report, args.out)
     return EXIT_OK if all_ok else 1
 
 
@@ -392,7 +363,7 @@ def cmd_verify(args) -> int:
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
               "command": "verify", "seed": args.seed, "body": result.body()}
     sys.stderr.write(f"verify: {result.trials} trials in {result.wall_time:.2f}s\n")
-    _emit(report, args.format, args.out)
+    _emit(report, args.out)
     return EXIT_OK if not result.violations else 1
 
 
@@ -403,7 +374,8 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default=None, out_help="write the report to PATH"):
-        p.add_argument("--format", choices=("text", "structured"), default="structured")
+        # structured is the one format; the option stays for existing scripts
+        p.add_argument("--format", choices=("structured",), default="structured")
         p.add_argument("--out", default=out_default, help=out_help)
 
     p = sub.add_parser("bounds", help="coefficients for each record of a spectra file")

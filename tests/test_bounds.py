@@ -223,6 +223,35 @@ class TestCauchySchwarz:
         assert abs(c - 3 / (math.sqrt(5) * math.sqrt(3))) < 1e-15
 
 
+def _aligned_diagonal_pair(p):
+    """A = diag(sigma) padded to s x s and B = diag(sigma~)."""
+    return np.diag(np.pad(p.sigma, (0, p.s - p.r))), np.diag(p.sigma_tilde)
+
+
+# theorem id: (closed form, the ratio its inequality bounds, from numpy norms)
+ALIGNED_RATIOS = {
+    "amgm": (amgm_coeff, lambda a, b: np.linalg.norm(a @ b.conj().T)
+             / np.linalg.norm(a.conj().T @ a + b.conj().T @ b)),
+    "cauchy-schwarz": (cauchy_schwarz_coeff, lambda a, b: abs(np.trace(b.conj().T @ a))
+                       / (np.linalg.norm(a) * np.linalg.norm(b))),
+}
+
+
+class TestAlignedDiagonalPair:
+    """The aligned diagonal pair attains the AM-GM and Cauchy-Schwarz
+    constants: each closed form equals that pair's ratio, so a closed form
+    off by 1e-6 either way fails."""
+
+    @pytest.mark.parametrize("theorem_id", sorted(ALIGNED_RATIOS))
+    def test_closed_form_is_attained(self, rng, theorem_id):
+        closed_form, ratio = ALIGNED_RATIOS[theorem_id]
+        pairs = [random_pair(rng) for _ in range(200)]
+        pairs += [pair_of(sig, sigt) for sig, sigt, _, _ in TABLE1_ROWS]
+        for p in pairs:
+            attained = ratio(*_aligned_diagonal_pair(p))
+            assert abs(closed_form(p).coefficient - attained) <= 1e-12 * attained, p
+
+
 class TestKittaneh:
     def test_lower_opposite_signs(self):
         res = kittaneh_lower_coeff(validate_eigen_pair([1], [-1]))

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarbounds import bounds, cli, extremal
+from polarbounds import bounds, extremal
 from polarbounds.bounds import KRatioTable
-from polarbounds.cli import _render_text, _structured, main, table1_path
+from polarbounds.cli import _structured, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
 from polarbounds.spectra import BoundResult
@@ -38,7 +38,8 @@ GOOD = "record good\nsigma 2 1\nsigma_tilde 1\n"
 OVERFLOW = "record bad\nsigma 1e200\nsigma_tilde 1e200 1\n"
 
 # id: (spectra file contents, argv with {path} and {tmp}, exit code); each
-# of these ended in a traceback and exit 1, the code for a finding
+# of these but format-text ended in a traceback and exit 1, the code for a
+# finding, and format-text exited 0 with the retired text format
 EXIT_CASES = {
     "bounds-eigen-cap": (GOOD + "record bad\nsigma 1\nsigma_tilde 1\n"
                          "eigen 1 1 1 1 1 1 1\neigen_hat 1 2 3 4 5 6 7\n",
@@ -49,6 +50,9 @@ EXIT_CASES = {
     "witness-overflow": (OVERFLOW, ["witness", "{path}", "bad", "h-upper", "--out", "{tmp}/w"], 2),
     "non-utf8": (GOOD.encode() + b"# \xff\xfe\n", ["bounds", "{path}"], 2),
     "out-missing-dir": (GOOD, ["bounds", "{path}", "--out", "{tmp}/missing/r.json"], 64),
+    "out-is-directory": (GOOD, ["table1", "--out", "{tmp}"], 64),
+    "witness-out-is-file": (GOOD, ["witness", "{path}", "good", "q-upper", "--out", "{path}"], 64),
+    "format-text": (GOOD, ["bounds", "{path}", "--format", "text"], 64),
     "witness-float-supremum": ("record near\nsigma 1\nsigma_tilde 1 1e-20\n",
                                ["witness", "{path}", "near", "h-upper", "--out", "{tmp}/w"], 3),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
@@ -115,10 +119,11 @@ class TestBounds:
         assert f"input rejected: line {line_no}: repeated field" in captured.err
 
     def test_byte_deterministic_report(self, tmp_path, capsys):
+        # --format structured, the one format, gives the default's bytes
         path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
         main(["bounds", path])
         first = capsys.readouterr().out
-        main(["bounds", path])
+        main(["bounds", path, "--format", "structured"])
         second = capsys.readouterr().out
         assert first == second
 
@@ -129,13 +134,7 @@ class TestBounds:
         with open(out) as fh:
             assert json.load(fh)["command"] == "bounds"
 
-    def test_text_format(self, tmp_path, capsys):
-        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
-        assert main(["bounds", path, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert "q_upper" in out
-
-    @pytest.mark.parametrize("fmt", ["structured", "text"])
+    @pytest.mark.parametrize("fmt", ["structured"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_coefficient_rejected(self, tmp_path, capsys, monkeypatch,
                                              fmt, value):
@@ -382,15 +381,10 @@ class TestVerify:
         # an AM-GM constant far too small: every trial violates it
         monkeypatch.setattr(bounds, "amgm_coeff",
                             lambda pair: BoundResult(theorem_id="amgm", coefficient=0.01))
-        argv = ["verify", "--trials", "2", "--dims", "3"]
-        code, rep = run_json(capsys, argv)
+        code, rep = run_json(capsys, ["verify", "--trials", "2", "--dims", "3"])
         assert code == 1 and rep["body"]["violations"]
-        assert main([*argv, "--format", "text"]) == 1
-        out = capsys.readouterr().out
-        assert "  violations:\n" in out
         for trial, inequality, margin in rep["body"]["violations"]:
-            assert f"\n      - {trial}\n      - {inequality}\n      - {margin!r}\n" in out
-        assert "- (" not in out    # no violation rendered as one tuple repr
+            assert type(trial) is int and type(inequality) is str and type(margin) is float
 
 
 class TestExitCodes:
@@ -405,6 +399,29 @@ class TestExitCodes:
             # the bad record is rejected in place, the good one reported
             good, bad = json.loads(capsys.readouterr().out)["records"]
             assert "q_upper" in good and set(bad) == {"id", "rejected"}
+        if code == 64:
+            assert capsys.readouterr().err.startswith("usage error: ")
+            # a failed --out leaves no temporary file beside its target
+            assert not list(tmp_path.glob(".polarbounds-*"))
+            assert not list(tmp_path.parent.glob(".polarbounds-*"))
+
+
+class TestOutMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_files_get_the_umask_mode(self, tmp_path, capsys, umask):
+        # mkstemp makes 0o600; a shell redirect of the same bytes gets
+        # 0o666 less the umask, and so does every file --out writes
+        path = write(tmp_path, "in.spectra", GOOD)
+        report = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            assert main(["table1", "--out", str(report)]) == 0
+            assert main(["witness", path, "good", "q-upper", "--out", str(tmp_path / "w")]) == 0
+        finally:
+            os.umask(old)
+        files = json.loads(capsys.readouterr().out)["files"]
+        for written in (report, files["A"], files["A_tilde"]):
+            assert os.stat(written).st_mode & 0o777 == 0o666 & ~umask, written
 
 
 EIGEN_RECORDS = (GOOD + "record e\nsigma 1\nsigma_tilde 1 1\neigen 1\neigen_hat -1 -1\n"
@@ -447,7 +464,7 @@ class TestStructuredFormat:
         assert capsys.readouterr().out == ""
         assert report.read_bytes() == out.encode()
 
-    @pytest.mark.parametrize("writer", [_structured, _render_text])
+    @pytest.mark.parametrize("writer", [_structured])
     def test_writers_leave_no_reference_cycle(self, writer):
         # a writer recursing through a nested closure forms a cycle that
         # holds all of its output until the next garbage collection
@@ -459,35 +476,6 @@ class TestStructuredFormat:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-# command: the SHA-256 of its --format text stdout, on EIGEN_RECORDS where it
-# reads a file; none of the three calls BLAS, so the bytes hold under every
-# OpenBLAS kernel set
-TEXT_DIGESTS = {
-    "bounds": "a37350504db4f8bcd262f6fc3a93b20b9c23d28345ae4cdb414c2d1bf622e706",
-    "oracle": "1f5ceecb8e7a31c6c96bf67184a79b6551608909da65d2a46b04880db0ecdc0d",
-    "table1": "4b2ebe8eed5e84c7ae3359ac6c46491e6f1e008eb95fbb9ea842eb3a9eb49c57",
-}
-
-
-class TestTextFormat:
-    @pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
-    def test_stdout_digest(self, tmp_path, capsys, command):
-        argv = TestStructuredFormat._argv(tmp_path, command)
-        assert main([*argv, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS[command]
-
-    def test_text_runs_no_structured_writer(self, tmp_path, capsys, monkeypatch):
-        # one walk per report: the text writer checks finiteness itself
-        def no_structured(report):
-            raise AssertionError("structured writer called for a text report")
-        monkeypatch.setattr(cli, "_structured", no_structured)
-        argv = TestStructuredFormat._argv(tmp_path, "bounds")
-        assert main([*argv, "--format", "text"]) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == TEXT_DIGESTS["bounds"]
 
 
 def reference_structured(value) -> str:
@@ -522,14 +510,13 @@ PLACES = ("top", "dict", "list")
 
 
 def _place(bad, where, value, key):
-    """bad at the top level, as a dict value, or as a list or tuple element."""
+    """bad at the top level, as a dict value, or as a list element."""
     if where == "top":
         return bad
     if where == "dict":
         return {key: bad} if not isinstance(value, dict) else {**value, key: bad}
     items = list(value) if isinstance(value, (list, tuple)) else [value]
-    items = items[:1] + [bad] + items[1:]
-    return tuple(items) if where == "tuple" else items
+    return items[:1] + [bad] + items[1:]
 
 
 class TestStructuredWriter:
@@ -573,20 +560,6 @@ class TestStructuredWriter:
     @pytest.mark.parametrize("value", [True, False, None, 0, -0.0, 5e-324, "", {}, [], ()])
     def test_top_level_scalars_and_empty_containers(self, value):
         assert _structured(value) == reference_structured(value)
-
-
-class TestTextWriter:
-    """cli._render_text checks finiteness itself: a text report is written
-    without the structured writer's walk."""
-
-    @settings(max_examples=30, deadline=None)
-    @given(VALUES, KEYS)
-    def test_non_finite_raises_value_error(self, value, key):
-        _render_text({"v": value})
-        for bad in NON_FINITE:
-            for where in (*PLACES, "tuple"):
-                with pytest.raises(ValueError):
-                    _render_text({"v": _place(bad, where, value, key)})
 
 
 class TestUsage:
