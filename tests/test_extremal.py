@@ -148,6 +148,23 @@ class TestDispatchAndVerification:
         with pytest.raises(WitnessVerificationError, match="difference-norm"):
             make_witness(p, "q-upper")
 
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_one_ppm_fault_in_A_fails_an_identity(self, bound_id):
+        # 1e-6 is 1e4 times the identities' tolerance; nothing but the
+        # identities fails on it, since verify_witness takes no target
+        w = make_witness(pair_of([3, 1], [2, 1, 0.5]), bound_id)
+        with pytest.raises(WitnessVerificationError, match="-norm: direct"):
+            verify_witness(dataclasses.replace(w, A=(1 + 1e-6) * w.A))
+
+    def test_alignment_scalar_past_sqrt_GN_fails(self):
+        # 10 S leaves N and the matrices as they are and makes |M| ten times
+        # the witness's, above G = 29.2 >= sqrt(G N) on every id
+        p = pair_of([8, 6, 5], [1.9, 1.5, 1, 0.7])
+        for bound_id in BOUND_IDS:
+            w = make_witness(p, bound_id)
+            with pytest.raises(WitnessVerificationError, match=r"exceeds sqrt\(G N\)"):
+                extremal._diagnose(bound_id, p, w.A, w.A_tilde, 10 * w.S, w.T)
+
 
 class TestHardSpectra:
     @pytest.mark.parametrize("bound_id", BOUND_IDS)

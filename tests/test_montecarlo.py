@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from polarbounds import bounds
 from polarbounds.extremal import make_witness
 from polarbounds.montecarlo import (
     EnsembleConfig,
     SuiteReport,
+    _check_polar_pairs,
     _Recorder,
     check_polar_pair,
     random_matrix_with_spectrum,
@@ -105,6 +109,34 @@ class TestWitnessReplay:
             check_polar_pair(rec, w.A, w.A_tilde, pair.r, pair.s)
             assert rec.violations == []
             assert rec.ratios[bound_id] > 1.0 - 1e-6, bound_id
+
+    def test_q_upper_fault_of_1e_4_found_on_its_witness(self, monkeypatch):
+        # the witness attains q-upper, so a constant 1e-4 too small is
+        # exceeded by 1e-4 relative, ten times below a 1e-3 blind spot
+        pair = validate_spectrum_pair([8, 6, 5], [1.9, 1.5, 1, 0.7])
+        w = make_witness(pair, "q-upper")
+        q_upper = bounds.q_upper_coeff
+
+        def low(p):
+            result, table = q_upper(p)
+            return dataclasses.replace(result, coefficient=result.coefficient * (1 - 1e-4)), table
+
+        monkeypatch.setattr(bounds, "q_upper_coeff", low)
+        rec = _Recorder(trial=0, slack_tol=1e-9)
+        _check_polar_pairs([rec], np.stack([w.A, w.A_tilde]), [pair.r, pair.s])
+        assert [v.inequality for v in rec.violations] == ["q-upper"]
+
+
+class TestRecorder:
+    def test_excess_past_the_slack_recorded(self):
+        # 1e-6 relative is 1e3 times the slack, at unit scale and at 1e-20,
+        # where an absolute slack floor would hide it
+        rec = _Recorder(0, 1e-9)
+        rec.upper("x", 1 + 1e-6, 1, 1)
+        rec.lower("y", 1 - 1e-6, 1, 1)
+        rec.upper("z", 1e-20 * (1 + 1e-6), 1e-20, 1e-20)
+        rec.lower("w", 1e-20 * (1 - 1e-6), 1e-20, 1e-20)
+        assert [v.inequality for v in rec.violations] == ["x", "y", "z", "w"]
 
 
 def merged_trials_body(config, trials):
