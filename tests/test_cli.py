@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from polarbounds import bounds, extremal
 from polarbounds.bounds import KRatioTable
-from polarbounds.cli import _structured, main, table1_path
+from polarbounds.cli import _structured, build_parser, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
 from polarbounds.spectra import BoundResult
@@ -400,7 +401,10 @@ class TestExitCodes:
             good, bad = json.loads(capsys.readouterr().out)["records"]
             assert "q_upper" in good and set(bad) == {"id", "rejected"}
         if code == 64:
-            assert capsys.readouterr().err.startswith("usage error: ")
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ")
+            # it names what the user gave, never the temporary file
+            assert ".polarbounds-" not in err
             # a failed --out leaves no temporary file beside its target
             assert not list(tmp_path.glob(".polarbounds-*"))
             assert not list(tmp_path.parent.glob(".polarbounds-*"))
@@ -478,6 +482,80 @@ class TestStructuredFormat:
             gc.enable()
 
 
+def generated_records(count: int) -> str:
+    """count spectra records of 1-6 and 1-8 singular values; every second
+    one has eigen lines of 1-4 values."""
+    rng = np.random.default_rng(7)
+    lines = []
+    for i in range(count):
+        lines.append(f"record r{i}")
+        for key, size in (("sigma", 1 + i % 6), ("sigma_tilde", 1 + (i // 6) % 8)):
+            values = np.sort(rng.uniform(0.01, 100.0, size))[::-1]
+            lines.append(f"{key} " + " ".join(map(repr, values.tolist())))
+        if i % 2:
+            for key, size in (("eigen", 1 + i % 4), ("eigen_hat", 1 + (i // 4) % 4)):
+                z = rng.uniform(0.1, 10.0, size) * np.exp(2j * np.pi * rng.uniform(size=size))
+                lines.append(f"{key} " + " ".join(map(repr, z.tolist())))
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedBounds:
+    """`bounds` hands the writer its records as a generator: each record is
+    computed, rendered and dropped before the next."""
+
+    def test_record_rejected_mid_stream(self, tmp_path, capsys):
+        path = write(tmp_path, "in.spectra", GOOD + OVERFLOW + EIGEN_RECORDS)
+        code, rep = run_json(capsys, ["bounds", path])
+        assert code == 2
+        assert [e["id"] for e in rep["records"]] == ["good", "bad", "good", "e", "t"]
+        assert set(rep["records"][1]) == {"id", "rejected"}
+        assert all("q_upper" in e for i, e in enumerate(rep["records"]) if i != 1)
+
+    def test_bare_value_error_propagates(self, tmp_path, capsys, monkeypatch):
+        # only the writer's non-finite error is an input rejection; a fault
+        # in a closed form stays a traceback, as before records streamed
+        def fault(pair):
+            raise ValueError("fault in a closed form")
+
+        monkeypatch.setattr(bounds, "amgm_coeff", fault)
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        with pytest.raises(ValueError, match="fault in a closed form") as info:
+            main(["bounds", path])
+        assert type(info.value) is ValueError
+        assert capsys.readouterr().out == ""
+
+    def test_leaves_no_reference_cycle(self, tmp_path, capsys):
+        # the argument parser's own cycles aside
+        path = write(tmp_path, "in.spectra", GOOD + OVERFLOW + EIGEN_RECORDS)
+        main(["bounds", path])
+        gc.collect()
+        gc.disable()
+        try:
+            build_parser()
+            parser_cycles = gc.collect()
+            assert main(["bounds", path]) == 2
+            assert gc.collect() == parser_cycles
+        finally:
+            gc.enable()
+
+    def test_peak_memory_a_few_times_the_report(self, tmp_path, capsys):
+        # holding every record's dict and pieces until the end peaked at
+        # about 8 times the report; --out, so that the captured stdout of
+        # the test is not counted
+        path = write(tmp_path, "in.spectra", generated_records(200))
+        assert main(["bounds", path]) == 0
+        report = capsys.readouterr().out
+        out = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            assert main(["bounds", path, "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_text() == report
+        assert peak <= 4 * len(report), peak / len(report)
+
+
 def reference_structured(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -517,6 +595,17 @@ def _place(bad, where, value, key):
         return {key: bad} if not isinstance(value, dict) else {**value, key: bad}
     items = list(value) if isinstance(value, (list, tuple)) else [value]
     return items[:1] + [bad] + items[1:]
+
+
+def _lists_as_generators(value):
+    """value with every list, at any depth, replaced by a generator of its items."""
+    if isinstance(value, dict):
+        return {k: _lists_as_generators(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_lists_as_generators(v) for v in value)
+    if isinstance(value, list):
+        return (item for item in [_lists_as_generators(v) for v in value])
+    return value
 
 
 class TestStructuredWriter:
@@ -560,6 +649,15 @@ class TestStructuredWriter:
     @pytest.mark.parametrize("value", [True, False, None, 0, -0.0, 5e-324, "", {}, [], ()])
     def test_top_level_scalars_and_empty_containers(self, value):
         assert _structured(value) == reference_structured(value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(VALUES)
+    def test_generator_written_as_its_list(self, value):
+        assert _structured(_lists_as_generators(value)) == reference_structured(value)
+
+    def test_empty_generator(self):
+        assert _structured({"records": (x for x in ())}) == reference_structured({"records": []})
+        assert _structured(x for x in ()) == "[]\n"
 
 
 class TestUsage:
