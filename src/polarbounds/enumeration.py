@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 DEFAULT_BUDGET = 10 ** 7
-_BLOCK_POINTS = 4096     # points, or index entries, per index block
+_BLOCK_POINTS = 16384    # points, or index entries, per index block; smaller blocks
+                         # pay numpy's fixed cost per call more often
 _U = 2.0 ** -53          # unit roundoff of a double
 _F_RANGE = (2.0 ** -960, 2.0 ** 960)    # F where the oracles' value bounds hold
 _LEVEL_BYTES = 2 ** 17   # the most one cached level holds; larger ones are built per block

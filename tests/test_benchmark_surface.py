@@ -6,6 +6,7 @@ benchmark's result line. These tests read perfbench/ and change nothing
 there.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -44,3 +45,25 @@ def test_witness_op_calls_every_name_its_metrics_read():
         _, stats = tracer.run_pass(
             lambda: [workloads.Witness._op(pair, b) for b in extremal.BOUND_IDS])
     assert [name for name in WITNESS_SPANS if stats.calls[name] == 0] == []
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite number {name} on the result line")
+
+
+@pytest.mark.parametrize("workload", ["campaign", "oracle"])
+def test_traced_run_ends_with_every_layer_metric(workload, tmp_path, monkeypatch, capsys):
+    # a run can exit 0 while a renamed library name silently drops the
+    # metrics that read it from its last line, the one result line
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")    # run.py sets them on import
+    import run
+    monkeypatch.setattr(run, "OUT", tmp_path)
+    assert run.main(["--workload", workload, "--seed", "1", "--seconds", "0",
+                     "--trace", "1"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    result = json.loads(last, parse_constant=_refuse_constant)
+    assert result["correct"] is True
+    names = set(layers.PER_LAYER) | {"trace.overhead_frac", "cli.scale_probe_failures"}
+    assert len(names) == 29
+    assert set(result["metrics"]) == names

@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -256,6 +257,17 @@ class TestArrayPath:
             pair = _family_pair(family, rng, r, s)
             assert repr(brute_force_f_extrema(pair)) == repr(scalar_f_extrema(pair))
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_small_blocks_match_scalar_reference(self, monkeypatch, family):
+        # blocks of one to three pairings at every k, so the best max and
+        # min move at block boundaries everywhere: a boundary cannot change
+        # a winner
+        monkeypatch.setattr(oracle, "_BLOCK_POINTS", 7)
+        rng = np.random.default_rng(FAMILIES.index(family) + 11)
+        for r, s in [(1, 1), (2, 3), (3, 3), (2, 5), (4, 4), (4, 6)]:
+            pair = _family_pair(family, rng, r, s)
+            assert repr(brute_force_f_extrema(pair)) == repr(scalar_f_extrema(pair))
+
     def test_ties_the_array_sums_round_apart(self):
         # integer spectra at 1e100: tied points whose array denominators
         # round differently; without the err margin a later tie would win
@@ -334,6 +346,27 @@ class TestIndexCache:
                                   rng.uniform(0.2, 3, 9) * 1j ** rng.integers(0, 4, 9))
         brute_force_kittaneh(eig, "lower")
         assert 0 < enumeration.cache_nbytes() <= 256 * 1024
+
+
+    def test_peak_memory_stays_bounded(self, monkeypatch):
+        # one search from an empty cache: index blocks of _BLOCK_POINTS
+        # points or entries, the cache, and at (7, 7) one k's arrangements
+        # built for its 7 column subsets (k = 6) beside a streamed k = 7
+        monkeypatch.setattr(enumeration, "_cache", {})
+        rng = np.random.default_rng(89)
+        pair = validate_spectrum_pair(_desc(rng.uniform(0.1, 10, 6)),
+                                      _desc(rng.uniform(0.1, 10, 7)))
+        eig = validate_eigen_pair(rng.uniform(0.2, 3, 7) * 1j ** rng.integers(0, 4, 7),
+                                  rng.uniform(0.2, 3, 7) * 1j ** rng.integers(0, 4, 7))
+        for search in (lambda: brute_force_f_extrema(pair),
+                       lambda: brute_force_kittaneh(eig, "lower")):
+            tracemalloc.start()
+            try:
+                search()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 * 2 ** 20, peak
 
 
 class TestOracleEquivalence:
@@ -490,8 +523,9 @@ class TestKittanehArrays:
     def test_intervals_hold_each_value(self, monkeypatch, r, s, block_points):
         # every injection once, in order; a closed interval holds the value
         # the exact evaluation gives, which is never 0/0. Blocks of 7 entries
-        # span column subsets while the arrangements fit in one, and stream
-        # each subset's arrangements once they do not
+        # span column subsets while the arrangements fit in one, and slice
+        # the arrangements built once for every column subset once they do
+        # not (at (3, 4), k = 2 and 3)
         monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", block_points)
         for eig in wide_eigen_pairs([(r, s)]):
             F = kittaneh_oracle._eigen_sum_of_squares(eig)
@@ -512,6 +546,31 @@ class TestKittanehArrays:
                         assert not (abs(num) < tol and abs(den) < tol)
                         assert lo[t] <= num / den <= hi[t]
             assert next(injections, None) is None
+
+    @pytest.mark.parametrize("r,s,k", [(3, 4, 2), (4, 6, 3), (5, 5, 4)])
+    def test_arrangements_built_once_match_streamed(self, monkeypatch, r, s, k):
+        # with blocks of 7 entries a subset's arrangements span blocks; they
+        # are built once for all C(r, k) column subsets while they fit in
+        # _CACHE_BYTES and streamed per subset otherwise, in the same blocks
+        monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", 7)
+        built = []
+        index_array = kittaneh_oracle._index_array
+        monkeypatch.setattr(kittaneh_oracle, "_index_array",
+                            lambda *args: built.append(args) or index_array(*args))
+        reused = list(kittaneh_oracle._injection_blocks(r, s, k))
+        assert len(built) == 1
+        monkeypatch.setattr(kittaneh_oracle, "_CACHE_BYTES", 0)
+        streamed = list(kittaneh_oracle._injection_blocks(r, s, k))
+        assert len(streamed) == len(reused) > math.comb(r, k) > 1
+        injections = ((rows, cols) for cols in itertools.combinations(range(r), k)
+                      for rows in itertools.permutations(range(s), k))
+        for (rows, cols, index), (rows2, cols2, index2) in zip(reused, streamed):
+            assert rows.tolist() == rows2.tolist() and cols.tolist() == cols2.tolist()
+            assert index.tolist() == index2.tolist()
+            assert index.tolist() == np.ravel_multi_index((cols.T, rows.T), (r, s)).tolist()
+            for t in range(len(rows)):
+                assert (tuple(rows[t].tolist()), tuple(cols[t].tolist())) == next(injections)
+        assert next(injections, None) is None
 
     @pytest.mark.parametrize("family", WIDE_FAMILIES)
     def test_matches_scalar_reference(self, family):
