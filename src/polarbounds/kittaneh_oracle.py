@@ -54,19 +54,14 @@ def _injection_blocks(r: int, s: int, k: int
             yield rows, cols, index
         return
     dtype = np.min_scalar_type(s - 1)
-    if count * k * dtype.itemsize <= _CACHE_BYTES:
-        built = _index_array(itertools.permutations(range(s), k), k, dtype)
-
-        def arrangement_blocks():
-            return (built[start:start + step] for start in range(0, count, step))
-    else:
-        def arrangement_blocks():
-            arrangements = itertools.permutations(range(s), k)
-            while len(rows := _index_array(itertools.islice(arrangements, step), k, dtype)):
-                yield rows
+    built = (_index_array(itertools.permutations(range(s), k), k, dtype)
+             if count * k * dtype.itemsize <= _CACHE_BYTES else None)
     for col_set in itertools.combinations(range(r), k):
         offsets = np.multiply(col_set, s)[:, None]
-        for rows in arrangement_blocks():
+        arrangements = itertools.permutations(range(s), k)
+        for start in range(0, count, step):
+            rows = (built[start:start + step] if built is not None
+                    else _index_array(itertools.islice(arrangements, step), k, dtype))
             yield rows, np.broadcast_to(col_set, rows.shape), rows.T + offsets
 
 

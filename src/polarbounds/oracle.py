@@ -93,8 +93,8 @@ def _index_blocks(r: int, s: int, budget: int
     zip(rows[p], cols[p], signs[q]) with p, q = divmod(t, 2**k). The order
     is k ascending, then row subsets (`combinations`), column arrangements
     (`permutations`) and signs (`product`, + before -). A block holds about
-    _BLOCK_POINTS points (16,384), so the arrays derived from it take a few
-    hundred KB however many points there are (`enumeration.pairing_blocks`).
+    _BLOCK_POINTS points (16,384), so the arrays derived from it stay under
+    1 MB however many points there are (`enumeration.pairing_blocks`).
     """
     if not (1 <= r <= s):
         raise ValueError(f"need 1 <= r <= s, got r={r}, s={s}")

@@ -347,11 +347,11 @@ class TestIndexCache:
         brute_force_kittaneh(eig, "lower")
         assert 0 < enumeration.cache_nbytes() <= 256 * 1024
 
-
     def test_peak_memory_stays_bounded(self, monkeypatch):
         # one search from an empty cache: index blocks of _BLOCK_POINTS
-        # points or entries, the cache, and at (7, 7) one k's arrangements
-        # built for its 7 column subsets (k = 6) beside a streamed k = 7
+        # points or entries, the cached levels, and at (7, 7) the
+        # arrangements of k = 6 and 7, each built once for all its column
+        # subsets
         monkeypatch.setattr(enumeration, "_cache", {})
         rng = np.random.default_rng(89)
         pair = validate_spectrum_pair(_desc(rng.uniform(0.1, 10, 6)),
