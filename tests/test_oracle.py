@@ -518,14 +518,15 @@ class TestKittanehArrays:
             brute_force_kittaneh(eig, mode, n=7, budget=100)
         assert exc.value.exact_count == (5040 if mode == "upper" else 130921)
 
-    @pytest.mark.parametrize("block_points", [kittaneh_oracle._BLOCK_POINTS, 7])
+    @pytest.mark.parametrize("block_points", [4096, kittaneh_oracle._BLOCK_POINTS, 7])
     @pytest.mark.parametrize("r,s", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 4)])
     def test_intervals_hold_each_value(self, monkeypatch, r, s, block_points):
         # every injection once, in order; a closed interval holds the value
-        # the exact evaluation gives, which is never 0/0. Blocks of 7 entries
-        # span column subsets while the arrangements fit in one, and slice
-        # the arrangements built once for every column subset once they do
-        # not (at (3, 4), k = 2 and 3)
+        # the exact evaluation gives, which is never 0/0. Blocks of 4,096
+        # and of _BLOCK_POINTS entries hold each level here whole. Blocks
+        # of 7 entries span column subsets while the arrangements fit in
+        # one, and slice the arrangements built once for every column
+        # subset once they do not (at (3, 4), k = 2 and 3)
         monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", block_points)
         for eig in wide_eigen_pairs([(r, s)]):
             F = kittaneh_oracle._eigen_sum_of_squares(eig)
