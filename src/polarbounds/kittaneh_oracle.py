@@ -16,8 +16,8 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .enumeration import (_BLOCK_POINTS, _CACHE_BYTES, _F_RANGE, _U, DEFAULT_BUDGET,
-                          BudgetExceededError, _index_array, pairing_blocks)
+from .enumeration import (_BLOCK_POINTS, _F_RANGE, _U, DEFAULT_BUDGET, BudgetExceededError,
+                          _index_array, pairing_blocks)
 from .spectra import BoundResult, EigenPair
 
 
@@ -41,28 +41,20 @@ def _injection_blocks(r: int, s: int, k: int
     about _BLOCK_POINTS entries, and injection t is zip(rows[t], cols[t]);
     index[a, t] = cols[t, a] * s + rows[t, a] places its entries in a flat
     r x s table. When a column subset's arrangements fit in one block, the
-    blocks span column subsets (`enumeration.pairing_blocks`). Otherwise
-    the arrangements are built once, in the smallest unsigned type that
-    holds s - 1, and sliced into blocks for every column subset while they
-    take at most _CACHE_BYTES; past that each subset's arrangements are
-    streamed, so memory stays bounded at every size.
+    blocks span column subsets (`enumeration.pairing_blocks`); otherwise
+    each subset's arrangements are streamed, so memory stays bounded at
+    every size.
     """
     step = max(1, _BLOCK_POINTS // k)
-    count = math.perm(s, k)
-    if count <= step:
+    if math.perm(s, k) <= step:
         for cols, rows, index in pairing_blocks(r, s, k, step):
             yield rows, cols, index
         return
-    dtype = np.min_scalar_type(s - 1)
-    built = (_index_array(itertools.permutations(range(s), k), k, dtype)
-             if count * k * dtype.itemsize <= _CACHE_BYTES else None)
     for col_set in itertools.combinations(range(r), k):
-        offsets = np.multiply(col_set, s)[:, None]
         arrangements = itertools.permutations(range(s), k)
-        for start in range(0, count, step):
-            rows = (built[start:start + step] if built is not None
-                    else _index_array(itertools.islice(arrangements, step), k, dtype))
-            yield rows, np.broadcast_to(col_set, rows.shape), rows.T + offsets
+        while len(rows := _index_array(itertools.islice(arrangements, step), k)):
+            cols = np.broadcast_to(col_set, rows.shape)
+            yield rows, cols, np.ravel_multi_index((cols.T, rows.T), (r, s))
 
 
 def _kittaneh_intervals(eig: EigenPair, F: float, ks):

@@ -349,9 +349,8 @@ class TestIndexCache:
 
     def test_peak_memory_stays_bounded(self, monkeypatch):
         # one search from an empty cache: index blocks of _BLOCK_POINTS
-        # points or entries, the cached levels, and at (7, 7) the
-        # arrangements of k = 6 and 7, each built once for all its column
-        # subsets
+        # points or entries and the cached levels; at (7, 7) the levels
+        # k = 6 and 7 stream each column subset's arrangements
         monkeypatch.setattr(enumeration, "_cache", {})
         rng = np.random.default_rng(89)
         pair = validate_spectrum_pair(_desc(rng.uniform(0.1, 10, 6)),
@@ -525,8 +524,8 @@ class TestKittanehArrays:
         # the exact evaluation gives, which is never 0/0. Blocks of 4,096
         # and of _BLOCK_POINTS entries hold each level here whole. Blocks
         # of 7 entries span column subsets while the arrangements fit in
-        # one, and slice the arrangements built once for every column
-        # subset once they do not (at (3, 4), k = 2 and 3)
+        # one, and stream each subset's arrangements once they do not (at
+        # (3, 4), k = 2 and 3)
         monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", block_points)
         for eig in wide_eigen_pairs([(r, s)]):
             F = kittaneh_oracle._eigen_sum_of_squares(eig)
@@ -547,31 +546,6 @@ class TestKittanehArrays:
                         assert not (abs(num) < tol and abs(den) < tol)
                         assert lo[t] <= num / den <= hi[t]
             assert next(injections, None) is None
-
-    @pytest.mark.parametrize("r,s,k", [(3, 4, 2), (4, 6, 3), (5, 5, 4)])
-    def test_arrangements_built_once_match_streamed(self, monkeypatch, r, s, k):
-        # with blocks of 7 entries a subset's arrangements span blocks; they
-        # are built once for all C(r, k) column subsets while they fit in
-        # _CACHE_BYTES and streamed per subset otherwise, in the same blocks
-        monkeypatch.setattr(kittaneh_oracle, "_BLOCK_POINTS", 7)
-        built = []
-        index_array = kittaneh_oracle._index_array
-        monkeypatch.setattr(kittaneh_oracle, "_index_array",
-                            lambda *args: built.append(args) or index_array(*args))
-        reused = list(kittaneh_oracle._injection_blocks(r, s, k))
-        assert len(built) == 1
-        monkeypatch.setattr(kittaneh_oracle, "_CACHE_BYTES", 0)
-        streamed = list(kittaneh_oracle._injection_blocks(r, s, k))
-        assert len(streamed) == len(reused) > math.comb(r, k) > 1
-        injections = ((rows, cols) for cols in itertools.combinations(range(r), k)
-                      for rows in itertools.permutations(range(s), k))
-        for (rows, cols, index), (rows2, cols2, index2) in zip(reused, streamed):
-            assert rows.tolist() == rows2.tolist() and cols.tolist() == cols2.tolist()
-            assert index.tolist() == index2.tolist()
-            assert index.tolist() == np.ravel_multi_index((cols.T, rows.T), (r, s)).tolist()
-            for t in range(len(rows)):
-                assert (tuple(rows[t].tolist()), tuple(cols[t].tolist())) == next(injections)
-        assert next(injections, None) is None
 
     @pytest.mark.parametrize("family", WIDE_FAMILIES)
     def test_matches_scalar_reference(self, family):
