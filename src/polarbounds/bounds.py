@@ -72,47 +72,54 @@ class KRatioTable:
     values: Tuple[Optional[float], ...]
 
 
-def _ratios(F: float, numdens):
-    """num / den for each (num, den); None (0/0) when both are below
-    1e-12 * max(1, F)."""
-    tol = 1e-12 * max(1.0, F)
-    for num, den in numdens:
-        yield None if abs(num) < tol and abs(den) < tol else num / den
+def _q_upper_dens(pair: SpectrumPair, start: int = 0):
+    """Denominator of the subunitary-factor upper ratio at k = start..r,
+    one `fsum` per k:
+    den(k) = sum_{j<r-k} (sig_j - sigt_j)**2 + sum_{j<k} (sig_{r-1-j} + sigt_{s-k+j})**2
+             + sum_{r-k<=j<s-k} sigt_j**2.
+    Each aligned and square term is formed once, by the first k that reads
+    it, so every k raises what its own terms and sum would raise, in k order.
+    `**`, not `*`: y * y and y ** 2 differ in the last bit for some doubles.
+    """
+    sig, sigt = pair.sigma, pair.sigma_tilde
+    r, s = pair.r, pair.s
+    rev = sig[::-1]
+    aligned = [(x - y) ** 2 for x, y in zip(sig[:r - start], sigt)]
+    squares = [y ** 2 for y in sigt[r - start:s - start]]   # sigt_j**2 for j >= r - k
+    for k in range(start, r + 1):
+        if k > start:
+            squares.insert(0, sigt[r - k] ** 2)
+        yield math.fsum(aligned[:r - k] + [(x + y) ** 2 for x, y in zip(rev, sigt[s - k:])]
+                        + squares[:s - r])
 
 
-def _extreme(items, upper: bool):
-    """First (label, value) of `items` with the largest (upper) or smallest
-    value, skipping None values; None when every value is None."""
-    best = None
-    for label, value in items:
-        if value is not None and (best is None or (
-                value > best[1] if upper else value < best[1])):
-            best = (label, value)
-    return best
+def _q_lower_dens(pair: SpectrumPair, start: int = 0):
+    """Denominator of the subunitary-factor lower ratio at k = start..r, as
+    `_q_upper_dens`:
+    den(k) = sum_{j<k} (sig_j + sigt_j)**2 + sum_{j<r-k} (sig_{r-1-j} - sigt_{s-r+k+j})**2
+             + sum_{k<=j<s-r+k} sigt_j**2.
+    """
+    sig, sigt = pair.sigma, pair.sigma_tilde
+    r, s = pair.r, pair.s
+    rev = sig[::-1]
+    aligned = [(x + y) ** 2 for x, y in zip(sig[:start], sigt)]
+    squares = [y ** 2 for y in sigt[start:s - r + start]]   # sigt_j**2 for j >= start
+    for k in range(start, r + 1):
+        if k > start:
+            aligned.append((sig[k - 1] + sigt[k - 1]) ** 2)
+            squares.append(sigt[s - r + k - 1] ** 2)
+        yield math.fsum(aligned + [(x - y) ** 2 for x, y in zip(rev, sigt[s - r + k:])]
+                        + squares[k - start:])
 
 
 def q_upper_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
     """Numerator and denominator of the subunitary-factor upper ratio at k."""
-    sig, sigt = pair.sigma, pair.sigma_tilde
-    r, s = pair.r, pair.s
-    num = float(s - r + 4 * k)
-    den = math.fsum(
-        [(sig[j] - sigt[j]) ** 2 for j in range(r - k)]
-        + [(sig[r - 1 - j] + sigt[s - k + j]) ** 2 for j in range(k)]
-        + [sigt[j] ** 2 for j in range(r - k, s - k)])
-    return num, den
+    return float(pair.s - pair.r + 4 * k), next(_q_upper_dens(pair, k))
 
 
 def q_lower_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
     """Numerator and denominator of the subunitary-factor lower ratio at k."""
-    sig, sigt = pair.sigma, pair.sigma_tilde
-    r, s = pair.r, pair.s
-    num = float(s - r + 4 * k)
-    den = math.fsum(
-        [(sig[j] + sigt[j]) ** 2 for j in range(k)]
-        + [(sig[r - 1 - j] - sigt[s - r + k + j]) ** 2 for j in range(r - k)]
-        + [sigt[j] ** 2 for j in range(k, s - r + k)])
-    return num, den
+    return float(pair.s - pair.r + 4 * k), next(_q_lower_dens(pair, k))
 
 
 def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
@@ -124,42 +131,68 @@ def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="li-sun", coefficient=c)
 
 
-def _q_coeff(pair: SpectrumPair, theorem_id: str, numden,
-             upper: bool) -> Tuple[BoundResult, KRatioTable]:
-    """Square root of the max (upper) or min of the ratio table over k."""
+def _q_table(pair: SpectrumPair, theorem_id: str, dens, start: int = 0) -> KRatioTable:
+    """num(k) / den(k) for k = 0..r, num(k) = s - r + 4k and den(k) from
+    dens (k = start..r); None (0/0) below start and where num and den are
+    both below 1e-12 * max(1, F). Each k is divided as its den arrives."""
+    r, s = pair.r, pair.s
+    values = [None] * start
     try:   # a squared term overflows, or a denominator underflows to 0
-        values = tuple(_ratios(fg_scalars(pair).F, map(numden, range(pair.r + 1))))
+        tol = 1e-12 * max(1.0, fg_scalars(pair).F)
+        for k, den in enumerate(dens, start):
+            num = float(s - r + 4 * k)
+            values.append(None if num < tol and abs(den) < tol else num / den)
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalRangeError(f"{theorem_id}: {exc}") from exc
-    for v in values:
+    return KRatioTable(values=tuple(values))
+
+
+def _q_optimum(theorem_id: str, table: KRatioTable,
+               upper: bool) -> Tuple[BoundResult, KRatioTable]:
+    """Square root of the first largest (upper) or smallest value of the
+    table, 0/0 entries skipped; every value checked to be a finite double."""
+    best = None
+    for k, v in enumerate(table.values):
         if v is not None:
             check_range(theorem_id, v, 0.0, sys.float_info.max)
-    best = _extreme(enumerate(values), upper)
+            if best is None or (v > best[1] if upper else v < best[1]):
+                best = (k, v)
     if best is None:
         raise NumericalRangeError(f"{theorem_id}: every k is 0/0")
     k, value = best
     return BoundResult(theorem_id=theorem_id, coefficient=math.sqrt(value),
-                       optimal_index=k), KRatioTable(values=values)
+                       optimal_index=k), table
 
 
 def q_upper_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
-    return _q_coeff(pair, "q-upper", lambda k: q_upper_numden(pair, k), upper=True)
+    """Square root of the max of the upper ratio table over k."""
+    return _q_optimum("q-upper", _q_table(pair, "q-upper", _q_upper_dens(pair)), upper=True)
 
 
 def q_lower_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
-    return _q_coeff(pair, "q-lower", lambda k: q_lower_numden(pair, k), upper=False)
+    """Square root of the min of the lower ratio table over k."""
+    return _q_optimum("q-lower", _q_table(pair, "q-lower", _q_lower_dens(pair)), upper=False)
+
+
+def refined_li_sun(q_upper: Tuple[BoundResult, KRatioTable],
+                   li_sun: BoundResult) -> Tuple[BoundResult, KRatioTable]:
+    """Refined Li-Sun read off an equal-rank pair's q-upper result and
+    table: the same values with k = 0 marked 0/0. At r = s the k = 0 value
+    is 0 or 0/0 and the k = r value is positive (its den is at least F), so
+    q-upper's first max lies at some k >= 1 and is also the max over k >= 1.
+    It cannot exceed the pair's classical `li_sun` constant."""
+    result, table = q_upper
+    result = BoundResult(theorem_id="refined-li-sun", coefficient=result.coefficient,
+                         optimal_index=result.optimal_index)
+    check_range("refined-li-sun", result.coefficient, 0.0, li_sun.coefficient * (1 + 1e-12))
+    return result, KRatioTable(values=(None,) + table.values[1:])
 
 
 def refined_li_sun_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
     """Equal-rank sharpening of the classical subunitary bound: q-upper over k >= 1."""
-    classical = li_sun_coeff(pair).coefficient   # raises unless r == s
-
-    def numden(k):   # (0, 0) marks k = 0 indeterminate, which drops it from the max
-        return (0.0, 0.0) if k == 0 else q_upper_numden(pair, k)
-
-    result, table = _q_coeff(pair, "refined-li-sun", numden, upper=True)
-    check_range("refined-li-sun", result.coefficient, 0.0, classical * (1 + 1e-12))
-    return result, table
+    li_sun = li_sun_coeff(pair)   # raises unless r == s
+    table = _q_table(pair, "refined-li-sun", _q_upper_dens(pair, 1), 1)
+    return refined_li_sun(_q_optimum("refined-li-sun", table, upper=True), li_sun)
 
 
 def h_upper_coeff(pair: SpectrumPair) -> BoundResult:
@@ -294,6 +327,35 @@ def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, up
         yield tuple(rows), [tuple(cols) for _, cols in group]
 
 
+def _pairing_sums(F: float, mods, reals, rows, arrangements):
+    """(nums, dens): F - 2 sum_a mods[rows[a]][cols[a]] and the same over
+    reals, for each cols of arrangements, with k = len(rows) >= 2. Two
+    terms are summed by one plain add, which rounds their exact sum once,
+    as `fsum` does for more; each term is at most F/2, so none overflows."""
+    if len(rows) == 2:
+        m0, m1, r0, r1 = mods[rows[0]], mods[rows[1]], reals[rows[0]], reals[rows[1]]
+        return ([F - 2.0 * (m0[a] + m1[b]) for a, b in arrangements],
+                [F - 2.0 * (r0[a] + r1[b]) for a, b in arrangements])
+    mod_rows, real_rows = [mods[i] for i in rows], [reals[i] for i in rows]
+    fsum, getitem = math.fsum, operator.getitem
+    return ([F - 2.0 * fsum(map(getitem, mod_rows, cols)) for cols in arrangements],
+            [F - 2.0 * fsum(map(getitem, real_rows, cols)) for cols in arrangements])
+
+
+def _first_optimum(nums, dens, tol: float, best, upper: bool):
+    """(index, value) of the first ratio num / den that is larger (upper)
+    or smaller than best and than every ratio before it, 0/0 pairs (num
+    and den below tol) skipped; None when no ratio beats best."""
+    found = None
+    for i, (num, den) in enumerate(zip(nums, dens)):
+        if abs(num) < tol and abs(den) < tol:
+            continue
+        value = num / den
+        if best is None or (value > best if upper else value < best):
+            best, found = value, i
+    return None if found is None else (found, best)
+
+
 def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
     """(value, rows, cols) of the first pairing with the largest (upper) or
     smallest ratio (F - 2 sum mods) / (F - 2 sum reals), or None when every
@@ -302,19 +364,27 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
     mods and reals are tables of per-entry terms; a pairing matches the rows
     of a k-subset (`combinations`, for k in ks) with the columns of a
     k-arrangement (`permutations`), row-subset-first. One exact loop decides
-    the optimum: `fsum` rounds each pairing's exact sums once, 0/0 pairings
-    are skipped, and strict comparisons keep the first of tied pairings.
-    A k with more than EXACT_ONLY_PAIRINGS pairings, when F lies in
-    _F_RANGE, sends it only its `_survivors`, which drop no pairing that
-    could change its result; every other k sends every pairing.
+    the optimum: each pairing's sums are its exact sums rounded once (a
+    single term, one add of two, `fsum` of more), 0/0 pairings are skipped,
+    and strict comparisons keep the first of tied pairings. k = 1 pairs
+    each entry alone, row by row: at most ENUM_CAP**2 pairings. A larger k
+    with more than EXACT_ONLY_PAIRINGS pairings, when F lies in _F_RANGE,
+    sends the loop only its `_survivors`, which drop no pairing that could
+    change its result; every other k sends every pairing.
     """
     nrows, n = len(mods), len(mods[0])
     tol = 1e-12 * max(1.0, F)
     bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
     terms = None
-    fsum, getitem = math.fsum, operator.getitem
     best = best_rows = best_cols = None
     for k in ks:
+        if k == 1:
+            found = _first_optimum([F - 2.0 * x for row in mods for x in row],
+                                   [F - 2.0 * x for row in reals for x in row], tol, best, upper)
+            if found is not None:
+                i, best = found
+                best_rows, best_cols = (i // n,), (i % n,)
+            continue
         if bounded and math.comb(nrows, k) * math.perm(n, k) > EXACT_ONLY_PAIRINGS:
             if terms is None:
                 terms = np.array([mods, reals]).reshape(2, -1)
@@ -323,16 +393,11 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
             groups = zip(itertools.combinations(range(nrows), k),
                          itertools.repeat(_arrangement_tuples(n, k)))
         for rows, arrangements in groups:
-            mod_rows = [mods[i] for i in rows]
-            real_rows = [reals[i] for i in rows]
-            for cols in arrangements:
-                num = F - 2.0 * fsum(map(getitem, mod_rows, cols))
-                den = F - 2.0 * fsum(map(getitem, real_rows, cols))
-                if abs(num) < tol and abs(den) < tol:
-                    continue
-                value = num / den
-                if best is None or (value > best if upper else value < best):
-                    best, best_rows, best_cols = value, rows, cols
+            found = _first_optimum(*_pairing_sums(F, mods, reals, rows, arrangements),
+                                   tol, best, upper)
+            if found is not None:
+                i, best = found
+                best_rows, best_cols = rows, arrangements[i]
     if best is None:
         return None
     return best, best_rows, best_cols

@@ -244,16 +244,19 @@ def _bound_entry(result) -> dict:
 def _record_bounds(rec: fileio.SpectraRecord) -> dict:
     pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)
     out = {"id": rec.id, "r": pair.r, "s": pair.s, "swapped": pair.swapped}
+    q_results = {}
     for theorem_id, _ in bounds.SPECTRUM_CONSTANTS:
         result = bounds.closed_form(theorem_id)(pair)
         key = bounds.REPORT_KEYS[theorem_id]
         if isinstance(result, tuple):   # q: the result and its ratio table
+            q_results[theorem_id] = result
             out[key] = dict(_bound_entry(result[0]), f_table=list(result[1].values))
         else:
             out[key] = _bound_entry(result)
     if pair.r == pair.s:
-        out["li_sun"] = _bound_entry(bounds.li_sun_coeff(pair))
-        refined, _ = bounds.refined_li_sun_coeff(pair)
+        li_sun = bounds.li_sun_coeff(pair)
+        out["li_sun"] = _bound_entry(li_sun)
+        refined, _ = bounds.refined_li_sun(q_results["q-upper"], li_sun)
         out["refined_li_sun"] = _bound_entry(refined)
     else:
         out["li_sun"] = "not applicable (r != s)"
