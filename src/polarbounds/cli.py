@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import os
 import sys
@@ -410,11 +411,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bounds", help="coefficients for each record of a spectra file")
     p.add_argument("input")
     common(p)
-    p.set_defaults(func=cmd_bounds)
+    p.set_defaults(handler="cmd_bounds")
 
     p = sub.add_parser("table1", help="bounds on the bundled golden spectra file")
     common(p)
-    p.set_defaults(func=cmd_bounds, input=None)
+    p.set_defaults(handler="cmd_bounds", input=None)
 
     p = sub.add_parser("witness", help="construct an equality-attaining pair")
     p.add_argument("input")
@@ -422,13 +423,13 @@ def build_parser() -> _Parser:
     p.add_argument("bound", choices=extremal.BOUND_IDS)
     # witness writes matrices into a directory
     common(p, "witness-out", "output directory for matrix files")
-    p.set_defaults(func=cmd_witness)
+    p.set_defaults(handler="cmd_witness")
 
     p = sub.add_parser("oracle", help="brute-force cross-check of the closed forms")
     p.add_argument("input")
     p.add_argument("--budget", type=int, default=oracle.DEFAULT_BUDGET)
     common(p)
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(handler="cmd_oracle")
 
     p = sub.add_parser("verify", help="randomized falsification campaign")
     p.add_argument("--trials", type=int, default=100)
@@ -437,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--field", choices=("complex", "real"), default="complex")
     p.add_argument("--slack-tol", dest="slack_tol", type=float, default=1e-9)
     common(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(handler="cmd_verify")
 
     return parser
 
@@ -454,13 +455,22 @@ _EXITS = (
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser `main` reads arguments with, built on its first call:
+    building one takes about a millisecond and leaves a few hundred objects
+    in reference cycles."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "table1":
             args.input = table1_path()
-        return args.func(args)
+        # the handler by name, so a replaced module attribute is the one called
+        return globals()[args.handler](args)
     except Exception as exc:
         for exc_type, code, prefix in _EXITS:
             if isinstance(exc, exc_type):

@@ -124,8 +124,10 @@ class EigenPair:
     def s(self) -> int:
         return len(self.lam_hat)
 
-    @property
+    @cached_property
     def F_hat(self) -> float:
+        """Sum of squared moduli of both lists, computed on first use: both
+        Kittaneh bounds of a pair read it."""
         return math.fsum([abs(z) ** 2 for z in self.lam] +
                          [abs(z) ** 2 for z in self.lam_hat])
 

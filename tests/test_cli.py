@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarbounds import bounds, extremal
+from polarbounds import bounds, cli, extremal
 from polarbounds.bounds import KRatioTable
-from polarbounds.cli import _structured, build_parser, main, table1_path
+from polarbounds.cli import _structured, main, table1_path
 from polarbounds.extremal import BOUND_IDS, RATIO_RTOL
 from polarbounds.fileio import parse_spectra_text, read_matrix_text
 from polarbounds.spectra import BoundResult
@@ -525,18 +525,27 @@ class TestStreamedBounds:
         assert capsys.readouterr().out == ""
 
     def test_leaves_no_reference_cycle(self, tmp_path, capsys):
-        # the argument parser's own cycles aside
+        # main builds its argument parser, and the parser's cycles, once
         path = write(tmp_path, "in.spectra", GOOD + OVERFLOW + EIGEN_RECORDS)
         main(["bounds", path])
         gc.collect()
         gc.disable()
         try:
-            build_parser()
-            parser_cycles = gc.collect()
             assert main(["bounds", path]) == 2
-            assert gc.collect() == parser_cycles
+            assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_handler_replaced_after_first_call_is_called(self, tmp_path, capsys, monkeypatch):
+        # the parser is built once; the subcommand's function is looked up
+        # by name on each call, so a later replacement is the one run
+        path = write(tmp_path, "in.spectra", GOLDEN_SINGLE)
+        assert main(["bounds", path]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_bounds", lambda args: calls.append(args.input) or 7)
+        assert main(["bounds", path]) == 7
+        assert main(["table1"]) == 7
+        assert calls == [path, table1_path()]
 
     def test_peak_memory_a_few_times_the_report(self, tmp_path, capsys):
         # holding every record's dict and pieces until the end peaked at
