@@ -51,7 +51,7 @@ def _refuse_constant(name):
     raise ValueError(f"non-finite number {name} on the result line")
 
 
-@pytest.mark.parametrize("workload", ["campaign", "oracle"])
+@pytest.mark.parametrize("workload", ["campaign", "oracle", "bounds-report"])
 def test_traced_run_ends_with_every_layer_metric(workload, tmp_path, monkeypatch, capsys):
     # a run can exit 0 while a renamed library name silently drops the
     # metrics that read it from its last line, the one result line
