@@ -5,6 +5,13 @@ constant of one Frobenius-norm inequality: subunitary-factor upper/lower
 bounds (a max/min over an index k), positive-factor upper/lower bounds,
 the strengthened Lee constants, refined AM-GM and Cauchy-Schwarz constants,
 and the normal-matrix arrangement bounds.
+
+Each spectrum constant is a supremum or infimum over matrices of every
+size. The smallest ambient size n (A and A~ both n x n) at which it is
+attained: n >= s for q-upper, q-lower, h-lower and lee-lower, and
+n >= r + s for h-upper and lee-upper (extremal's witnesses). Below r + s,
+a numerical search over the unitaries stays below the h-upper and
+lee-upper constants, by up to 21% at n = s.
 """
 
 from __future__ import annotations
@@ -245,7 +252,14 @@ def amgm_coeff(pair: SpectrumPair) -> BoundResult:
 def cauchy_schwarz_coeff(pair: SpectrumPair) -> BoundResult:
     """Refined constant for |tr B* A| <= c ||A|| ||B||."""
     u = pair.unit_sums
-    c = u.G / (math.sqrt(u.squares) * math.sqrt(u.squares_tilde))
+    try:
+        c = u.G / (math.sqrt(u.squares) * math.sqrt(u.squares_tilde))
+    except ZeroDivisionError as exc:
+        # the constant exists, but one spectrum is too small beside the other
+        # for its squares to survive at the pair's shared unit scale
+        raise NumericalRangeError(
+            "cauchy-schwarz: a spectrum's sum of squares underflows to 0 at "
+            "the pair's unit scale") from exc
     check_range("cauchy-schwarz", c, 0.0, 1.0 + 1e-12)
     return BoundResult(theorem_id="cauchy-schwarz", coefficient=min(c, 1.0))
 
@@ -417,7 +431,11 @@ def _arrangement_coeff(eig: EigenPair, theorem_id: str, count, upper: bool) -> B
         raise EnumerationCapError(
             f"sizes r={r}, s={s} exceed enumeration cap {ENUM_CAP}; "
             f"{count} tuples would be required", count)
-    F = eig.F_hat
+    try:
+        F = eig.F_hat
+    except OverflowError as exc:
+        raise NumericalRangeError(
+            f"{theorem_id}: a squared eigenvalue modulus in F_hat overflows") from exc
     mods = [[abs(a) * abs(b) for b in eig.lam] for a in eig.lam_hat]
     reals = [[(a * b.conjugate()).real for b in eig.lam] for a in eig.lam_hat]
     if upper:

@@ -20,8 +20,8 @@ converge; `bounds` rejects a record out of range, or one with more than
 file); 3 degenerate witness
 (h-upper on spectra identical, or too close for any double-precision
 pair to attain its constant); 4 budget exceeded; 5 witness construction
-failed (the built pair missed its constant or a norm identity, or a
-unitary could not be completed; no known input does this); 64 usage
+failed (the built pair missed its constant, a norm identity or the
+isometry check of its singular vectors; no known input does this); 64 usage
 error (bad arguments or tolerances, an option or choice the command does
 not take, --format text included, an unreadable input, an unwritable
 --out, such as a report --out that names a directory or a witness --out
@@ -57,7 +57,6 @@ from typing import Optional
 from . import __version__, bounds, extremal, fileio, oracle
 from .bounds import EnumerationCapError, RankMismatchError
 from .extremal import DegenerateSupremumError, WitnessVerificationError
-from .linalg import CompletionInfeasibleError
 from .montecarlo import EnsembleConfig, run_verification_suite
 from .oracle import BudgetExceededError
 from .spectra import (
@@ -448,8 +447,7 @@ def build_parser() -> _Parser:
 # and linalg's SvdConvergenceError
 _EXITS = (
     (UsageError, EXIT_USAGE, "usage error"),
-    ((WitnessVerificationError, CompletionInfeasibleError), EXIT_WITNESS,
-     "witness construction failed"),
+    (WitnessVerificationError, EXIT_WITNESS, "witness construction failed"),
     ((fileio.SpectraParseError, UnicodeDecodeError, SpectrumValidationError,
       EnumerationCapError, ArithmeticError), EXIT_INPUT, "input rejected"),
 )

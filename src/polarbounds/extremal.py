@@ -1,13 +1,18 @@
 """Explicit matrix pairs attaining each sharp coefficient.
 
-The constructions place prescribed spectra on both matrices and choose the
-two unitaries so the coefficient's optimizing pattern is realized exactly:
-identity blocks where singular directions must align, reversal blocks where
-they must anti-align, and a shrunken diagonal block (completed below the
-second spectrum's rows) where the optimum sits strictly inside the polytope.
+A witness is A = S diag(sigma) T* and A~ = diag(sigma~). S and T are
+(s + r) x r isometries, the singular vectors of A's r nonzero singular
+values, built directly with no unitary completion. They realize the
+coefficient's optimizing pattern exactly: identity blocks where singular
+directions must align, reversal blocks where they must anti-align, and,
+for h-upper and lee-upper, a shrunken diagonal block c I whose missing
+column mass sqrt(1 - c^2) sits in rows s .. s + r - 1, below the rows of
+the second spectrum.
 
-Ambient dimension is m = n = s + r throughout: the completions need spare
-rows below index s, and s + r always suffices.
+Ambient dimension is m = n = s + r throughout. Only h-upper and lee-upper
+need the rows below s: q-upper, q-lower, h-lower and lee-lower are
+attained at every ambient size n >= s, and h-upper and lee-upper at
+n >= r + s (see `bounds`).
 """
 
 from __future__ import annotations
@@ -19,14 +24,21 @@ from typing import Tuple
 
 import numpy as np
 
-from . import bounds
-from .linalg import frobenius_norms, polar_decompose, unitary_completion
+from . import bounds, linalg
+from .linalg import frobenius_norms, polar_decompose
 from .spectra import FGScalars, SpectrumPair, check_range, fg_scalars
 
 RATIO_RTOL = 1e-8
+# the isometry blocks are exact but for the rounding of sqrt(1 - c^2), a few
+# ulps; a change of 1e-6 to a zero entry moves S*S by only 1e-12, second order
+ISOMETRY_TOL = 1e-14
 
 # theorem ids of the constants with a witness; the witness digest hashes in this order
 BOUND_IDS = ("q-upper", "q-lower", "h-upper", "h-lower", "lee-upper", "lee-lower")
+
+# no witness calls it any more, but perfbench/ patches and traces the
+# name on this module
+unitary_completion = linalg.unitary_completion
 
 
 class DegenerateSupremumError(ValueError):
@@ -59,23 +71,16 @@ class ExtremalWitness:
     bound_id: str
     A: np.ndarray
     A_tilde: np.ndarray
-    S: np.ndarray    # unitary left factor of A
-    T: np.ndarray    # unitary right factor of A
+    S: np.ndarray    # (s + r) x r isometry: A's left singular vectors
+    T: np.ndarray    # (s + r) x r isometry: A's right singular vectors
     target_coefficient: float
     diagnostics: WitnessDiagnostics
     pair: SpectrumPair
 
 
-def _embed_diag(values, m: int) -> np.ndarray:
-    out = np.zeros((m, m), dtype=complex)
-    # the diagonal is every (m + 1)-th entry of the row-major flat view
-    out.ravel()[:len(values) * (m + 1):m + 1] = values
-    return out
-
-
 def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
                    ) -> Tuple[float, float]:
-    """The alignment scalars of a unitary couple against the two spectra.
+    """The alignment scalars of an isometry couple against the two spectra.
 
     M weights Re(S_ij conj(T_ij)) and N weights |T_ij|^2 by the product of
     the i-th second-spectrum and j-th first-spectrum values, over i < s,
@@ -98,10 +103,27 @@ def _witness_scalars(pair: SpectrumPair) -> FGScalars:
     return fg
 
 
+def _check_isometries(pair: SpectrumPair, S: np.ndarray, T: np.ndarray) -> None:
+    """S*S = T*T = I_r, to ISOMETRY_TOL r in the Frobenius norm."""
+    r = pair.r
+    eye = np.eye(r)
+    for name, X in (("S", S), ("T", T)):
+        gap = X.conj().T @ X - eye
+        err = math.sqrt(np.vdot(gap, gap).real)
+        if not err <= ISOMETRY_TOL * r:
+            raise WitnessVerificationError(
+                f"{name} is not an isometry: ||{name}*{name} - I|| = {err:.3g}")
+
+
 def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndarray,
               S: np.ndarray, T: np.ndarray) -> WitnessDiagnostics:
     """The body of verify_witness: check the identities, then take the ratio
     of the bound's family from the same four norms."""
+    r, m = pair.r, pair.s + pair.r
+    for name, X in (("S", S), ("T", T)):
+        if X.shape != (m, r):
+            raise WitnessVerificationError(
+                f"{name} has shape {X.shape}, not the ({m}, {r}) of an isometry block")
     fg = _witness_scalars(pair)
     M, N = couple_scalars(pair, S, T)
     if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
@@ -109,6 +131,7 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
     # sqrt(G) sqrt(N), not sqrt(G N): the product underflows at tiny scales
     if abs(M) > math.sqrt(fg.G) * math.sqrt(max(N, 0.0)) + 1e-10 * fg.F:
         raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
+    _check_isometries(pair, S, T)
 
     pf = polar_decompose(A, pair.r)
     pf_t = polar_decompose(A_tilde, pair.s)
@@ -140,8 +163,10 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
 def _build_witness(bound_id: str, pair: SpectrumPair, S: np.ndarray,
                    T: np.ndarray, target: float) -> ExtremalWitness:
     m = pair.s + pair.r
-    A = S @ _embed_diag(pair.sigma, m) @ T.conj().T
-    A_tilde = _embed_diag(pair.sigma_tilde, m)
+    A = (S * pair.sigma) @ T.conj().T
+    A_tilde = np.zeros((m, m), dtype=complex)
+    # the diagonal is every (m + 1)-th entry of the row-major flat view
+    A_tilde.ravel()[:pair.s * (m + 1):m + 1] = pair.sigma_tilde
     diag = _diagnose(bound_id, pair, A, A_tilde, S, T)
     achieved = diag.achieved_ratio
     rel = abs(achieved) if target == 0.0 else abs(achieved - target) / abs(target)
@@ -155,7 +180,7 @@ def _build_witness(bound_id: str, pair: SpectrumPair, S: np.ndarray,
 
 def _q_partial_blocks(pair: SpectrumPair, upper: bool, k: int
                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """First-r-column blocks of the two unitaries realizing the q optimum."""
+    """The (s + r) x r isometries S and T realizing the q optimum."""
     r, s = pair.r, pair.s
     m = s + r
     S_part = np.zeros((m, r), dtype=complex)
@@ -180,17 +205,24 @@ def _q_partial_blocks(pair: SpectrumPair, upper: bool, k: int
     return S_part, T_part
 
 
-def _shrunken_diag_unitary(pair: SpectrumPair, c: float) -> np.ndarray:
-    """n x n unitary whose leading r x r block is c I (|c| < 1), zero to row s.
+def _identity_columns(m: int, r: int, value: float = 1.0) -> np.ndarray:
+    """The first r columns of value times the m x m identity."""
+    out = np.zeros((m, r), dtype=complex)
+    out[np.arange(r), np.arange(r)] = value
+    return out
 
-    The missing column mass sqrt(1 - c^2) lands at rows s+1 .. s+r, one row
+
+def _shrunken_block(pair: SpectrumPair, c: float) -> np.ndarray:
+    """(s + r) x r isometry whose leading r x r block is c I (|c| < 1), zero to row s.
+
+    The missing column mass sqrt(1 - c^2) lands at rows s .. s+r-1, one row
     per column, which keeps the alignment scalars untouched (they only see
-    rows up to s).
+    the first s rows).
     """
     r, s = pair.r, pair.s
-    T_part = np.zeros((s + r, r), dtype=complex)
-    T_part[np.arange(r), np.arange(r)] = c
-    return unitary_completion(T_part, zero_rows=range(r, s))
+    T = _identity_columns(s + r, r, c)
+    T[s + np.arange(r), np.arange(r)] = math.sqrt(1.0 - c * c)
+    return T
 
 
 def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
@@ -202,20 +234,15 @@ def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
     """
     if bound_id not in BOUND_IDS:
         raise ValueError(f"unknown bound id {bound_id!r}; expected one of {BOUND_IDS}")
-    r, s = pair.r, pair.s
-    m = s + r
+    r, m = pair.r, pair.s + pair.r
     if bound_id.startswith("q"):
         result, _ = bounds.closed_form(bound_id)(pair)
-        S_part, T_part = _q_partial_blocks(pair, bound_id == "q-upper", result.optimal_index)
-        band = range(s, m)
-        return _build_witness(bound_id, pair, unitary_completion(S_part, zero_rows=band),
-                              unitary_completion(T_part, zero_rows=band), result.coefficient)
+        S, T = _q_partial_blocks(pair, bound_id == "q-upper", result.optimal_index)
+        return _build_witness(bound_id, pair, S, T, result.coefficient)
 
     _witness_scalars(pair)   # rejects a pair outside the witnesses' range first
     u = pair.unit_sums
     target = bounds.closed_form(bound_id)(pair).coefficient
-    U = np.eye(m, dtype=complex)
-    V = np.eye(m, dtype=complex)
     if bound_id == "h-upper":
         c = 1.0 / (1.0 + math.sqrt(u.D / u.F))
         if c == 1.0:
@@ -223,15 +250,15 @@ def make_witness(pair: SpectrumPair, bound_id: str) -> ExtremalWitness:
                 "spectra identical, or too close for the shrink factor to fall "
                 "below 1 in floating point: the upper constant is approached "
                 "but not attained by any pair")
-        V = _shrunken_diag_unitary(pair, c)
-    else:
-        U[np.arange(r), np.arange(r)] = -1.0
-        if bound_id == "lee-upper":
-            c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * u.G / u.F))
-            # the shrunken block must carry the same sign as the leading block
-            # of U: equality needs the alignment scalar M positive at +sqrt(G N)
-            V = _shrunken_diag_unitary(pair, -c)
-    return _build_witness(bound_id, pair, U, V, target)
+        return _build_witness(bound_id, pair, _identity_columns(m, r),
+                              _shrunken_block(pair, c), target)
+    S = _identity_columns(m, r, -1.0)
+    if bound_id == "lee-upper":
+        c = 1.0 / (1.0 + math.sqrt(1.0 + 2.0 * u.G / u.F))
+        # the shrunken block must carry the same sign as S's leading block:
+        # equality needs the alignment scalar M positive at +sqrt(G N)
+        return _build_witness(bound_id, pair, S, _shrunken_block(pair, -c), target)
+    return _build_witness(bound_id, pair, S, _identity_columns(m, r), target)
 
 
 def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
@@ -240,7 +267,7 @@ def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
     The four squared norms (difference and sum of the matrices, difference
     and sum of the positive factors) must match their closed-form values
     F -+ 2M and F -+ 2N within 1e-10 relative; polar factors are recomputed
-    from the matrices, at the ranks r of A and s of A~. The achieved ratio
-    is taken from the same norms.
+    from the matrices, at the ranks r of A and s of A~. S and T must be
+    (s + r) x r isometries. The achieved ratio is taken from the same norms.
     """
     return _diagnose(w.bound_id, w.pair, w.A, w.A_tilde, w.S, w.T)

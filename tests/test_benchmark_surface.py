@@ -32,9 +32,10 @@ def test_workload_setup_op_runs(name, tmp_path):
 
 
 WITNESS_SPANS = ("extremal.make_witness", "extremal.verify_witness",
-                 "linalg.polar_decompose", "linalg.unitary_completion",
-                 "fileio.write_matrix_text", "fileio.read_matrix_text",
-                 "numpy.linalg.svd", "numpy.linalg.qr")
+                 "linalg.polar_decompose", "fileio.write_matrix_text",
+                 "fileio.read_matrix_text", "numpy.linalg.svd")
+# witnesses are built from isometry blocks, with no completion and no QR
+WITNESS_UNCALLED = ("linalg.unitary_completion", "numpy.linalg.qr")
 
 
 def test_witness_op_calls_every_name_its_metrics_read():
@@ -45,13 +46,14 @@ def test_witness_op_calls_every_name_its_metrics_read():
         _, stats = tracer.run_pass(
             lambda: [workloads.Witness._op(pair, b) for b in extremal.BOUND_IDS])
     assert [name for name in WITNESS_SPANS if stats.calls[name] == 0] == []
+    assert [stats.calls[name] for name in WITNESS_UNCALLED] == [0, 0]
 
 
 def _refuse_constant(name):
     raise ValueError(f"non-finite number {name} on the result line")
 
 
-@pytest.mark.parametrize("workload", ["campaign", "oracle", "bounds-report"])
+@pytest.mark.parametrize("workload", ["campaign", "oracle", "witness", "bounds-report"])
 def test_traced_run_ends_with_every_layer_metric(workload, tmp_path, monkeypatch, capsys):
     # a run can exit 0 while a renamed library name silently drops the
     # metrics that read it from its last line, the one result line

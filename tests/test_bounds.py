@@ -492,6 +492,23 @@ class TestRangeErrors:
         with pytest.raises(NumericalRangeError, match="li-sun"):
             li_sun_coeff(pair_of([1e-309], [1e-309]))
 
+    def test_cauchy_schwarz_typed_error(self):
+        # beside 1e18, the squares of 1e-300 underflow to 0 at the pair's
+        # unit scale; the division by 0 is a range error naming the constant
+        with pytest.raises(NumericalRangeError, match="^cauchy-schwarz: ") as info:
+            cauchy_schwarz_coeff(pair_of([1e-300], [1e18]))
+        assert isinstance(info.value.__cause__, ZeroDivisionError)
+
+    @pytest.mark.parametrize("theorem_id, fn", [
+        ("kittaneh-lower", kittaneh_lower_coeff),
+        ("kittaneh-upper", lambda eig: kittaneh_upper_coeff(eig, 2))])
+    def test_kittaneh_typed_error(self, theorem_id, fn):
+        # |1e160|**2 overflows while F_hat is summed
+        eig = validate_eigen_pair([1e160], [1e160j, 2e159])
+        with pytest.raises(NumericalRangeError, match=f"^{theorem_id}: ") as info:
+            fn(eig)
+        assert isinstance(info.value.__cause__, OverflowError)
+
     def test_no_assert_in_library(self):
         # `python -O` strips assert statements, so no check may rely on one
         package = Path(polarbounds.__file__).resolve().parent

@@ -89,6 +89,21 @@ class TestBounds:
         c = rep["records"][0]["kittaneh_lower"]["coefficient"]
         assert abs(c - math.sqrt(1 / 5)) < 1e-12
 
+    def test_untyped_range_errors_rejected_by_constant(self, tmp_path, capsys):
+        # these two records raised ZeroDivisionError and OverflowError, which
+        # named no constant
+        path = write(tmp_path, "in.spectra",
+                     "record cs\nsigma 1e-300\nsigma_tilde 1e18\n"
+                     "record kt\nsigma 1\nsigma_tilde 1 1\n"
+                     "eigen 1e160\neigen_hat 1e160j 2e159\n")
+        code, rep = run_json(capsys, ["bounds", path])
+        assert code == 2
+        assert [r["rejected"] for r in rep["records"]] == [
+            "NumericalRangeError: cauchy-schwarz: a spectrum's sum of squares "
+            "underflows to 0 at the pair's unit scale",
+            "NumericalRangeError: kittaneh-lower: a squared eigenvalue modulus "
+            "in F_hat overflows"]
+
     def test_invalid_spectrum_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "in.spectra",
                      "record bad\nsigma 1 2\nsigma_tilde 1\n")

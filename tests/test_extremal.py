@@ -165,6 +165,64 @@ class TestDispatchAndVerification:
             with pytest.raises(WitnessVerificationError, match=r"exceeds sqrt\(G N\)"):
                 extremal._diagnose(bound_id, p, w.A, w.A_tilde, 10 * w.S, w.T)
 
+    @pytest.mark.parametrize("factor", ["S", "T"])
+    @pytest.mark.parametrize("bound_id", BOUND_IDS)
+    def test_one_ppm_change_below_row_s_fails_the_isometry_check(self, bound_id, factor):
+        # couple_scalars reads only rows 0 .. s-1 and A is checked apart
+        # from S and T, so only the isometry check sees such a change; on a
+        # zero entry it moves S*S or T*T by just 1e-12
+        for p in (pair_of([8, 6, 5], [1.9, 1.5, 1, 0.7]), pair_of([2], [1])):
+            w = make_witness(p, bound_id)
+            for i in range(p.s, p.s + p.r):
+                for j in range(p.r):
+                    x = getattr(w, factor).copy()
+                    x[i, j] += 1e-6
+                    faulty = dataclasses.replace(w, **{factor: x})
+                    assert couple_scalars(p, faulty.S, faulty.T) == couple_scalars(p, w.S, w.T)
+                    with pytest.raises(WitnessVerificationError,
+                                       match=f"{factor} is not an isometry"):
+                        verify_witness(faulty)
+
+    def test_block_of_the_wrong_shape_fails(self):
+        # the (s + r)-square unitary witnesses were once built from has the
+        # same first r columns and gives the same A; a block cut short at
+        # row 2 < s must not reach the alignment scalars
+        p = pair_of([3, 1], [2, 1, 0.5])
+        w = make_witness(p, "h-lower")
+        U = np.eye(p.s + p.r, dtype=complex)
+        U[:, :p.r] = w.S
+        with pytest.raises(WitnessVerificationError, match=r"S has shape \(5, 5\)"):
+            verify_witness(dataclasses.replace(w, S=U))
+        with pytest.raises(WitnessVerificationError, match=r"T has shape \(2, 2\)"):
+            verify_witness(dataclasses.replace(w, T=w.T[:2]))
+
+
+# the constants attained only at ambient size n >= r + s; the others at n >= s
+NEED_R_PLUS_S = {"h-upper", "lee-upper"}
+
+
+class TestAmbientSize:
+    def test_every_witness_fits_its_smallest_size(self, rng):
+        pairs = [pair_of(*HARD_PAIR), pair_of([1], [1, 1]), pair_of([2], [1]),
+                 pair_of([3, 1], [2, 1, 0.5]), pair_of([8, 6, 5], [1.9, 1.5, 1, 0.7])]
+        pairs += [random_pair(rng) for _ in range(10)]
+        for p in pairs:
+            r, s = p.r, p.s
+            for bound_id in BOUND_IDS:
+                try:
+                    w = make_witness(p, bound_id)
+                except DegenerateSupremumError:
+                    continue
+                n = r + s if bound_id in NEED_R_PLUS_S else s
+                assert min(w.A.shape) >= n and min(w.A_tilde.shape) >= n
+                for x in (w.S, w.T):
+                    assert x.shape == (s + r, r)
+                    assert np.linalg.norm(x.conj().T @ x - np.eye(r)) <= 1e-14 * r
+                # an id attained at n = s has A and A~ zero past their
+                # leading s x s blocks; h-upper and lee-upper reach past them
+                outside = np.abs(w.A[s:]).sum() + np.abs(w.A[:, s:]).sum()
+                assert (outside > 0) == (n > s), (bound_id, r, s)
+
 
 class TestHardSpectra:
     @pytest.mark.parametrize("bound_id", BOUND_IDS)
