@@ -5,6 +5,7 @@ these bytes unchanged; a change that moves a digest on purpose records the
 old and new values, and the largest move per report key, in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -14,8 +15,8 @@ import pytest
 
 from polarbounds.bounds import kittaneh_lower_coeff, kittaneh_upper_coeff
 from polarbounds.cli import main
-from polarbounds.extremal import BOUND_IDS, make_witness
-from polarbounds.fileio import SpectraRecord, format_spectra
+from polarbounds.extremal import BOUND_IDS, make_witness, verify_witness
+from polarbounds.fileio import SpectraRecord, format_spectra, read_matrix_text, write_matrix_text
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.oracle import brute_force_kittaneh
 from polarbounds.spectra import validate_spectrum_pair
@@ -36,6 +37,7 @@ SHAPED_CAMPAIGN_DIGESTS = {
     (8, 3, "real"): "face71f6a9230086343f93343c5e588bdc87ef116de7490b1592d3473448ed1c",
 }
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
+WITNESS_DIAGNOSTICS_DIGEST = "7b76ae579b705d60a506aa434cb2c5d7bb4064110505dd29d8b98ebc16d12e57"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 BRUTE_KITTANEH_DIGEST = "898e4c76b1fe08427027793c1256a7490af0fb309d1ec3baa161c2152886dfe4"
@@ -50,9 +52,8 @@ def campaign_digest(field: str, m: int = 7, n: int = 7, trials: int = 300) -> st
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 
-def witness_digest() -> str:
-    """Matrix bytes of the six witnesses on the first 20 criterion-3 pairs."""
-    h = hashlib.sha256()
+def witnesses():
+    """The six witnesses on each of the first 20 criterion-3 pairs."""
     rng = np.random.default_rng(202)
     for trial in range(20):
         if trial % 2 == 0:
@@ -64,9 +65,27 @@ def witness_digest() -> str:
         sigt = np.sort(rng.uniform(0.5, 2, s))[::-1]
         pair = validate_spectrum_pair(sig, sigt)
         for bound_id in BOUND_IDS:
-            w = make_witness(pair, bound_id)
-            h.update(w.A.tobytes())
-            h.update(w.A_tilde.tobytes())
+            yield make_witness(pair, bound_id)
+
+
+def witness_digest() -> str:
+    """Matrix bytes of the six witnesses on the first 20 criterion-3 pairs."""
+    h = hashlib.sha256()
+    for w in witnesses():
+        h.update(w.A.tobytes())
+        h.update(w.A_tilde.tobytes())
+    return h.hexdigest()
+
+
+def witness_diagnostics_digest() -> str:
+    """repr of every diagnostics field of the same witnesses, as built and
+    as verified again after a matrix text round trip."""
+    h = hashlib.sha256()
+    for w in witnesses():
+        read = {name: read_matrix_text(write_matrix_text(getattr(w, name)))
+                for name in ("A", "A_tilde")}
+        for diag in (w.diagnostics, verify_witness(dataclasses.replace(w, **read))):
+            h.update(repr(dataclasses.astuple(diag)).encode())
     return h.hexdigest()
 
 
@@ -141,6 +160,10 @@ def test_shaped_campaign_body_digest(m, n, field):
 
 def test_witness_matrix_digest():
     assert witness_digest() == WITNESS_DIGEST
+
+
+def test_witness_diagnostics_digest():
+    assert witness_diagnostics_digest() == WITNESS_DIAGNOSTICS_DIGEST
 
 
 def test_bounds_report_digest(tmp_path, capsys):
