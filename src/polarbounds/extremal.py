@@ -25,7 +25,7 @@ from typing import Tuple
 import numpy as np
 
 from . import bounds, linalg
-from .linalg import frobenius_norms, polar_decompose
+from .linalg import frobenius_norms, polar_from_svd, positive_factor, svd_stack
 from .spectra import FGScalars, SpectrumPair, check_range, fg_scalars
 
 RATIO_RTOL = 1e-8
@@ -36,9 +36,10 @@ ISOMETRY_TOL = 1e-14
 # theorem ids of the constants with a witness; the witness digest hashes in this order
 BOUND_IDS = ("q-upper", "q-lower", "h-upper", "h-lower", "lee-upper", "lee-lower")
 
-# no witness calls it any more, but perfbench/ patches and traces the
-# name on this module
+# no witness calls them any more, but perfbench/ patches and traces the
+# names on this module
 unitary_completion = linalg.unitary_completion
+polar_decompose = linalg.polar_decompose
 
 
 class DegenerateSupremumError(ValueError):
@@ -119,11 +120,15 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
               S: np.ndarray, T: np.ndarray) -> WitnessDiagnostics:
     """The body of verify_witness: check the identities, then take the ratio
     of the bound's family from the same four norms."""
-    r, m = pair.r, pair.s + pair.r
+    r, s, m = pair.r, pair.s, pair.s + pair.r
     for name, X in (("S", S), ("T", T)):
         if X.shape != (m, r):
             raise WitnessVerificationError(
                 f"{name} has shape {X.shape}, not the ({m}, {r}) of an isometry block")
+    for name, X in (("A", A), ("A_tilde", A_tilde)):
+        if X.shape != (m, m):
+            raise WitnessVerificationError(
+                f"{name} has shape {X.shape}, not the ({m}, {m}) of a witness matrix")
     fg = _witness_scalars(pair)
     M, N = couple_scalars(pair, S, T)
     if not (-1e-10 * fg.F <= N <= fg.G + 1e-10 * fg.F):
@@ -133,12 +138,15 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
         raise WitnessVerificationError(f"|M| = {abs(M)} exceeds sqrt(G N)")
     _check_isometries(pair, S, T)
 
-    pf = polar_decompose(A, pair.r)
-    pf_t = polar_decompose(A_tilde, pair.s)
-    # one stacked call; each norm is that of its matrix alone, bit for bit
-    matrices = [A_tilde - A, A_tilde + A, pf.H - pf_t.H, pf.H + pf_t.H]
+    # one stacked SVD and one stacked norm call; each factor and each norm
+    # is that of its matrix alone, bit for bit. Only the q ids read Q.
+    res = svd_stack(np.stack([A, A_tilde]))
     if bound_id.startswith("q"):
-        matrices.append(pf.Q - pf_t.Q)
+        pf, pf_t = polar_from_svd(res[0], r), polar_from_svd(res[1], s)
+        h, h_t, q_gap = pf.H, pf_t.H, [pf.Q - pf_t.Q]
+    else:
+        h, h_t, q_gap = positive_factor(res[0], r), positive_factor(res[1], s), []
+    matrices = [A_tilde - A, A_tilde + A, h - h_t, h + h_t, *q_gap]
     diff, total, h_diff, h_total, *q_diff = frobenius_norms(np.stack(matrices)).tolist()
     checks = (("difference-norm", diff, fg.F - 2.0 * M),
               ("sum-norm", total, fg.F + 2.0 * M),

@@ -1,9 +1,10 @@
 """Dense complex linear algebra primitives.
 
-Full SVD, generalized polar decomposition at a given rank, Frobenius norms
-and inner products, unitary completion of partial column blocks, and seeded
-Haar-random unitary sampling. The SVD, the polar factors, the norms, the
-inner products and the Haar correction also take stacks of matrices, one
+Full SVD, generalized polar decomposition at a given rank, or its positive
+factor alone (`positive_factor`, for checks that never read Q), Frobenius
+norms and inner products, unitary completion of partial column blocks, and
+seeded Haar-random unitary sampling. The SVD, the polar factors, the norms,
+the inner products and the Haar correction also take stacks of matrices, one
 numpy call per stack, with results bit-identical to one matrix at a time:
 each stacked call reaches the BLAS or LAPACK routine the single call does,
 on the same operands. Everything here is a pure function of its inputs.
@@ -71,11 +72,11 @@ class SvdResult:
                          V=self.V[index])
 
     def reconstruct(self) -> np.ndarray:
-        m, n = self.U.shape[0], self.V.shape[0]
-        sigma = np.zeros((m, n), dtype=complex)
-        k = len(self.singular_values)
-        sigma[:k, :k] = np.diag(self.singular_values)
-        return self.U @ sigma @ self.V.conj().T
+        """U1 diag(S) V1* over the k = min(m, n) leading columns, for one
+        factorization or for each of a stack."""
+        k = self.singular_values.shape[-1]
+        return (self.U[..., :k] * self.singular_values[..., None, :]) \
+            @ conj_transpose(self.V[..., :k])
 
     def adjoint(self) -> "SvdResult":
         """SVD of A*: the unitaries swap roles, so its polar H is |A*| = U1 S1 U1*."""
@@ -139,17 +140,18 @@ def polar_from_svd(res: SvdResult, rank: int) -> PolarFactors:
     rank comes from the caller, which built the matrix: a guess from a
     tolerance on the singular values would drop a small but genuine one.
     """
+    h = positive_factor(res, rank)
+    return PolarFactors(Q=res.U[..., :rank] @ conj_transpose(res.V[..., :rank]), H=h)
+
+
+def positive_factor(res: SvdResult, rank: int) -> np.ndarray:
+    """The H = V1 S1 V1* of `polar_from_svd`, without forming Q."""
     m, n = res.U.shape[-1], res.V.shape[-1]
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank {rank} outside [1, {min(m, n)}] for an {m}x{n} matrix")
-    u1 = res.U[..., :rank]
     v1 = res.V[..., :rank]
-    s1 = res.singular_values[..., None, :rank]
-    v1h = conj_transpose(v1)
-    q = u1 @ v1h
-    h = (v1 * s1) @ v1h
-    h = 0.5 * (h + conj_transpose(h))   # enforce exact Hermitian symmetry
-    return PolarFactors(Q=q, H=h)
+    h = (v1 * res.singular_values[..., None, :rank]) @ conj_transpose(v1)
+    return 0.5 * (h + conj_transpose(h))   # enforce exact Hermitian symmetry
 
 
 def unitary_completion(partial, zero_rows=()) -> np.ndarray:

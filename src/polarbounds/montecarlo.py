@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds, linalg
 from .linalg import (conj_transpose, frobenius_norms, ginibre_from_normals, ginibre_normals,
                      haar_from_ginibre, haar_random_unitary, inner_products, polar_from_svd,
-                     svd_stack)
+                     positive_factor, svd_stack)
 from .spectra import validate_eigen_pair, validate_spectrum_pair
 
 _CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gain little
@@ -165,9 +165,10 @@ def _check_polar_pairs(recs: List[_Recorder], general: np.ndarray,
     h = np.empty((count, n, n), dtype=complex)
     h_left = np.empty((count, m, m), dtype=complex)   # |A*| = U1 S1 U1*
     for rank, idx in _rank_groups(ranks).items():
-        pf = polar_from_svd(res[idx], rank)
+        group = res[idx]
+        pf = polar_from_svd(group, rank)
         q[idx], h[idx] = pf.Q, pf.H
-        h_left[idx] = polar_from_svd(res[idx].adjoint(), rank).H
+        h_left[idx] = positive_factor(group.adjoint(), rank)
     a, a_t = general[0::2], general[1::2]
     gram = conj_transpose(general) @ general
     norm = _norms(general)
@@ -230,7 +231,7 @@ def _check_normal_pairs(recs: List[_Recorder], normal: np.ndarray, eigs: Sequenc
     res = svd_stack(normal)
     h = np.empty(res.V.shape, dtype=complex)
     for rank, idx in _rank_groups([len(x) for x in eigs]).items():
-        h[idx] = polar_from_svd(res[idx], rank).H
+        h[idx] = positive_factor(res[idx], rank)
     rows = zip(_norms(h[0::2] - h[1::2]), _norms(normal[0::2] - normal[1::2]))
     for i, (rec, (gap, diff)) in enumerate(zip(recs, rows)):
         eig = validate_eigen_pair(eigs[2 * i], eigs[2 * i + 1])

@@ -32,10 +32,10 @@ def test_workload_setup_op_runs(name, tmp_path):
 
 
 WITNESS_SPANS = ("extremal.make_witness", "extremal.verify_witness",
-                 "linalg.polar_decompose", "fileio.write_matrix_text",
-                 "fileio.read_matrix_text", "numpy.linalg.svd")
-# witnesses are built from isometry blocks, with no completion and no QR
-WITNESS_UNCALLED = ("linalg.unitary_completion", "numpy.linalg.qr")
+                 "fileio.write_matrix_text", "fileio.read_matrix_text", "numpy.linalg.svd")
+# witnesses are built from isometry blocks, with no completion and no QR, and
+# each check takes its polar factors from one stacked SVD
+WITNESS_UNCALLED = ("linalg.unitary_completion", "numpy.linalg.qr", "linalg.polar_decompose")
 
 
 def test_witness_op_calls_every_name_its_metrics_read():
@@ -46,7 +46,10 @@ def test_witness_op_calls_every_name_its_metrics_read():
         _, stats = tracer.run_pass(
             lambda: [workloads.Witness._op(pair, b) for b in extremal.BOUND_IDS])
     assert [name for name in WITNESS_SPANS if stats.calls[name] == 0] == []
-    assert [stats.calls[name] for name in WITNESS_UNCALLED] == [0, 0]
+    assert [stats.calls[name] for name in WITNESS_UNCALLED] == [0, 0, 0]
+    # per witness, one stacked SVD of A and A~ in make_witness's check and
+    # one in verify_witness's
+    assert stats.calls["numpy.linalg.svd"] == 2 * len(extremal.BOUND_IDS)
 
 
 def _refuse_constant(name):

@@ -195,6 +195,14 @@ class TestDispatchAndVerification:
             verify_witness(dataclasses.replace(w, S=U))
         with pytest.raises(WitnessVerificationError, match=r"T has shape \(2, 2\)"):
             verify_witness(dataclasses.replace(w, T=w.T[:2]))
+        # a matrix cut short fails by name before its SVD, not in numpy's
+        # broadcasting or stacking
+        p = pair_of([5, 4], [1.5, 1, 0.7])
+        w = make_witness(p, "q-upper")
+        with pytest.raises(WitnessVerificationError, match=r"A has shape \(4, 5\)"):
+            verify_witness(dataclasses.replace(w, A=w.A[:-1]))
+        with pytest.raises(WitnessVerificationError, match=r"A_tilde has shape \(5, 4\)"):
+            verify_witness(dataclasses.replace(w, A_tilde=w.A_tilde[:, :-1]))
 
 
 # the constants attained only at ambient size n >= r + s; the others at n >= s

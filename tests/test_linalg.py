@@ -12,6 +12,7 @@ from polarbounds.linalg import (
     inner_products,
     polar_decompose,
     polar_from_svd,
+    positive_factor,
     svd,
     svd_stack,
     unitary_completion,
@@ -67,11 +68,18 @@ class TestSvd:
         a = rng.standard_normal((9, m, n)) + 1j * rng.standard_normal((9, m, n))
         a[3] = 0.0
         a[4, :, 0] = 0.0
-        for one, res in zip(a, svd_stack(a)):
+        stack = svd_stack(a)
+        for one, res in zip(a, stack):
             ref = svd(one)
             assert res.U.tobytes() == ref.U.tobytes()
             assert res.V.tobytes() == ref.V.tobytes()
             assert res.singular_values.tobytes() == ref.singular_values.tobytes()
+        # the stack rebuilds as a whole, each matrix as it does alone
+        rebuilt = stack.reconstruct()
+        assert rebuilt.shape == a.shape
+        assert np.linalg.norm(rebuilt - a) <= 1e-12 * np.linalg.norm(a)
+        for res, matrix in zip(stack, rebuilt):
+            assert _same(matrix, res.reconstruct())
 
     def test_stack_rejects_a_matrix(self):
         with pytest.raises(ValueError):
@@ -287,6 +295,9 @@ class TestStackedKernels:
                     ref_q, ref_h = _polar_reference(svd(a[b]), rank)
                     assert _same(q, one.Q) and _same(h, one.H)
                     assert _same(q, ref_q) and _same(h, ref_h)
+                # H alone, and |A*| from the adjoint as the campaign takes it
+                for sub in (res[idx], res[idx].adjoint()):
+                    assert _same(positive_factor(sub, rank), polar_from_svd(sub, rank).H)
 
     @pytest.mark.parametrize("fld", ["complex", "real"])
     @pytest.mark.parametrize("m,n", [(5, 8), (8, 3), (1, 2)])
