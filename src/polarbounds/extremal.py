@@ -275,7 +275,8 @@ def verify_witness(w: ExtremalWitness) -> WitnessDiagnostics:
     The four squared norms (difference and sum of the matrices, difference
     and sum of the positive factors) must match their closed-form values
     F -+ 2M and F -+ 2N within 1e-10 relative; polar factors are recomputed
-    from the matrices, at the ranks r of A and s of A~. S and T must be
-    (s + r) x r isometries. The achieved ratio is taken from the same norms.
+    from the matrices, at the ranks r of A and s of A~. A and A~ must be
+    (s + r) x (s + r) and S and T (s + r) x r isometries. The achieved ratio
+    is taken from the same norms.
     """
     return _diagnose(w.bound_id, w.pair, w.A, w.A_tilde, w.S, w.T)
