@@ -36,6 +36,15 @@ SHAPED_CAMPAIGN_DIGESTS = {
     (8, 3, "complex"): "20c7f5c677b506c554bf0761260d1eb2495c0b12eb60c4231663b5e84daaf622",
     (8, 3, "real"): "face71f6a9230086343f93343c5e588bdc87ef116de7490b1592d3473448ed1c",
 }
+# rank rule -> EnsembleConfig fields, and (rule, field) -> digest at m = n = 7
+# and 100 trials: both ranks fixed, and both drawn under a cap below min(m, n)
+RANK_RULES = {"fixed": {"r": 2, "s": 5}, "capped": {"max_rank": 3}}
+RANKED_CAMPAIGN_DIGESTS = {
+    ("capped", "complex"): "50e1af2f2102f07bdad0d66c91b83f9eabb55c591a97548079aab1862f81a793",
+    ("capped", "real"): "25949e8c3ff1b0255c8bd388f4b7dadd9d8e7759616264dd8e7018322765a9f6",
+    ("fixed", "complex"): "d49a2ea2da42a35c24db354a753200605788a1fef49bb15858fdbdaff34ff248",
+    ("fixed", "real"): "d5ecc6b0cbf9f856e7731e83a73f64ef699cc92b16f749efb842748b80a7ebe0",
+}
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 WITNESS_DIAGNOSTICS_DIGEST = "7b76ae579b705d60a506aa434cb2c5d7bb4064110505dd29d8b98ebc16d12e57"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
@@ -45,9 +54,10 @@ WIDE_KITTANEH_DIGEST = "c7a850da9cc1b742c270799cfa3511b10bfa89ab99b70fdb5dd91f51
 WIDE_BRUTE_KITTANEH_DIGEST = "58ef57119d369d3a0f026f14bcb4b716e044b03cf21875a731144a35f07ddd60"
 
 
-def campaign_digest(field: str, m: int = 7, n: int = 7, trials: int = 300) -> str:
-    """Criterion-4 configuration at 300 trials, or another shape and length."""
-    config = EnsembleConfig(m=m, n=n, trials=trials, seed=20240824, field=field)
+def campaign_digest(field: str, m: int = 7, n: int = 7, trials: int = 300, **ranks) -> str:
+    """Criterion-4 configuration at 300 trials, or another shape, length and
+    rank rule."""
+    config = EnsembleConfig(m=m, n=n, trials=trials, seed=20240824, field=field, **ranks)
     body = run_verification_suite(config).body()
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
@@ -156,6 +166,12 @@ def test_campaign_body_digest(field):
 @pytest.mark.parametrize("m, n, field", sorted(SHAPED_CAMPAIGN_DIGESTS))
 def test_shaped_campaign_body_digest(m, n, field):
     assert campaign_digest(field, m, n, trials=100) == SHAPED_CAMPAIGN_DIGESTS[m, n, field]
+
+
+@pytest.mark.parametrize("rule, field", sorted(RANKED_CAMPAIGN_DIGESTS))
+def test_ranked_campaign_body_digest(rule, field):
+    assert campaign_digest(field, trials=100, **RANK_RULES[rule]) == \
+        RANKED_CAMPAIGN_DIGESTS[rule, field]
 
 
 def test_witness_matrix_digest():
