@@ -23,6 +23,7 @@ from .spectra import validate_eigen_pair, validate_spectrum_pair
 _CHUNK = 32   # trials per stacked QR and SVD; larger chunks cost memory and gain little
 SPECTRUM_RANGE = (1e-2, 1e2)   # log-uniform law of the drawn singular values
 NORMAL_DIM = 3                 # square size for the normal-matrix channel
+_LOG_RANGE = (np.log(SPECTRUM_RANGE[0]), np.log(SPECTRUM_RANGE[1]))
 
 # no check here calls it any more, but perfbench/ patches and traces the
 # name on this module
@@ -52,6 +53,9 @@ class EnsembleConfig:
                 raise ValueError(f"{name}={v} outside [1, {cap}]")
         if self.r is not None and self.s is not None and self.r > self.s:
             raise ValueError("need r <= s")
+        if self.r is not None and self.s is None and self.r > (self.max_rank or cap):
+            raise ValueError(f"r={self.r} exceeds max_rank={self.max_rank}, "
+                             "the cap for the drawn s >= r")
         if not self.slack_tol >= 0:
             raise ValueError(f"slack_tol must be nonnegative, got {self.slack_tol!r}")
 
@@ -98,12 +102,6 @@ def _with_spectrum(sigma: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarra
     columns, for one matrix or for each of a stack."""
     k = sigma.shape[-1]
     return (u[..., :k] * sigma[..., None, :]) @ conj_transpose(v[..., :k])
-
-
-def _log_uniform(rng: np.random.Generator, size: int):
-    lo, hi = SPECTRUM_RANGE
-    vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
-    return np.sort(vals)[::-1]
 
 
 class _Recorder:
@@ -251,16 +249,19 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 
 def _draw(config: EnsembleConfig, trial: int):
-    """The trial's random draws, in the order of its streams: the spectra of
-    A and A~, the `ginibre_normals` of the left and right singular vectors
-    of each, the normal pair's eigenvalues, and the `ginibre_normals` of
-    the normal pair's two bases."""
+    """The trial's raw random draws, in the order of its streams: the ranks
+    r and s, the logs of the singular values of A and then of A~, the
+    `ginibre_normals` of the left and right singular vectors of each, the
+    normal pair's eigenvalue counts, the moduli and then the phase turns
+    (signs in the real field) of both its eigenvalue lists, and the
+    `ginibre_normals` of its two bases. `_chunk_draws` transforms them."""
     rng = _trial_rng(config.seed, trial)
     fld = config.field
     cap = config.max_rank or min(config.m, config.n)
-    r = config.r if config.r is not None else int(rng.integers(1, cap + 1))
+    r_cap = cap if config.s is None else min(cap, config.s)
+    r = config.r if config.r is not None else int(rng.integers(1, r_cap + 1))
     s = config.s if config.s is not None else int(rng.integers(r, cap + 1))
-    spectra = (_log_uniform(rng, r), _log_uniform(rng, s))
+    logs = rng.uniform(*_LOG_RANGE, size=r + s)
 
     # each matrix's singular vectors come from a generator of its own, as in
     # random_matrix_with_spectrum
@@ -271,15 +272,43 @@ def _draw(config: EnsembleConfig, trial: int):
     nn = NORMAL_DIM
     rn = int(rng.integers(1, nn + 1))
     sn = int(rng.integers(rn, nn + 1))
-    moduli_a = rng.uniform(0.5, 2.0, size=rn)
-    moduli_b = rng.uniform(0.5, 2.0, size=sn)
-    if fld == "complex":
-        lam = moduli_a * np.exp(2j * np.pi * rng.uniform(size=rn))
-        lam_hat = moduli_b * np.exp(2j * np.pi * rng.uniform(size=sn))
-    else:
-        lam = moduli_a * rng.choice([-1.0, 1.0], size=rn)
-        lam_hat = moduli_b * rng.choice([-1.0, 1.0], size=sn)
-    return spectra, vectors, (lam, lam_hat), ginibre_normals(rng, (nn, nn), fld)
+    moduli = rng.uniform(0.5, 2.0, size=rn + sn)
+    turns = (rng.uniform(size=rn + sn) if fld == "complex"
+             else rng.choice([-1.0, 1.0], size=rn + sn))
+    return (r, s), logs, vectors, (rn, sn), moduli, turns, ginibre_normals(rng, (nn, nn), fld)
+
+
+def _chunk_draws(config: EnsembleConfig, trials: range):
+    """The draws of a chunk of trials, each transform one numpy call per
+    chunk (the sort one per rank).
+
+    Matrix 2i belongs to the i-th trial's first matrix (A, or the normal
+    pair's A), matrix 2i + 1 to its second. Returns the ranks of the general
+    matrices; rank -> (their indices, their singular values in descending
+    rows); their stacked Ginibre normals; the normal matrices' eigenvalue
+    lists, as Python scalars, and the same eigenvalues padded with zeros to
+    NORMAL_DIM columns; and the normal matrices' stacked basis normals.
+    """
+    nn = NORMAL_DIM
+    ranks, logs, vectors, counts, moduli, turns, bases = zip(
+        *(_draw(config, t) for t in trials))
+    ranks = [k for pair in ranks for k in pair]
+    counts = [k for pair in counts for k in pair]
+
+    values = np.exp(np.concatenate(logs))
+    starts = np.cumsum([0] + ranks[:-1])
+    spectra = {rank: (idx, np.sort(values[starts[idx][:, None] + np.arange(rank)])[:, ::-1])
+               for rank, idx in _rank_groups(ranks).items()}
+
+    moduli, turns = np.concatenate(moduli), np.concatenate(turns)
+    lam = (moduli * np.exp(2j * np.pi * turns) if config.field == "complex"
+           else moduli * turns)
+    padded = np.zeros((len(counts), nn), dtype=lam.dtype)
+    padded[np.arange(nn) < np.array(counts)[:, None]] = lam
+    flat, ends = lam.tolist(), np.cumsum(counts).tolist()
+    eigs = [flat[end - k:end] for k, end in zip(counts, ends)]
+    return (ranks, spectra, np.array(vectors).reshape(len(ranks), -1), eigs, padded,
+            np.array(bases).reshape(len(eigs), -1))
 
 
 def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
@@ -287,30 +316,22 @@ def _run_chunk(config: EnsembleConfig, trials: range) -> List[_Recorder]:
     bit-identical to running it alone.
 
     Matrix 2i of every stack below belongs to the i-th trial's first matrix
-    (A, or the normal pair's A), matrix 2i + 1 to its second. The Ginibre
-    assembly, the Haar QR, the matrices, their SVDs, polar factors, norms
-    and inner products are each one numpy call per chunk (the matrices and
-    polar factors one per rank), through the BLAS and LAPACK routines the
-    per-matrix calls use, so no bit moves. The closed forms and the
-    recorder stay per trial: stacking them would change their rounding.
+    (A, or the normal pair's A), matrix 2i + 1 to its second. The draws'
+    transforms (`_chunk_draws`), the Ginibre assembly, the Haar QR, the
+    matrices, their SVDs, polar factors, norms and inner products are each
+    one numpy call per chunk (the matrices and polar factors one per rank),
+    through the routines the per-trial calls use, so no bit moves. The
+    closed forms and the recorder stay per trial: stacking them would change
+    their rounding.
     """
     m, n, nn, fld = config.m, config.n, NORMAL_DIM, config.field
-    spectra, vectors, eigs, bases = zip(*(_draw(config, t) for t in trials))
-    spectra, vectors, eigs = ([x for pair in role for x in pair]
-                              for role in (spectra, vectors, eigs))
-    left, right = (haar_from_ginibre(z)
-                   for z in ginibre_from_normals(np.stack(vectors), (m, n), fld))
-    basis = haar_from_ginibre(ginibre_from_normals(
-        np.stack(bases).reshape(len(eigs), -1), (nn,), fld)[0])
-    ranks = [len(x) for x in spectra]
-    general = np.empty((len(spectra), m, n), dtype=left.dtype)
-    for rank, idx in _rank_groups(ranks).items():
-        general[idx] = _with_spectrum(np.stack([spectra[i] for i in idx]),
-                                      left[idx], right[idx])
-    # eigenvalues padded with zeros to U diag(lam, 0, ..., 0) U*
-    padded = np.zeros((len(eigs), nn), dtype=np.result_type(*eigs))
-    for i, lam in enumerate(eigs):
-        padded[i, :len(lam)] = lam
+    ranks, spectra, vectors, eigs, padded, bases = _chunk_draws(config, trials)
+    left, right = (haar_from_ginibre(z) for z in ginibre_from_normals(vectors, (m, n), fld))
+    basis = haar_from_ginibre(ginibre_from_normals(bases, (nn,), fld)[0])
+    general = np.empty((len(ranks), m, n), dtype=left.dtype)
+    for idx, sigma in spectra.values():
+        general[idx] = _with_spectrum(sigma, left[idx], right[idx])
+    # U diag(lam, 0, ..., 0) U*
     normal = _with_spectrum(padded, basis, basis)
     del vectors, bases, left, right, basis   # free them before the SVDs
 

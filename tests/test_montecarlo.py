@@ -5,11 +5,18 @@ import pytest
 
 from polarbounds import bounds
 from polarbounds.extremal import make_witness
+from polarbounds.linalg import ginibre_normals
 from polarbounds.montecarlo import (
+    _CHUNK,
+    NORMAL_DIM,
+    SPECTRUM_RANGE,
     EnsembleConfig,
     SuiteReport,
     _check_polar_pairs,
+    _chunk_draws,
+    _draw,
     _Recorder,
+    _trial_rng,
     check_polar_pair,
     random_matrix_with_spectrum,
     run_trial,
@@ -58,6 +65,24 @@ class TestConfig:
             EnsembleConfig(m=2, n=2, trials=1, seed=0, field="quaternion")
         with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=2, trials=1, seed=0, slack_tol=-1e-9)
+
+    def test_fixed_r_above_the_cap_of_a_drawn_s(self):
+        # s would be drawn from [5, 3]: numpy's bare "low >= high" at run time
+        with pytest.raises(ValueError, match="max_rank=3"):
+            EnsembleConfig(m=7, n=7, trials=3, seed=0, r=5, max_rank=3)
+        config = EnsembleConfig(m=7, n=7, trials=3, seed=0, r=3, max_rank=3)
+        assert [_draw(config, t)[0] for t in range(3)] == [(3, 3)] * 3
+        # with s fixed too, the cap bounds nothing
+        EnsembleConfig(m=7, n=7, trials=3, seed=0, r=5, s=6, max_rank=3)
+
+    @pytest.mark.parametrize("s,max_rank,drawn", [(2, None, {1, 2}), (5, 3, {1, 2, 3})])
+    def test_fixed_s_bounds_the_drawn_r(self, s, max_rank, drawn):
+        # r once came from [1, min(m, n)], and a pair with r > s was swapped
+        config = EnsembleConfig(m=7, n=7, trials=50, seed=0, s=s, max_rank=max_rank)
+        ranks = [_draw(config, t)[0] for t in range(50)]
+        assert {r for r, _ in ranks} == drawn
+        assert {s_ for _, s_ in ranks} == {s}
+        assert run_verification_suite(config).violations == []
 
     def test_report_body_excludes_wall_time(self):
         rep = SuiteReport(trials=3)
@@ -178,3 +203,66 @@ class TestChunkedSuite:
         chunks = -(-trials // 32)
         assert 0 < calls["qr"] <= 3 * chunks
         assert 0 < calls["svd"] <= 2 * chunks
+
+
+def reference_log_uniform(rng, size):
+    lo, hi = SPECTRUM_RANGE
+    vals = np.exp(rng.uniform(np.log(lo), np.log(hi), size=size))
+    return np.sort(vals)[::-1]
+
+
+def reference_draw(config, trial):
+    """The per-trial draws of earlier releases, nine distribution calls with
+    their transforms, kept as a reference for configs that fix both ranks or
+    neither: the spectra of A and A~, the Ginibre normals of the singular
+    vectors of each, the normal pair's eigenvalues and its basis normals."""
+    rng = _trial_rng(config.seed, trial)
+    fld = config.field
+    cap = config.max_rank or min(config.m, config.n)
+    r = config.r if config.r is not None else int(rng.integers(1, cap + 1))
+    s = config.s if config.s is not None else int(rng.integers(r, cap + 1))
+    spectra = (reference_log_uniform(rng, r), reference_log_uniform(rng, s))
+    vectors = tuple(ginibre_normals(np.random.default_rng(int(seed)), (config.m, config.n),
+                                    fld) for seed in rng.integers(0, 2 ** 63 - 1, size=2))
+    nn = NORMAL_DIM
+    rn = int(rng.integers(1, nn + 1))
+    sn = int(rng.integers(rn, nn + 1))
+    moduli_a = rng.uniform(0.5, 2.0, size=rn)
+    moduli_b = rng.uniform(0.5, 2.0, size=sn)
+    if fld == "complex":
+        lam = moduli_a * np.exp(2j * np.pi * rng.uniform(size=rn))
+        lam_hat = moduli_b * np.exp(2j * np.pi * rng.uniform(size=sn))
+    else:
+        lam = moduli_a * rng.choice([-1.0, 1.0], size=rn)
+        lam_hat = moduli_b * rng.choice([-1.0, 1.0], size=sn)
+    return spectra, vectors, (lam, lam_hat), ginibre_normals(rng, (nn, nn), fld)
+
+
+def assert_same_bytes(got, want):
+    got = np.asarray(got)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDrawsMatchReference:
+    @pytest.mark.parametrize("m,n,field,ranks", CHUNK_SHAPES)
+    def test_chunk_draws_equal_per_trial_reference(self, m, n, field, ranks):
+        # merged draws, and transforms run once per chunk, give every
+        # trial's bytes of the nine-call draws transformed per trial
+        fixed = {"r": 2, "s": min(m, n)} if ranks == "fixed" else {}
+        config = EnsembleConfig(m=m, n=n, trials=200, seed=808, field=field, **fixed)
+        for first in range(0, config.trials, _CHUNK):
+            trials = range(first, min(first + _CHUNK, config.trials))
+            ranks_, spectra, vectors, eigs, padded, bases = _chunk_draws(config, trials)
+            sigma = {i: row for idx, stack in spectra.values() for i, row in zip(idx, stack)}
+            assert sorted(sigma) == list(range(len(ranks_)))
+            for i, trial in enumerate(trials):
+                want = reference_draw(config, trial)
+                for k, (spectrum, normals, lam) in zip((2 * i, 2 * i + 1), zip(*want[:3])):
+                    assert ranks_[k] == len(spectrum)
+                    assert_same_bytes(sigma[k], spectrum)
+                    assert_same_bytes(vectors[k], normals)
+                    assert_same_bytes(eigs[k], lam)
+                    assert_same_bytes(padded[k, :len(lam)], lam)
+                    assert not padded[k, len(lam):].any()
+                assert_same_bytes(bases[2 * i:2 * i + 2].ravel(), want[3])
