@@ -15,8 +15,9 @@ import pytest
 
 from polarbounds.bounds import kittaneh_lower_coeff, kittaneh_upper_coeff
 from polarbounds.cli import main
-from polarbounds.extremal import BOUND_IDS, make_witness, verify_witness
+from polarbounds.extremal import BOUND_IDS, ExtremalWitness, make_witness, verify_witness
 from polarbounds.fileio import SpectraRecord, format_spectra, read_matrix_text, write_matrix_text
+from polarbounds.linalg import haar_random_unitary
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.oracle import brute_force_kittaneh
 from polarbounds.spectra import validate_spectrum_pair
@@ -47,6 +48,7 @@ RANKED_CAMPAIGN_DIGESTS = {
 }
 WITNESS_DIGEST = "d9cf01f28c3462dc005823def38a0f1a0a1ac239bc60275c0691b8b549fe2506"
 WITNESS_DIAGNOSTICS_DIGEST = "7b76ae579b705d60a506aa434cb2c5d7bb4064110505dd29d8b98ebc16d12e57"
+GENERIC_DIAGNOSTICS_DIGEST = "4af77699f7022aef65450c7f39a8b7eb0d9af689f46b8c1243885352014d2abe"
 BOUNDS_DIGEST = "cbeef945e436317e619ca88048020e7b9846a08c9082fce6b79fb406a09e3691"
 KITTANEH_DIGEST = "a48132ceb9291621cab9119e785d604bbc2c9f7e09a242c3af1780e61b13f465"
 BRUTE_KITTANEH_DIGEST = "898e4c76b1fe08427027793c1256a7490af0fb309d1ec3baa161c2152886dfe4"
@@ -96,6 +98,40 @@ def witness_diagnostics_digest() -> str:
                 for name in ("A", "A_tilde")}
         for diag in (w.diagnostics, verify_witness(dataclasses.replace(w, **read))):
             h.update(repr(dataclasses.astuple(diag)).encode())
+    return h.hexdigest()
+
+
+def generic_couples():
+    """20 seeded pairs, each with a generic isometry couple: S and T are the
+    first r columns of two seeded Haar unitaries of size s + r, A = S
+    diag(sigma) T* and A~ = diag(sigma~) padded with zeros. The identities
+    verify_witness checks hold for any isometries, so every check passes,
+    and the factors' last bits depend on how the check rounds them."""
+    rng = np.random.default_rng(303)
+    for _ in range(20):
+        r = int(rng.integers(1, 5))
+        s = int(rng.integers(r, 6))
+        pair = validate_spectrum_pair(np.sort(rng.uniform(0.5, 9, r))[::-1],
+                                      np.sort(rng.uniform(0.5, 9, s))[::-1])
+        m = r + s
+        S = haar_random_unitary(m, rng)[:, :r]
+        T = haar_random_unitary(m, rng)[:, :r]
+        A = (S * np.array(pair.sigma)) @ T.conj().T
+        A_tilde = np.diag(np.concatenate([pair.sigma_tilde, np.zeros(r)])).astype(complex)
+        yield pair, A, A_tilde, S, T
+
+
+def generic_diagnostics_digest() -> str:
+    """repr of every diagnostics field of verify_witness on the generic
+    couples, under each of the six ids."""
+    h = hashlib.sha256()
+    for pair, A, A_tilde, S, T in generic_couples():
+        for bound_id in BOUND_IDS:
+            # verify_witness reads neither the target nor the diagnostics
+            w = ExtremalWitness(bound_id=bound_id, A=A, A_tilde=A_tilde, S=S, T=T,
+                                target_coefficient=float("nan"), diagnostics=None,
+                                pair=pair)
+            h.update(repr(dataclasses.astuple(verify_witness(w))).encode())
     return h.hexdigest()
 
 
@@ -180,6 +216,10 @@ def test_witness_matrix_digest():
 
 def test_witness_diagnostics_digest():
     assert witness_diagnostics_digest() == WITNESS_DIAGNOSTICS_DIGEST
+
+
+def test_generic_couple_diagnostics_digest():
+    assert generic_diagnostics_digest() == GENERIC_DIAGNOSTICS_DIGEST
 
 
 def test_bounds_report_digest(tmp_path, capsys):
