@@ -89,9 +89,9 @@ def couple_scalars(pair: SpectrumPair, S: np.ndarray, T: np.ndarray
     """
     r, s = pair.r, pair.s
     w = np.multiply.outer(pair.sigma_tilde, pair.sigma)
-    st = np.real(S[:s, :r] * np.conj(T[:s, :r]))
-    M = float((w * st).sum())
-    N = float((w * np.abs(T[:s, :r]) ** 2).sum())
+    t = T[:s, :r]
+    M = float((w * np.real(S[:s, :r] * np.conj(t))).sum())
+    N = float((w * np.abs(t) ** 2).sum())
     return M, N
 
 
@@ -107,9 +107,10 @@ def _witness_scalars(pair: SpectrumPair) -> FGScalars:
 def _check_isometries(pair: SpectrumPair, S: np.ndarray, T: np.ndarray) -> None:
     """S*S = T*T = I_r, to ISOMETRY_TOL r in the Frobenius norm."""
     r = pair.r
-    eye = np.eye(r)
     for name, X in (("S", S), ("T", T)):
-        gap = X.conj().T @ X - eye
+        gap = X.conj().T @ X
+        # the diagonal is every (r + 1)-th entry of the row-major flat view
+        gap.reshape(-1)[::r + 1] -= 1.0
         err = math.sqrt(np.vdot(gap, gap).real)
         if not err <= ISOMETRY_TOL * r:
             raise WitnessVerificationError(
@@ -141,13 +142,19 @@ def _diagnose(bound_id: str, pair: SpectrumPair, A: np.ndarray, A_tilde: np.ndar
     # one stacked SVD and one stacked norm call; each factor and each norm
     # is that of its matrix alone, bit for bit. Only the q ids read Q.
     res = svd_stack(np.stack([A, A_tilde]))
-    if bound_id.startswith("q"):
+    q = bound_id.startswith("q")
+    gaps = np.empty((5 if q else 4, m, m), dtype=complex)
+    if q:
         pf, pf_t = polar_from_svd(res[0], r), polar_from_svd(res[1], s)
-        h, h_t, q_gap = pf.H, pf_t.H, [pf.Q - pf_t.Q]
+        h, h_t = pf.H, pf_t.H
+        np.subtract(pf.Q, pf_t.Q, out=gaps[4])
     else:
-        h, h_t, q_gap = positive_factor(res[0], r), positive_factor(res[1], s), []
-    matrices = [A_tilde - A, A_tilde + A, h - h_t, h + h_t, *q_gap]
-    diff, total, h_diff, h_total, *q_diff = frobenius_norms(np.stack(matrices)).tolist()
+        h, h_t = positive_factor(res[0], r), positive_factor(res[1], s)
+    np.subtract(A_tilde, A, out=gaps[0])
+    np.add(A_tilde, A, out=gaps[1])
+    np.subtract(h, h_t, out=gaps[2])
+    np.add(h, h_t, out=gaps[3])
+    diff, total, h_diff, h_total, *q_diff = frobenius_norms(gaps).tolist()
     checks = (("difference-norm", diff, fg.F - 2.0 * M),
               ("sum-norm", total, fg.F + 2.0 * M),
               ("factor-difference-norm", h_diff, fg.F - 2.0 * N),
@@ -190,33 +197,31 @@ def _q_partial_blocks(pair: SpectrumPair, upper: bool, k: int
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """The (s + r) x r isometries S and T realizing the q optimum."""
     r, s = pair.r, pair.s
-    m = s + r
-    S_part = np.zeros((m, r), dtype=complex)
-    T_part = np.zeros((m, r), dtype=complex)
     if upper:
         # aligned identity on the first r-k directions, anti-aligned reversal
         # pairing the k smallest first-spectrum values with the k smallest
         # second-spectrum values
-        j = np.arange(r - k)
-        S_part[j, j] = T_part[j, j] = 1.0
-        j = np.arange(1, k + 1)
-        S_part[s - k + j - 1, r - j] = 1.0
-        T_part[s - k + j - 1, r - j] = -1.0
+        d, t_ident, t_rev = r - k, 1.0, -1.0
     else:
         # anti-aligned identity on the first k directions, aligned reversal
         # pairing the rest
-        j = np.arange(k)
-        S_part[j, j] = 1.0
-        T_part[j, j] = -1.0
-        j = np.arange(1, r - k + 1)
-        S_part[s - r + k + j - 1, r - j] = T_part[s - r + k + j - 1, r - j] = 1.0
-    return S_part, T_part
+        d, t_ident, t_rev = k, -1.0, 1.0
+    # entries (j, j) for j < d, and (s - r + d + j - 1, r - j) for j = 1 .. r - d,
+    # as indices of the row-major flat view
+    ident = [j * (r + 1) for j in range(d)]
+    rev = [(s - r + d + j - 1) * r + r - j for j in range(1, r - d + 1)]
+    S_part = np.zeros((s + r) * r, dtype=complex)
+    T_part = np.zeros((s + r) * r, dtype=complex)
+    S_part[ident + rev] = 1.0
+    T_part[ident + rev] = [t_ident] * d + [t_rev] * (r - d)
+    return S_part.reshape(s + r, r), T_part.reshape(s + r, r)
 
 
 def _identity_columns(m: int, r: int, value: float = 1.0) -> np.ndarray:
     """The first r columns of value times the m x m identity."""
     out = np.zeros((m, r), dtype=complex)
-    out[np.arange(r), np.arange(r)] = value
+    # entry (j, j) is every (r + 1)-th entry of the row-major flat view
+    out.reshape(-1)[:r * (r + 1):r + 1] = value
     return out
 
 
@@ -229,7 +234,8 @@ def _shrunken_block(pair: SpectrumPair, c: float) -> np.ndarray:
     """
     r, s = pair.r, pair.s
     T = _identity_columns(s + r, r, c)
-    T[s + np.arange(r), np.arange(r)] = math.sqrt(1.0 - c * c)
+    # entries (s + j, j): from flat index s r on, every (r + 1)-th
+    T.reshape(-1)[s * r::r + 1] = math.sqrt(1.0 - c * c)
     return T
 
 

@@ -12,7 +12,7 @@ on the same operands. Everything here is a pure function of its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ class CompletionInfeasibleError(ValueError):
 
 def conj_transpose(a: np.ndarray) -> np.ndarray:
     """The conjugate transpose of each matrix in a (..., m, n) array."""
-    return np.swapaxes(a.conj(), -1, -2)
+    return a.conj().swapaxes(-1, -2)
 
 
 def frobenius_norms(a) -> np.ndarray:
@@ -80,7 +80,7 @@ class SvdResult:
 
     def adjoint(self) -> "SvdResult":
         """SVD of A*: the unitaries swap roles, so its polar H is |A*| = U1 S1 U1*."""
-        return replace(self, U=self.V, V=self.U)
+        return SvdResult(U=self.V, singular_values=self.singular_values, V=self.U)
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _as_matrix(a, ndim: int = 2) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != ndim or 0 in a.shape:
         raise ValueError(f"expected a non-empty {ndim}-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -151,7 +151,11 @@ def positive_factor(res: SvdResult, rank: int) -> np.ndarray:
         raise ValueError(f"rank {rank} outside [1, {min(m, n)}] for an {m}x{n} matrix")
     v1 = res.V[..., :rank]
     h = (v1 * res.singular_values[..., None, :rank]) @ conj_transpose(v1)
-    return 0.5 * (h + conj_transpose(h))   # enforce exact Hermitian symmetry
+    # enforce exact Hermitian symmetry: the average 0.5 (h + h*), formed in
+    # place with the same roundings as out of place
+    h += conj_transpose(h)
+    h *= 0.5
+    return h
 
 
 def unitary_completion(partial, zero_rows=()) -> np.ndarray:

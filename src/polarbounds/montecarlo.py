@@ -266,15 +266,16 @@ def _draw(config: EnsembleConfig, trial: int):
 
     # each matrix's singular vectors come from a generator of its own, as in
     # random_matrix_with_spectrum
-    vectors = tuple(ginibre_normals(np.random.default_rng(int(seed)), (config.m, config.n),
-                                    fld) for seed in rng.integers(0, 2 ** 63 - 1, size=2))
+    # (two scalar draws give the values of one size=2 draw, at half its cost)
+    vectors = tuple(ginibre_normals(np.random.default_rng(int(rng.integers(0, 2 ** 63 - 1))),
+                                    (config.m, config.n), fld) for _ in range(2))
 
     # normal-matrix channel at small size so the arrangement optimum is exact
     nn = NORMAL_DIM
     rn = int(rng.integers(1, nn + 1))
     sn = int(rng.integers(rn, nn + 1))
     moduli = rng.uniform(0.5, 2.0, size=rn + sn)
-    turns = (rng.uniform(size=rn + sn) if fld == "complex"
+    turns = (rng.random(rn + sn) if fld == "complex"
              else rng.choice([-1.0, 1.0], size=rn + sn))
     return (r, s), logs, vectors, (rn, sn), moduli, turns, ginibre_normals(rng, (nn, nn), fld)
 

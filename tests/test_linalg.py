@@ -249,6 +249,14 @@ def _polar_reference(res, rank):
     return u1 @ v1.conj().T, 0.5 * (h + h.conj().T)
 
 
+def _hermitian_reference(res, rank):
+    """H = V1 S1 V1* for each SVD of a stack, with its Hermitian average
+    formed out of place."""
+    v1 = res.V[..., :rank]
+    h = (v1 * res.singular_values[..., None, :rank]) @ np.swapaxes(v1.conj(), -1, -2)
+    return 0.5 * (h + np.swapaxes(h.conj(), -1, -2))
+
+
 def _ginibre_reference(rng, n, fld):
     """An n x n Ginibre matrix drawn as two (n, n) calls."""
     z = rng.standard_normal((n, n))
@@ -298,6 +306,17 @@ class TestStackedKernels:
                 # H alone, and |A*| from the adjoint as the campaign takes it
                 for sub in (res[idx], res[idx].adjoint()):
                     assert _same(positive_factor(sub, rank), polar_from_svd(sub, rank).H)
+
+    @pytest.mark.parametrize("fld", ["complex", "real"])
+    @pytest.mark.parametrize("m,n", [(7, 7), (5, 8), (8, 3)])
+    def test_hermitian_average_matches_out_of_place(self, rng, fld, m, n):
+        res = svd_stack(_spread(rng, (12, m, n), fld))
+        for rank in range(1, min(m, n) + 1):
+            # H = |A|, and |A*| from the adjoint as the campaign takes it
+            for sub in (res, res.adjoint()):
+                ref = _hermitian_reference(sub, rank)
+                assert _same(positive_factor(sub, rank), ref)
+                assert _same(polar_from_svd(sub, rank).H, ref)
 
     @pytest.mark.parametrize("fld", ["complex", "real"])
     @pytest.mark.parametrize("m,n", [(5, 8), (8, 3), (1, 2)])
