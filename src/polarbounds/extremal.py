@@ -9,6 +9,16 @@ for h-upper and lee-upper, a shrunken diagonal block c I whose missing
 column mass sqrt(1 - c^2) sits in rows s .. s + r - 1, below the rows of
 the second spectrum.
 
+Every witness is checked twice, by `make_witness` and again by
+`verify_witness`, through one check: the alignment scalars M and N from the
+leading s x r blocks of S and T; S*S = T*T = I, with I subtracted from each
+Gram matrix's diagonal in place; one stacked SVD of A and A~ and their
+positive factors (and, for the q ids, their subunitary factors) from
+`linalg`; and the four or five gap matrices written into one preallocated
+stack with `out=` ufuncs, whose Frobenius norms come from one call. The
+blocks are written by flat index into zeroed arrays. Each norm, factor and
+block is the one a matrix-by-matrix computation gives, bit for bit.
+
 Ambient dimension is m = n = s + r throughout. Only h-upper and lee-upper
 need the rows below s: q-upper, q-lower, h-lower and lee-lower are
 attained at every ambient size n >= s, and h-upper and lee-upper at

@@ -7,7 +7,11 @@ seeded Haar-random unitary sampling. The SVD, the polar factors, the norms,
 the inner products and the Haar correction also take stacks of matrices, one
 numpy call per stack, with results bit-identical to one matrix at a time:
 each stacked call reaches the BLAS or LAPACK routine the single call does,
-on the same operands. Everything here is a pure function of its inputs.
+on the same operands. Each factor formula is written once, here; the
+witness check and the campaign both call it. The positive factor's
+Hermitian average is formed in place on its fresh product, with the bits
+of 0.5 (H + H*) formed out of place. Everything here is a pure function of
+its inputs: no input array is written.
 """
 
 from __future__ import annotations
@@ -145,14 +149,14 @@ def polar_from_svd(res: SvdResult, rank: int) -> PolarFactors:
 
 
 def positive_factor(res: SvdResult, rank: int) -> np.ndarray:
-    """The H = V1 S1 V1* of `polar_from_svd`, without forming Q."""
+    """The H = V1 S1 V1* of `polar_from_svd`, without forming Q, as a new
+    array."""
     m, n = res.U.shape[-1], res.V.shape[-1]
     if not 1 <= rank <= min(m, n):
         raise ValueError(f"rank {rank} outside [1, {min(m, n)}] for an {m}x{n} matrix")
     v1 = res.V[..., :rank]
     h = (v1 * res.singular_values[..., None, :rank]) @ conj_transpose(v1)
-    # enforce exact Hermitian symmetry: the average 0.5 (h + h*), formed in
-    # place with the same roundings as out of place
+    # enforce exact Hermitian symmetry: the average 0.5 (h + h*), in place
     h += conj_transpose(h)
     h *= 0.5
     return h
