@@ -220,11 +220,11 @@ def _q_partial_blocks(pair: SpectrumPair, upper: bool, k: int
     # as indices of the row-major flat view
     ident = [j * (r + 1) for j in range(d)]
     rev = [(s - r + d + j - 1) * r + r - j for j in range(1, r - d + 1)]
-    S_part = np.zeros((s + r) * r, dtype=complex)
-    T_part = np.zeros((s + r) * r, dtype=complex)
-    S_part[ident + rev] = 1.0
-    T_part[ident + rev] = [t_ident] * d + [t_rev] * (r - d)
-    return S_part.reshape(s + r, r), T_part.reshape(s + r, r)
+    S_part = np.zeros((s + r, r), dtype=complex)
+    T_part = np.zeros((s + r, r), dtype=complex)
+    S_part.reshape(-1)[ident + rev] = 1.0
+    T_part.reshape(-1)[ident + rev] = [t_ident] * d + [t_rev] * (r - d)
+    return S_part, T_part
 
 
 def _identity_columns(m: int, r: int, value: float = 1.0) -> np.ndarray:
