@@ -58,6 +58,7 @@ EXIT_CASES = {
                                ["witness", "{path}", "near", "h-upper", "--out", "{tmp}/w"], 3),
     "verify-trials-0": (GOOD, ["verify", "--trials", "0"], 64),
     "verify-slack-tol-negative": (GOOD, ["verify", "--trials", "2", "--slack-tol", "-1"], 64),
+    "verify-seed-negative": (GOOD, ["verify", "--seed", "-1", "--trials", "2"], 64),
 }
 
 

@@ -1,9 +1,12 @@
 import dataclasses
+import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polarbounds import bounds
+from polarbounds import bounds, montecarlo
 from polarbounds.extremal import make_witness
 from polarbounds.linalg import ginibre_normals
 from polarbounds.montecarlo import (
@@ -54,6 +57,19 @@ class TestRandomMatrix:
         with pytest.raises(ValueError):
             random_matrix_with_spectrum([1, 1, 1], 2, 2, seed=0)
 
+    @pytest.mark.parametrize("sigma,entry", [([-1.0, 2.0], "singular value 0 is -1.0"),
+                                             ([2.0, math.nan], "singular value 1 is nan"),
+                                             ([math.inf], "singular value 0 is inf")])
+    def test_negative_or_non_finite_value_named(self, sigma, entry):
+        # these gave singular values (2, 1, ~1e-16) and a NaN matrix
+        with pytest.raises(ValueError, match=entry):
+            random_matrix_with_spectrum(sigma, 3, 3, seed=0)
+
+    def test_zeros_in_any_order(self):
+        a = random_matrix_with_spectrum([0.0, 3.0, 1.0], 3, 4, seed=2)
+        sv = np.linalg.svd(a, compute_uv=False)
+        assert np.allclose(sv, [3, 1, 0], atol=1e-12)
+
 
 class TestConfig:
     def test_validation(self):
@@ -65,6 +81,17 @@ class TestConfig:
             EnsembleConfig(m=2, n=2, trials=1, seed=0, field="quaternion")
         with pytest.raises(ValueError):
             EnsembleConfig(m=2, n=2, trials=1, seed=0, slack_tol=-1e-9)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_seed_not_a_nonnegative_int(self, seed):
+        # a negative seed failed inside numpy's SeedSequence once the run began
+        with pytest.raises(ValueError, match="seed must be a nonnegative int"):
+            EnsembleConfig(m=2, n=2, trials=1, seed=seed)
+
+    def test_seed_any_nonnegative_int(self):
+        for seed in (0, np.int64(7), 2 ** 70):
+            config = EnsembleConfig(m=2, n=2, trials=1, seed=seed)
+            assert run_verification_suite(config).trials == 1
 
     def test_fixed_r_above_the_cap_of_a_drawn_s(self):
         # s would be drawn from [5, 3]: numpy's bare "low >= high" at run time
@@ -164,15 +191,15 @@ class TestRecorder:
         assert [v.inequality for v in rec.violations] == ["x", "y", "z", "w"]
 
 
-def merged_trials_body(config, trials):
-    """The report body assembled from `run_trial` one trial at a time."""
+def merged_trials_body(recs):
+    """The report body assembled from the recorders of `run_trial`, one per
+    trial, in trial order."""
     ratios, violations = {}, []
-    for t in range(trials):
-        rec = run_trial(config, t)
+    for rec in recs:
         violations += [(v.trial, v.inequality, v.margin) for v in rec.violations]
         for ineq, ratio in rec.ratios.items():
             ratios[ineq] = max(ratios.get(ineq, ratio), ratio)
-    return {"trials": trials, "max_ratio_to_bound": dict(sorted(ratios.items())),
+    return {"trials": len(recs), "max_ratio_to_bound": dict(sorted(ratios.items())),
             "violations": violations}
 
 
@@ -183,15 +210,16 @@ CHUNK_SHAPES = [(m, n, field, ranks) for m, n in ((7, 7), (5, 8), (8, 3))
 class TestChunkedSuite:
     @pytest.mark.parametrize("m,n,field,ranks", CHUNK_SHAPES)
     def test_suite_equals_merged_trials(self, m, n, field, ranks):
-        # trial counts below, at and above one chunk of 32, and past two
+        # trial counts below, at and above one chunk, and past two
         fixed = {"r": 2, "s": min(m, n)} if ranks == "fixed" else {}
-        for trials in (1, 31, 32, 33, 65):
-            config = EnsembleConfig(m=m, n=n, trials=trials, seed=808, field=field,
-                                    **fixed)
-            assert run_verification_suite(config).body() == \
-                merged_trials_body(config, trials), trials
+        config = EnsembleConfig(m=m, n=n, trials=2 * _CHUNK + 1, seed=808, field=field,
+                                **fixed)
+        recs = [run_trial(config, t) for t in range(config.trials)]
+        for trials in (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1):
+            body = run_verification_suite(dataclasses.replace(config, trials=trials)).body()
+            assert body == merged_trials_body(recs[:trials]), trials
 
-    @pytest.mark.parametrize("m,n,trials", [(7, 7, 65), (5, 8, 32), (3, 3, 1)])
+    @pytest.mark.parametrize("m,n,trials", [(7, 7, 2 * _CHUNK + 1), (5, 8, _CHUNK), (3, 3, 1)])
     def test_lapack_calls_per_chunk(self, monkeypatch, m, n, trials):
         calls = {"qr": 0, "svd": 0}
         for name in calls:
@@ -200,9 +228,45 @@ class TestChunkedSuite:
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         run_verification_suite(EnsembleConfig(m=m, n=n, trials=trials, seed=3))
-        chunks = -(-trials // 32)
+        chunks = -(-trials // _CHUNK)
         assert 0 < calls["qr"] <= 3 * chunks
         assert 0 < calls["svd"] <= 2 * chunks
+
+    @pytest.mark.parametrize("field,fixed", [("complex", {}), ("real", {}),
+                                             ("complex", {"r": 2, "s": 5})])
+    def test_chunk_size_is_a_speed_setting_only(self, monkeypatch, field, fixed):
+        # 137 trials end in a partial chunk at every size but 1; the last
+        # size runs them all in one chunk
+        config = EnsembleConfig(m=5, n=6, trials=137, seed=4242, field=field, **fixed)
+        bodies = set()
+        for chunk in (1, 5, 32, _CHUNK, config.trials + 7):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            bodies.add(json.dumps(run_verification_suite(config).body()))
+        assert len(bodies) == 1
+
+
+# tracemalloc's peak, in KB, of one 400-trial suite at perfbench's `campaign`
+# configuration, measured in this test at 100-trial chunks; 25% over it means
+# a chunk stack lives longer than it must, or chunks have grown
+CAMPAIGN_PEAK_KB = 1234
+
+
+class TestMemory:
+    def test_campaign_peak_within_budget(self):
+        config = EnsembleConfig(m=7, n=7, trials=400, seed=91, field="complex", max_rank=7)
+        run_verification_suite(config)   # first-use allocations are not the suite's
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            run_verification_suite(config)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 1.25 * CAMPAIGN_PEAK_KB * 1024, peak / 1024
 
 
 def reference_log_uniform(rng, size):
