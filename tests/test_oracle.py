@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarbounds import enumeration, kittaneh_oracle, oracle
 from polarbounds.bounds import (
@@ -59,9 +59,11 @@ def scalar_f_extrema(pair):
     for support in supports:
         num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in support))
         rows, cols = {i for i, _, _ in support}, {j for _, j, _ in support}
+        # the unmatched squares as x * x, like F: x ** 2 (libm pow) misrounds
+        # some doubles, e.g. 2.999999910593033 ** 2 by one ulp
         den = math.fsum([(sigt[i] - sg * sig[j]) ** 2 for i, j, sg in support]
-                        + [sigt[i] ** 2 for i in range(pair.s) if i not in rows]
-                        + [sig[j] ** 2 for j in range(pair.r) if j not in cols])
+                        + [sigt[i] * sigt[i] for i in range(pair.s) if i not in rows]
+                        + [sig[j] * sig[j] for j in range(pair.r) if j not in cols])
         if abs(num) < tol and abs(den) < tol:
             continue
         ev = FEvaluation(point=SignedSubPermutation(rows=pair.s, cols=pair.r, support=support),
@@ -321,6 +323,8 @@ def _outcome(search, pair):
 class TestTiedSpectra:
     @settings(max_examples=100, deadline=None)
     @given(tied_pairs())
+    # a reference squaring the unmatched values by ** differed in the last bit here
+    @example(validate_spectrum_pair([2.999999910593033] * 2, [3.0, 3.0]))
     def test_matches_scalar_reference(self, pair):
         assert _outcome(brute_force_f_extrema, pair) == _outcome(scalar_f_extrema, pair)
 
