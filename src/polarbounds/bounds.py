@@ -84,39 +84,49 @@ def _q_upper_dens(pair: SpectrumPair, start: int = 0):
     one `fsum` per k:
     den(k) = sum_{j<r-k} (sig_j - sigt_j)**2 + sum_{j<k} (sig_{r-1-j} + sigt_{s-k+j})**2
              + sum_{r-k<=j<s-k} sigt_j**2.
-    Each aligned and square term is formed once, by the first k that reads
-    it, so every k raises what its own terms and sum would raise, in k order.
-    `**`, not `*`: y * y and y ** 2 differ in the last bit for some doubles.
+    The aligned terms and the window of s - r squares are kept in one list,
+    term j at index j < s - k; each is formed once, by the first k that
+    reads it, so every k raises what its own terms and sum would raise, in
+    k order. `**`, not `*`: y * y and y ** 2 differ in the last bit for
+    some doubles.
     """
     sig, sigt = pair.sigma, pair.sigma_tilde
     r, s = pair.r, pair.s
-    rev = sig[::-1]
-    aligned = [(x - y) ** 2 for x, y in zip(sig[:r - start], sigt)]
-    squares = [y ** 2 for y in sigt[r - start:s - start]]   # sigt_j**2 for j >= r - k
+    terms = [(sig[j] - sigt[j]) ** 2 for j in range(r - start)]
+    terms += [sigt[j] ** 2 for j in range(r - start, s - start)]
+    append, fsum = terms.append, math.fsum
     for k in range(start, r + 1):
-        if k > start:
-            squares.insert(0, sigt[r - k] ** 2)
-        yield math.fsum(aligned[:r - k] + [(x + y) ** 2 for x, y in zip(rev, sigt[s - k:])]
-                        + squares[:s - r])
+        n = s - k
+        if k > start:   # term r - k leaves the aligned sum for the window
+            terms[r - k] = sigt[r - k] ** 2
+            del terms[n]
+        for j in range(k):
+            append((sig[r - 1 - j] + sigt[n + j]) ** 2)
+        yield fsum(terms)
+        del terms[n:]
 
 
 def _q_lower_dens(pair: SpectrumPair, start: int = 0):
     """Denominator of the subunitary-factor lower ratio at k = start..r, as
     `_q_upper_dens`:
     den(k) = sum_{j<k} (sig_j + sigt_j)**2 + sum_{j<r-k} (sig_{r-1-j} - sigt_{s-r+k+j})**2
-             + sum_{k<=j<s-r+k} sigt_j**2.
+             + sum_{k<=j<s-r+k} sigt_j**2,
+    term j of the first and last sums at index j < s - r + k of one list.
     """
     sig, sigt = pair.sigma, pair.sigma_tilde
     r, s = pair.r, pair.s
-    rev = sig[::-1]
-    aligned = [(x + y) ** 2 for x, y in zip(sig[:start], sigt)]
-    squares = [y ** 2 for y in sigt[start:s - r + start]]   # sigt_j**2 for j >= start
+    terms = [(sig[j] + sigt[j]) ** 2 for j in range(start)]
+    terms += [sigt[j] ** 2 for j in range(start, s - r + start)]
+    append, fsum = terms.append, math.fsum
     for k in range(start, r + 1):
-        if k > start:
-            aligned.append((sig[k - 1] + sigt[k - 1]) ** 2)
-            squares.append(sigt[s - r + k - 1] ** 2)
-        yield math.fsum(aligned + [(x - y) ** 2 for x, y in zip(rev, sigt[s - r + k:])]
-                        + squares[k - start:])
+        n = s - r + k
+        if k > start:   # term k - 1 leaves the window for the aligned sum
+            append(sigt[n - 1] ** 2)
+            terms[k - 1] = (sig[k - 1] + sigt[k - 1]) ** 2
+        for j in range(r - k):
+            append((sig[r - 1 - j] - sigt[n + j]) ** 2)
+        yield fsum(terms)
+        del terms[n:]
 
 
 def q_upper_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
@@ -142,13 +152,13 @@ def _q_table(pair: SpectrumPair, theorem_id: str, dens, start: int = 0) -> KRati
     """num(k) / den(k) for k = 0..r, num(k) = s - r + 4k and den(k) from
     dens (k = start..r); None (0/0) below start and where num and den are
     both below 1e-12 * max(1, F). Each k is divided as its den arrives."""
-    r, s = pair.r, pair.s
     values = [None] * start
     try:   # a squared term overflows, or a denominator underflows to 0
         tol = 1e-12 * max(1.0, fg_scalars(pair).F)
-        for k, den in enumerate(dens, start):
-            num = float(s - r + 4 * k)
+        num = float(pair.s - pair.r + 4 * start)
+        for den in dens:
             values.append(None if num < tol and abs(den) < tol else num / den)
+            num += 4.0
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalRangeError(f"{theorem_id}: {exc}") from exc
     return KRatioTable(values=tuple(values))
@@ -159,9 +169,11 @@ def _q_optimum(theorem_id: str, table: KRatioTable,
     """Square root of the first largest (upper) or smallest value of the
     table, 0/0 entries skipped; every value checked to be a finite double."""
     best = None
+    top = sys.float_info.max
     for k, v in enumerate(table.values):
         if v is not None:
-            check_range(theorem_id, v, 0.0, sys.float_info.max)
+            if not 0.0 <= v <= top:
+                check_range(theorem_id, v, 0.0, top)
             if best is None or (v > best[1] if upper else v < best[1]):
                 best = (k, v)
     if best is None:
@@ -341,35 +353,6 @@ def _survivors(F: float, tol: float, terms: np.ndarray, n: int, k: int, best, up
         yield tuple(rows), [tuple(cols) for _, cols in group]
 
 
-def _pairing_sums(F: float, mods, reals, rows, arrangements):
-    """(nums, dens): F - 2 sum_a mods[rows[a]][cols[a]] and the same over
-    reals, for each cols of arrangements, with k = len(rows) >= 2. Two
-    terms are summed by one plain add, which rounds their exact sum once,
-    as `fsum` does for more; each term is at most F/2, so none overflows."""
-    if len(rows) == 2:
-        m0, m1, r0, r1 = mods[rows[0]], mods[rows[1]], reals[rows[0]], reals[rows[1]]
-        return ([F - 2.0 * (m0[a] + m1[b]) for a, b in arrangements],
-                [F - 2.0 * (r0[a] + r1[b]) for a, b in arrangements])
-    mod_rows, real_rows = [mods[i] for i in rows], [reals[i] for i in rows]
-    fsum, getitem = math.fsum, operator.getitem
-    return ([F - 2.0 * fsum(map(getitem, mod_rows, cols)) for cols in arrangements],
-            [F - 2.0 * fsum(map(getitem, real_rows, cols)) for cols in arrangements])
-
-
-def _first_optimum(nums, dens, tol: float, best, upper: bool):
-    """(index, value) of the first ratio num / den that is larger (upper)
-    or smaller than best and than every ratio before it, 0/0 pairs (num
-    and den below tol) skipped; None when no ratio beats best."""
-    found = None
-    for i, (num, den) in enumerate(zip(nums, dens)):
-        if abs(num) < tol and abs(den) < tol:
-            continue
-        value = num / den
-        if best is None or (value > best if upper else value < best):
-            best, found = value, i
-    return None if found is None else (found, best)
-
-
 def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
     """(value, rows, cols) of the first pairing with the largest (upper) or
     smallest ratio (F - 2 sum mods) / (F - 2 sum reals), or None when every
@@ -377,27 +360,33 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
 
     mods and reals are tables of per-entry terms; a pairing matches the rows
     of a k-subset (`combinations`, for k in ks) with the columns of a
-    k-arrangement (`permutations`), row-subset-first. One exact loop decides
-    the optimum: each pairing's sums are its exact sums rounded once (a
-    single term, one add of two, `fsum` of more), 0/0 pairings are skipped,
-    and strict comparisons keep the first of tied pairings. k = 1 pairs
-    each entry alone, row by row: at most ENUM_CAP**2 pairings. A larger k
-    with more than EXACT_ONLY_PAIRINGS pairings, when F lies in _F_RANGE,
-    sends the loop only its `_survivors`, which drop no pairing that could
-    change its result; every other k sends every pairing.
+    k-arrangement (`permutations`), row-subset-first. One exact loop per k
+    decides the optimum: each pairing's sums are its exact sums rounded
+    once (a single term, one plain add of two, `fsum` of more; each term is
+    at most F/2, so none overflows), 0/0 pairings (num and den below tol)
+    are skipped, and strict comparisons keep the first of tied pairings.
+    k = 1 pairs each entry alone, row by row: at most ENUM_CAP**2 pairings.
+    A larger k with more than EXACT_ONLY_PAIRINGS pairings, when F lies in
+    _F_RANGE, sends the loop only its `_survivors`, which drop no pairing
+    that could change its result; every other k sends every pairing.
     """
     nrows, n = len(mods), len(mods[0])
     tol = 1e-12 * max(1.0, F)
     bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
+    fsum, getitem = math.fsum, operator.getitem
     terms = None
     best = best_rows = best_cols = None
     for k in ks:
         if k == 1:
-            found = _first_optimum([F - 2.0 * x for row in mods for x in row],
-                                   [F - 2.0 * x for row in reals for x in row], tol, best, upper)
-            if found is not None:
-                i, best = found
-                best_rows, best_cols = (i // n,), (i % n,)
+            for i in range(nrows):
+                mod_row, real_row = mods[i], reals[i]
+                for j in range(n):
+                    num, den = F - 2.0 * mod_row[j], F - 2.0 * real_row[j]
+                    if abs(num) < tol and abs(den) < tol:
+                        continue
+                    value = num / den
+                    if best is None or (value > best if upper else value < best):
+                        best, best_rows, best_cols = value, (i,), (j,)
             continue
         if bounded and math.comb(nrows, k) * math.perm(n, k) > EXACT_ONLY_PAIRINGS:
             if terms is None:
@@ -407,11 +396,26 @@ def _arrangement_scan(F: float, mods, reals, ks, upper: bool):
             groups = zip(itertools.combinations(range(nrows), k),
                          itertools.repeat(_arrangement_tuples(n, k)))
         for rows, arrangements in groups:
-            found = _first_optimum(*_pairing_sums(F, mods, reals, rows, arrangements),
-                                   tol, best, upper)
-            if found is not None:
-                i, best = found
-                best_rows, best_cols = rows, arrangements[i]
+            if k == 2:
+                m0, m1, r0, r1 = mods[rows[0]], mods[rows[1]], reals[rows[0]], reals[rows[1]]
+                for cols in arrangements:
+                    a, b = cols
+                    num, den = F - 2.0 * (m0[a] + m1[b]), F - 2.0 * (r0[a] + r1[b])
+                    if abs(num) < tol and abs(den) < tol:
+                        continue
+                    value = num / den
+                    if best is None or (value > best if upper else value < best):
+                        best, best_rows, best_cols = value, rows, cols
+                continue
+            mod_rows, real_rows = [mods[i] for i in rows], [reals[i] for i in rows]
+            for cols in arrangements:
+                num = F - 2.0 * fsum(map(getitem, mod_rows, cols))
+                den = F - 2.0 * fsum(map(getitem, real_rows, cols))
+                if abs(num) < tol and abs(den) < tol:
+                    continue
+                value = num / den
+                if best is None or (value > best if upper else value < best):
+                    best, best_rows, best_cols = value, rows, cols
     if best is None:
         return None
     return best, best_rows, best_cols
@@ -436,8 +440,10 @@ def _arrangement_coeff(eig: EigenPair, theorem_id: str, count, upper: bool) -> B
     except OverflowError as exc:
         raise NumericalRangeError(
             f"{theorem_id}: a squared eigenvalue modulus in F_hat overflows") from exc
-    mods = [[abs(a) * abs(b) for b in eig.lam] for a in eig.lam_hat]
-    reals = [[(a * b.conjugate()).real for b in eig.lam] for a in eig.lam_hat]
+    moduli = [abs(b) for b in eig.lam]
+    conjugates = [b.conjugate() for b in eig.lam]
+    mods = [[x * y for y in moduli] for x in map(abs, eig.lam_hat)]
+    reals = [[(a * b).real for b in conjugates] for a in eig.lam_hat]
     if upper:
         best = _arrangement_scan(F, list(zip(*mods)), list(zip(*reals)), (r,), upper)
     else:

@@ -90,13 +90,14 @@ class SpectrumPair:
         sig = [math.ldexp(x, -e) for x in self.sigma]
         sigt = [math.ldexp(y, -e) for y in self.sigma_tilde]
         sq, sqt = [x * x for x in sig], [y * y for y in sigt]
+        cross = [x * y for x, y in zip(sig, sigt)]
         F = math.fsum(sq + sqt)
-        G = math.fsum(x * y for x, y in zip(sig, sigt))
+        G = math.fsum(cross)
         D = math.fsum([(x - y) * (x - y) for x, y in zip(sig, sigt)] + sqt[len(sig):])
         check_range("2G (Cauchy-Schwarz: at most F)", 2 * G, 0.0, F * (1 + 1e-13))
         return UnitSums(e=e, F=F, G=G, D=D, squares=math.fsum(sq),
                         squares_tilde=math.fsum(sqt),
-                        cross_squares=math.fsum((x * y) ** 2 for x, y in zip(sig, sigt)),
+                        cross_squares=math.fsum([c ** 2 for c in cross]),
                         quarts=math.fsum([x ** 4 for x in sig] + [y ** 4 for y in sigt]))
 
     @cached_property
