@@ -567,3 +567,31 @@ class TestRangeErrors:
                     found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                               if (alias.asname or alias.name).split(".")[0] not in used]
         assert found == []
+
+    def test_no_unreferenced_private_helper_in_library(self):
+        # a module-level private function or class that nothing in the
+        # package reads, other than its own body, is left over from deleted
+        # code
+        package = Path(polarbounds.__file__).resolve().parent
+        trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+        referenced = {}    # name -> ids of the nodes that reference it
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    referenced.setdefault(node.id, set()).add(id(node))
+                elif isinstance(node, ast.Attribute):
+                    referenced.setdefault(node.attr, set()).add(id(node))
+                elif isinstance(node, ast.ImportFrom):
+                    for alias in node.names:
+                        referenced.setdefault(alias.name, set()).add(id(node))
+        found = []
+        for module, tree in trees.items():
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    continue
+                if not node.name.startswith("_") or node.name.startswith("__"):
+                    continue
+                own = {id(inner) for inner in ast.walk(node)}
+                if not referenced.get(node.name, set()) - own:
+                    found.append(f"{module}:{node.lineno} {node.name}")
+        assert found == []

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polarbounds.spectra import (
     SpectrumValidationError,
+    UnitSums,
     fg_scalars,
     validate_eigen_pair,
     validate_spectrum_pair,
@@ -95,6 +96,70 @@ class TestFGScalars:
         # F is the unit-scale sum times 4**e, so finite squares whose sum
         # passes the largest double give inf, not fsum's OverflowError
         assert fg_scalars(validate_spectrum_pair(a, b)).F == F
+
+
+def reference_unit_sums(pair):
+    """The seven sums of `SpectrumPair.unit_sums`, each `fsum`med from its
+    defining terms on the copy divided by 2**e, e even, that brings the
+    larger leading value into [0.5, 2)."""
+    _, e = math.frexp(max(pair.sigma[0], pair.sigma_tilde[0]))
+    e -= e % 2
+    sig = [math.ldexp(x, -e) for x in pair.sigma]
+    sigt = [math.ldexp(y, -e) for y in pair.sigma_tilde]
+    r, s = len(sig), len(sigt)
+    return UnitSums(
+        e=e,
+        F=math.fsum([sig[j] * sig[j] for j in range(r)] + [sigt[j] * sigt[j] for j in range(s)]),
+        G=math.fsum([sig[j] * sigt[j] for j in range(r)]),
+        D=math.fsum([(sig[j] - sigt[j]) * (sig[j] - sigt[j]) for j in range(r)]
+                    + [sigt[j] * sigt[j] for j in range(r, s)]),
+        squares=math.fsum([sig[j] * sig[j] for j in range(r)]),
+        squares_tilde=math.fsum([sigt[j] * sigt[j] for j in range(s)]),
+        cross_squares=math.fsum([(sig[j] * sigt[j]) ** 2 for j in range(r)]),
+        quarts=math.fsum([sig[j] ** 4 for j in range(r)] + [sigt[j] ** 4 for j in range(s)]))
+
+
+# (4 * POW_BIT)**2 at unit scale, where the one cross product is POW_BIT:
+# c ** 2 gives 0.6638175624999999 and c * c gives 0.6638175625
+POW_BIT = 0.81475
+
+
+@st.composite
+def unit_sum_pairs(draw):
+    """Pairs with r = 1..6 and s = r..8: values spread over 1e-150..1e150,
+    ties from a few values, or sigma~ within a few ulps of sigma on the
+    first r entries."""
+    r = draw(st.integers(1, 6))
+    s = draw(st.integers(r, 8))
+    kind = draw(st.sampled_from(["spread", "ties", "near-identical"]))
+    if kind == "ties":
+        value = st.sampled_from([0.5, 1.0, 3.0, 4.0, 4 * POW_BIT])
+    else:
+        value = st.floats(min_value=1e-150, max_value=1e150)
+    sig = sorted(draw(st.lists(value, min_size=r, max_size=r)), reverse=True)
+    sigt = draw(st.lists(value, min_size=s, max_size=s))
+    if kind == "near-identical":
+        ulps = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        sigt[:r] = [x * (1 + u * 2.0 ** -52) for x, u in zip(sig, ulps)]
+    return validate_spectrum_pair(sig, sorted(sigt, reverse=True))
+
+
+class TestUnitSums:
+    @settings(max_examples=300, deadline=None)
+    @given(unit_sum_pairs())
+    @example(validate_spectrum_pair([4.0], [4 * POW_BIT]))
+    @example(validate_spectrum_pair([1e150, 1e-150], [1e150, 1e149, 1e-150]))
+    def test_matches_reference_field_by_field(self, pair):
+        got, want = pair.unit_sums, reference_unit_sums(pair)
+        for name in UnitSums.__dataclass_fields__:
+            assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+    def test_cross_products_squared_with_pow(self):
+        # the pinned pair above tells `(x * y) ** 2` from `(x * y) * (x * y)`
+        assert POW_BIT ** 2 != POW_BIT * POW_BIT
+        pair = validate_spectrum_pair([4.0], [4 * POW_BIT])
+        assert pair.unit_sums.e == 2
+        assert pair.unit_sums.cross_squares == POW_BIT ** 2 == 0.6638175624999999
 
 
 class TestEigenPair:
