@@ -26,11 +26,15 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .spectra import (BoundResult, EigenPair, NumericalRangeError, SpectrumPair,
-                      check_range, fg_scalars)
+from . import spectra
+from .spectra import BoundResult, EigenPair, NumericalRangeError, SpectrumPair, check_range
 
 SQRT2 = math.sqrt(2.0)
 LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
+
+# no closed form calls it any more, but perfbench/ patches and counts the
+# name on this module
+fg_scalars = spectra.fg_scalars
 
 ENUM_CAP = 6   # largest r or s the arrangement bounds enumerate
 # a k with at most this many pairings skips the arrangement prefilter: its
@@ -148,16 +152,19 @@ def li_sun_coeff(pair: SpectrumPair) -> BoundResult:
     return BoundResult(theorem_id="li-sun", coefficient=c)
 
 
-def _q_table(pair: SpectrumPair, theorem_id: str, dens, start: int = 0) -> KRatioTable:
+def _q_table(pair: SpectrumPair, theorem_id: str, dens, start: int = 0,
+             tied: bool = False) -> KRatioTable:
     """num(k) / den(k) for k = 0..r, num(k) = s - r + 4k and den(k) from
-    dens (k = start..r); None (0/0) below start and where num and den are
-    both below 1e-12 * max(1, F). Each k is divided as its den arrives."""
+    dens (k = start..r); None (0/0) below start. num is an exact integer,
+    0 only at k = 0 with r = s. That row is 0/0 when `tied`, its paired
+    values all exactly equal so that every term of den is exactly 0, and
+    0 otherwise, whatever den rounds to. Each k is divided as its den
+    arrives."""
     values = [None] * start
     try:   # a squared term overflows, or a denominator underflows to 0
-        tol = 1e-12 * max(1.0, fg_scalars(pair).F)
         num = float(pair.s - pair.r + 4 * start)
         for den in dens:
-            values.append(None if num < tol and abs(den) < tol else num / den)
+            values.append(num / den if num else (None if tied else 0.0))
             num += 4.0
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalRangeError(f"{theorem_id}: {exc}") from exc
@@ -185,12 +192,18 @@ def _q_optimum(theorem_id: str, table: KRatioTable,
 
 def q_upper_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
     """Square root of the max of the upper ratio table over k."""
-    return _q_optimum("q-upper", _q_table(pair, "q-upper", _q_upper_dens(pair)), upper=True)
+    # at r = s, k = 0 pairs sig_j with sigt_j
+    table = _q_table(pair, "q-upper", _q_upper_dens(pair),
+                     tied=pair.sigma == pair.sigma_tilde)
+    return _q_optimum("q-upper", table, upper=True)
 
 
 def q_lower_coeff(pair: SpectrumPair) -> Tuple[BoundResult, KRatioTable]:
     """Square root of the min of the lower ratio table over k."""
-    return _q_optimum("q-lower", _q_table(pair, "q-lower", _q_lower_dens(pair)), upper=False)
+    # at r = s, k = 0 pairs sig_{r-1-j} with sigt_j
+    table = _q_table(pair, "q-lower", _q_lower_dens(pair),
+                     tied=pair.r == pair.s and pair.sigma[::-1] == pair.sigma_tilde)
+    return _q_optimum("q-lower", table, upper=False)
 
 
 def refined_li_sun(q_upper: Tuple[BoundResult, KRatioTable],

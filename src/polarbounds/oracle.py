@@ -61,7 +61,7 @@ class FEvaluation:
     point: SignedSubPermutation
     numerator: float
     denominator: float
-    value: Optional[float]    # None when numerator and denominator are both ~0
+    value: Optional[float]    # None when the ratio is 0/0: num = 0 and every term of den is 0
 
 
 @dataclass(frozen=True)
@@ -156,11 +156,12 @@ def evaluate_f(pair: SpectrumPair, point: SignedSubPermutation) -> FEvaluation:
     The denominator F - 2*sum(sign * sigma_tilde[i] * sigma[j]) is summed as
     the squares (sigma_tilde[i] - sign * sigma[j])**2 of the matched entries
     plus the squares of the unmatched values of both spectra, so no digit
-    cancels. It is 0 only when every term is, which forces num = 0 (the 0/0
-    box) on spectra whose squares do not underflow.
+    cancels. The numerator r + s - 2*sum(sign) is an exact integer, 0 only
+    when every value of both spectra is matched with sign +1. Such a point
+    is 0/0 when each matched sigma_tilde[i] equals its sigma[j] exactly, so
+    that every term of the denominator is exactly 0, and has the value 0
+    otherwise, whatever the denominator rounds to.
     """
-    F = _sum_of_squares(pair)
-    tol = 1e-12 * max(1.0, F)
     num = float(pair.r + pair.s - 2 * sum(sg for _, _, sg in point.support))
     rows = {i for i, _, _ in point.support}
     cols = {j for _, j, _ in point.support}
@@ -168,8 +169,10 @@ def evaluate_f(pair: SpectrumPair, point: SignedSubPermutation) -> FEvaluation:
         [(pair.sigma_tilde[i] - sg * pair.sigma[j]) ** 2 for i, j, sg in point.support]
         + [x * x for i, x in enumerate(pair.sigma_tilde) if i not in rows]
         + [x * x for j, x in enumerate(pair.sigma) if j not in cols])
-    if abs(num) < tol and abs(den) < tol:
-        return FEvaluation(point=point, numerator=num, denominator=den, value=None)
+    if num == 0:
+        tied = all(pair.sigma_tilde[i] == sg * pair.sigma[j] for i, j, sg in point.support)
+        return FEvaluation(point=point, numerator=num, denominator=den,
+                           value=None if tied else 0.0)
     return FEvaluation(point=point, numerator=num, denominator=den, value=num / den)
 
 
@@ -223,14 +226,14 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
     with a threshold per c. `evaluate_f`'s denominator d lies within err of
     den, and its value is fl(num/d); let slack = err + 5u*F.
 
-    * Open points. A point with den <= 2*(slack + tol) when num < tol, or
-      den <= 2*slack otherwise, may be in the 0/0 box or near a 0
-      denominator and is always kept. Any other point has d > den - err >
-      0, and d > tol where num < tol, so a value; its value lies in [lo,
-      hi] = [num/(den + slack), num/(den - slack)], each end rounded twice:
-      den + slack rounds to at least d, since 5u*F covers its rounding
-      error of at most u*(2F + slack), and division rounds monotonically
-      (hi alike).
+    * Open points. A point with num = 0 is 0/0 or has the value 0,
+      whichever `evaluate_f`'s exact test finds, and a point with num > 0
+      and den <= 2*slack may be near a 0 denominator: both are always
+      kept. Any other point has d > den - err > 0, so the value num/d; its
+      value lies in [lo, hi] = [num/(den + slack), num/(den - slack)], each
+      end rounded twice: den + slack rounds to at least d, since 5u*F covers
+      its rounding error of at most u*(2F + slack), and division rounds
+      monotonically (hi alike).
     * Reached values. max_floor is the greatest lo, and min_ceiling the
       least hi, over the points closed so far, this block's included. lo
       falls and hi rises with den, so a sign vector's greatest lo is at its
@@ -259,7 +262,6 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
     range for these relative bounds to hold, every point is kept.
     """
     F = _sum_of_squares(pair)
-    tol = 1e-12 * max(1.0, F)
     bounded = _F_RANGE[0] <= F <= _F_RANGE[1]
     point = _point_builder(pair.r, pair.s)
     max_floor, min_ceiling = -math.inf, math.inf
@@ -288,7 +290,7 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
             minus_list = minus.tolist()
             nums = [float(pair.r + pair.s - 2 * k + 4 * c) for c in range(k + 1)]
             slack = err + 5 * _U * F
-            tops = [2.0 * (slack + (tol if x < tol else 0.0)) for x in nums]
+            tops = [2.0 * slack if x > 0 else math.inf for x in nums]
             upper, lower = thresholds()
         den = den.T    # sign-major
         least, greatest = den.min(axis=1), den.max(axis=1)

@@ -377,6 +377,32 @@ class TestOracle:
         assert h.hexdigest() == ORACLE_SCALED_DIGEST
 
 
+# q's k = 0 row is 0/0 only when its paired values are all equal. The old
+# box, num and den both below 1e-12 * max(1, F), dropped it in both
+# records: `bounds` reported q-upper 1.58e-6 for the first (F past 1e12)
+# and q-lower 3.98e6 for the second (den(0) below 1e-12), and `oracle`
+# agreed with the first and exited 1 on the second
+ZERO_OVER_ZERO = ("record large\nsigma 1000000\nsigma_tilde 1000000 0.1\n"
+                  "record small\nsigma 2e-7 1e-7\nsigma_tilde 3e-7 5e-8\n")
+
+
+class TestExactZeroOverZero:
+    def test_bounds(self, tmp_path, capsys):
+        code, rep = run_json(capsys, ["bounds", write(tmp_path, "in.spectra", ZERO_OVER_ZERO)])
+        large, small = rep["records"]
+        assert code == 0
+        # 10 = the unit record sigma 1, sigma~ 1 1e-7 scaled by 1e6
+        assert (large["q_upper"]["coefficient"], large["q_upper"]["optimal_k"]) == (10.0, 0)
+        assert (small["q_lower"]["coefficient"], small["q_lower"]["optimal_k"]) == (0.0, 0)
+
+    def test_oracle(self, tmp_path, capsys):
+        code, rep = run_json(capsys, ["oracle", write(tmp_path, "in.spectra", ZERO_OVER_ZERO)])
+        large, small = rep["records"]
+        assert code == 0 and large["agrees"] and small["agrees"]
+        assert math.isclose(large["brute_force_max"], 100.0, rel_tol=1e-15)
+        assert small["brute_force_min"] == 0.0
+
+
 class TestVerify:
     def test_small_campaign(self, capsys):
         code, rep = run_json(capsys, ["verify", "--trials", "25", "--seed", "7",

@@ -44,11 +44,11 @@ def scalar_f_extrema(pair):
 
     This is the loop `brute_force_f_extrema` ran before it bounded the points
     over index arrays, with its own enumeration and evaluation, so the two
-    share no code.
+    share no code. A point is 0/0 by the exact rule: its numerator is 0 and
+    every pair it matches is equal with sign +1; any other point with
+    numerator 0 has the value 0.
     """
     sig, sigt = pair.sigma, pair.sigma_tilde
-    F = math.fsum([x * x for x in sig] + [x * x for x in sigt])
-    tol = 1e-12 * max(1.0, F)
     supports = itertools.chain([()], (
         tuple(zip(rows, cols, signs))
         for k in range(1, pair.r + 1)
@@ -64,10 +64,11 @@ def scalar_f_extrema(pair):
         den = math.fsum([(sigt[i] - sg * sig[j]) ** 2 for i, j, sg in support]
                         + [sigt[i] * sigt[i] for i in range(pair.s) if i not in rows]
                         + [sig[j] * sig[j] for j in range(pair.r) if j not in cols])
-        if abs(num) < tol and abs(den) < tol:
+        if num == 0 and len(support) == pair.r == pair.s and all(
+                sg == 1 and sigt[i] == sig[j] for i, j, sg in support):
             continue
         ev = FEvaluation(point=SignedSubPermutation(rows=pair.s, cols=pair.r, support=support),
-                         numerator=num, denominator=den, value=num / den)
+                         numerator=num, denominator=den, value=num / den if num else 0.0)
         if best_max is None or ev.value > best_max.value:
             best_max = ev
         if best_min is None or ev.value < best_min.value:
