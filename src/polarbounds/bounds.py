@@ -37,11 +37,12 @@ LEE_CLASSICAL = math.sqrt((1.0 + math.sqrt(2.0)) / 2.0)
 fg_scalars = spectra.fg_scalars
 
 ENUM_CAP = 6   # largest r or s the arrangement bounds enumerate
-# a k with at most this many pairings skips the arrangement prefilter: its
-# numpy calls cost a fixed 25-30 us per k, about what the exact loop spends
-# on 30-60 pairings, so only larger k gain; at 100 the campaign (at most 33
-# pairings in all) and `polarbounds bounds` (at most 96 per k, up to (4, 4))
-# never pay it
+# a k with at most this many pairings skips the arrangement prefilter. Its
+# numpy calls cost a fixed 17-22 us per k, what the exact loop spends on
+# about 200 pairings at k = 2 (one add each) or 40 at k >= 3 (`fsum`). At
+# 100 the campaign (at most 33 pairings in all) and `polarbounds bounds`
+# (at most 96 per k, up to (4, 4)) never call numpy here, although at
+# (4, 4) k = 3 the prefilter would take 18 us against the loop's 39 us
 EXACT_ONLY_PAIRINGS = 100
 _U = 2.0 ** -53                          # unit roundoff of a double
 _F_RANGE = (2.0 ** -960, 2.0 ** 960)     # F where the prefilter's bounds hold
