@@ -64,8 +64,7 @@ def scalar_f_extrema(pair):
         den = math.fsum([(sigt[i] - sg * sig[j]) ** 2 for i, j, sg in support]
                         + [sigt[i] * sigt[i] for i in range(pair.s) if i not in rows]
                         + [sig[j] * sig[j] for j in range(pair.r) if j not in cols])
-        if num == 0 and len(support) == pair.r == pair.s and all(
-                sg == 1 and sigt[i] == sig[j] for i, j, sg in support):
+        if num == 0 and all(sg == 1 and sigt[i] == sig[j] for i, j, sg in support):
             continue
         ev = FEvaluation(point=SignedSubPermutation(rows=pair.s, cols=pair.r, support=support),
                          numerator=num, denominator=den, value=num / den if num else 0.0)

@@ -263,8 +263,7 @@ def test_q_has_degree_minus_one(pair, k):
     for fn in (q_upper_coeff, q_lower_coeff):
         (result, table), (at_scale, scaled_table) = fn(pair), fn(scaled)
         assert _near(at_scale.coefficient, math.ldexp(result.coefficient, -k), 4)
-        assert [v is None or v == 0 for v in scaled_table.values] \
-            == [v is None or v == 0 for v in table.values]
+        assert len(scaled_table.values) == len(table.values)
         for got, v in zip(scaled_table.values, table.values):
             assert got == v if v is None or v == 0 else _near(got, math.ldexp(v, -2 * k), 8)
 
