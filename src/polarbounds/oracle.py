@@ -226,14 +226,13 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
     with a threshold per c. `evaluate_f`'s denominator d lies within err of
     den, and its value is fl(num/d); let slack = err + 5u*F.
 
-    * Open points. A point with num = 0 is 0/0 or has the value 0,
-      whichever `evaluate_f`'s exact test finds, and a point with num > 0
-      and den <= 2*slack may be near a 0 denominator: both are always
-      kept. Any other point has d > den - err > 0, so the value num/d; its
-      value lies in [lo, hi] = [num/(den + slack), num/(den - slack)], each
-      end rounded twice: den + slack rounds to at least d, since 5u*F covers
-      its rounding error of at most u*(2F + slack), and division rounds
-      monotonically (hi alike).
+    * Open points. A point with den <= 2*slack may be 0/0 or near a 0
+      denominator and is always kept. Any other point has d > den - err >
+      0, so it is not 0/0 (that needs every term of d to be exactly 0) and
+      has the value num/d, 0 when num = 0; its value lies in [lo, hi] =
+      [num/(den + slack), num/(den - slack)], each end rounded twice: den +
+      slack rounds to at least d, since 5u*F covers its rounding error of at
+      most u*(2F + slack), and division rounds monotonically (hi alike).
     * Reached values. max_floor is the greatest lo, and min_ceiling the
       least hi, over the points closed so far, this block's included. lo
       falls and hi rises with den, so a sign vector's greatest lo is at its
@@ -270,7 +269,7 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
     def thresholds():
         """Per sign vector, keep a point when den <= upper or den >= lower."""
         uppers, lowers = [], []
-        for x, top in zip(nums, tops):
+        for x in nums:
             if not bounded:
                 upper, lower = math.inf, -math.inf
             else:
@@ -290,7 +289,7 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
             minus_list = minus.tolist()
             nums = [float(pair.r + pair.s - 2 * k + 4 * c) for c in range(k + 1)]
             slack = err + 5 * _U * F
-            tops = [2.0 * slack if x > 0 else math.inf for x in nums]
+            top = 2.0 * slack
             upper, lower = thresholds()
         den = den.T    # sign-major
         least, greatest = den.min(axis=1), den.max(axis=1)
@@ -301,7 +300,7 @@ def _candidates(pair: SpectrumPair, budget: int) -> Iterator[SignedSubPermutatio
         moved = False
         for c, (q, low, high) in enumerate(zip(hits.tolist(), least[hits].tolist(),
                                                greatest[hits].tolist())):
-            x, top = nums[minus_list[q]], tops[minus_list[q]]
+            x = nums[minus_list[q]]
             if not bounded or high <= top:    # no closed point
                 continue
             if low <= top:
