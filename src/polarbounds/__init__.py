@@ -24,9 +24,9 @@ from .bounds import (
     refined_li_sun_coeff,
 )
 from .extremal import ExtremalWitness, make_witness, verify_witness
-from .linalg import PolarFactors, SvdResult, haar_random_unitary, polar_decompose, svd, unitary_completion
+from .linalg import PolarFactors, SvdResult, haar_random_unitary, polar_decompose, svd
 from .montecarlo import EnsembleConfig, SuiteReport, random_matrix_with_spectrum, run_verification_suite
-from .oracle import brute_force_f_extrema, brute_force_kittaneh, directional_move_check, enumerate_extreme_points
+from .oracle import brute_force_f_extrema, brute_force_kittaneh, directional_move_check
 from .spectra import (
     BoundResult,
     EigenPair,
@@ -37,4 +37,20 @@ from .spectra import (
     validate_spectrum_pair,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # closed forms (bounds)
+    "KRatioTable", "amgm_coeff", "cauchy_schwarz_coeff", "h_lower_coeff", "h_upper_coeff",
+    "kittaneh_lower_coeff", "kittaneh_upper_coeff", "lee_lower_coeff", "lee_upper_coeff",
+    "li_sun_coeff", "q_lower_coeff", "q_upper_coeff", "refined_li_sun_coeff",
+    # witnesses (extremal)
+    "ExtremalWitness", "make_witness", "verify_witness",
+    # linear algebra (linalg)
+    "PolarFactors", "SvdResult", "haar_random_unitary", "polar_decompose", "svd",
+    # falsification campaign (montecarlo)
+    "EnsembleConfig", "SuiteReport", "random_matrix_with_spectrum", "run_verification_suite",
+    # brute-force oracles (oracle)
+    "brute_force_f_extrema", "brute_force_kittaneh", "directional_move_check",
+    # spectrum pairs and their scalars (spectra)
+    "BoundResult", "EigenPair", "FGScalars", "SpectrumPair", "fg_scalars",
+    "validate_eigen_pair", "validate_spectrum_pair",
+]

@@ -111,8 +111,8 @@ def _q_upper_dens(pair: SpectrumPair, start: int = 0):
         del terms[n:]
 
 
-def _q_lower_dens(pair: SpectrumPair, start: int = 0):
-    """Denominator of the subunitary-factor lower ratio at k = start..r, as
+def _q_lower_dens(pair: SpectrumPair):
+    """Denominator of the subunitary-factor lower ratio at k = 0..r, as
     `_q_upper_dens`:
     den(k) = sum_{j<k} (sig_j + sigt_j)**2 + sum_{j<r-k} (sig_{r-1-j} - sigt_{s-r+k+j})**2
              + sum_{k<=j<s-r+k} sigt_j**2,
@@ -120,28 +120,17 @@ def _q_lower_dens(pair: SpectrumPair, start: int = 0):
     """
     sig, sigt = pair.sigma, pair.sigma_tilde
     r, s = pair.r, pair.s
-    terms = [(sig[j] + sigt[j]) ** 2 for j in range(start)]
-    terms += [sigt[j] ** 2 for j in range(start, s - r + start)]
+    terms = [sigt[j] ** 2 for j in range(s - r)]
     append, fsum = terms.append, math.fsum
-    for k in range(start, r + 1):
+    for k in range(r + 1):
         n = s - r + k
-        if k > start:   # term k - 1 leaves the window for the aligned sum
+        if k:   # term k - 1 leaves the window for the aligned sum
             append(sigt[n - 1] ** 2)
             terms[k - 1] = (sig[k - 1] + sigt[k - 1]) ** 2
         for j in range(r - k):
             append((sig[r - 1 - j] - sigt[n + j]) ** 2)
         yield fsum(terms)
         del terms[n:]
-
-
-def q_upper_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
-    """Numerator and denominator of the subunitary-factor upper ratio at k."""
-    return float(pair.s - pair.r + 4 * k), next(_q_upper_dens(pair, k))
-
-
-def q_lower_numden(pair: SpectrumPair, k: int) -> Tuple[float, float]:
-    """Numerator and denominator of the subunitary-factor lower ratio at k."""
-    return float(pair.s - pair.r + 4 * k), next(_q_lower_dens(pair, k))
 
 
 def li_sun_coeff(pair: SpectrumPair) -> BoundResult:

@@ -22,11 +22,12 @@ file); 3 degenerate witness
 pair to attain its constant); 4 budget exceeded; 5 witness construction
 failed (the built pair missed its constant, a norm identity or the
 isometry check of its singular vectors; no known input does this); 64 usage
-error (bad arguments or tolerances, an option or choice the command does
-not take, --format text included, an unreadable input, an unwritable
---out, such as a report --out that names a directory or a witness --out
-that names a file). Report bodies are byte-deterministic for fixed inputs
-and seeds; timing goes to stderr.
+error (bad arguments or tolerances, an oracle --budget below 1, an option
+or choice the command does not take, --format text included, an
+unreadable input, an unwritable --out, such as a report --out that names a
+directory or a witness --out that names a file, or a witness record id
+that holds a path separator). Report bodies are byte-deterministic for
+fixed inputs and seeds; timing goes to stderr.
 
 A report has one format, structured (--format structured is still
 accepted): one JSON document and a newline, keys sorted, a 2-space
@@ -300,6 +301,9 @@ def cmd_witness(args) -> int:
     if not matches:
         raise UsageError(f"record id {args.record!r} not found in {args.input}")
     rec = matches[0]
+    # the id names the matrix files: a separator in it would leave --out
+    if any(sep and sep in rec.id for sep in (os.sep, os.altsep)):
+        raise UsageError(f"record id {rec.id!r} holds a path separator")
     pair = validate_spectrum_pair(rec.sigma, rec.sigma_tilde)
     try:
         w = extremal.make_witness(pair, args.bound)
@@ -340,6 +344,8 @@ def _agrees(brute: float, closed: float) -> bool:
 
 
 def cmd_oracle(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
     records, digest = _load_records(args.input)
     entries = []
     all_ok = True

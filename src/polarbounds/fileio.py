@@ -1,8 +1,7 @@
-"""Text formats for spectra records and matrices.
-
-Both formats are line-oriented and lossless: numbers are written with 17
-significant digits so complex doubles survive a round trip, and parse errors
-carry line numbers.
+"""Text formats: spectra records, which the CLI reads, and matrices, which
+it writes and reads back. Both are line-oriented. Matrix entries are
+written with 17 significant digits, so complex doubles survive a round
+trip, and spectra parse errors carry line numbers.
 """
 
 from __future__ import annotations
@@ -87,22 +86,6 @@ def parse_spectra_text(text: str) -> List[SpectraRecord]:
         if (rec.eigen is None) != (rec.eigen_hat is None):
             raise SpectraParseError(line_no, f"record {rec.id!r} has only one eigen list")
     return records
-
-
-def format_spectra(records: List[SpectraRecord]) -> str:
-    lines = []
-    for rec in records:
-        lines.append(f"record {rec.id}")
-        lines.append("sigma " + " ".join(f"{v:.17g}" for v in rec.sigma))
-        lines.append("sigma_tilde " + " ".join(f"{v:.17g}" for v in rec.sigma_tilde))
-        if rec.eigen is not None:
-            lines.append("eigen " + " ".join(_format_complex(z) for z in rec.eigen))
-            lines.append("eigen_hat " + " ".join(_format_complex(z) for z in rec.eigen_hat))
-    return "\n".join(lines) + "\n"
-
-
-def _format_complex(z: complex) -> str:
-    return f"({z.real:.17g}{z.imag:+.17g}j)"
 
 
 def write_matrix_text(a: np.ndarray) -> str:

@@ -75,13 +75,6 @@ class SvdResult:
         return SvdResult(U=self.U[index], singular_values=self.singular_values[index],
                          V=self.V[index])
 
-    def reconstruct(self) -> np.ndarray:
-        """U1 diag(S) V1* over the k = min(m, n) leading columns, for one
-        factorization or for each of a stack."""
-        k = self.singular_values.shape[-1]
-        return (self.U[..., :k] * self.singular_values[..., None, :]) \
-            @ conj_transpose(self.V[..., :k])
-
     def adjoint(self) -> "SvdResult":
         """SVD of A*: the unitaries swap roles, so its polar H is |A*| = U1 S1 U1*."""
         return SvdResult(U=self.V, singular_values=self.singular_values, V=self.U)

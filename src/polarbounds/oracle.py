@@ -4,7 +4,8 @@ Enumerates the extreme points of the signed doubly-substochastic polytope
 (row and column absolute sums <= 1), bounds the ratio function at every
 point over index arrays and evaluates it exactly wherever the max or the min
 may lie, and checks the directional-move steps used to reduce the optimum
-to a one-index search. `brute_force_kittaneh`, re-derived in
+to a one-index search. It reads nothing from `bounds`, so it shares no code
+with the closed forms it checks. `brute_force_kittaneh`, re-derived in
 `kittaneh_oracle` with an independent iteration strategy, is exported here
 too; the two oracles share only `enumeration`'s budget and index arrays.
 
@@ -26,7 +27,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import kittaneh_oracle
-from .bounds import q_lower_numden, q_upper_numden
 from .enumeration import (_BLOCK_POINTS, _F_RANGE, _U, DEFAULT_BUDGET, BudgetExceededError,
                           pairing_blocks, sign_vectors)
 from .spectra import NumericalRangeError, SpectrumPair, fg_scalars
@@ -48,12 +48,6 @@ class SignedSubPermutation:
     @property
     def k(self) -> int:
         return len(self.support)
-
-    def dense(self):
-        x = np.zeros((self.rows, self.cols))
-        for i, j, sg in self.support:
-            x[i, j] = sg
-        return x
 
 
 @dataclass(frozen=True)
@@ -125,18 +119,6 @@ def _point_builder(r: int, s: int):
         return SignedSubPermutation(rows=s, cols=r, support=tuple(
             [entry[i][j][sg] for i, j, sg in zip(rows, cols, signs)]))
     return point
-
-
-def enumerate_extreme_points(r: int, s: int,
-                             budget: int = DEFAULT_BUDGET
-                             ) -> Iterator[SignedSubPermutation]:
-    """Stream every extreme point exactly once, k ascending then lexicographic."""
-    point = _point_builder(r, s)
-    for rows, cols, _, signs in _index_blocks(r, s, budget):
-        sign_lists = signs.tolist()
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            for sg in sign_lists:
-                yield point(i, j, sg)
 
 
 def _sum_of_squares(pair: SpectrumPair) -> float:
@@ -405,15 +387,3 @@ def directional_move_check(pair: SpectrumPair, variant: str) -> List[Directional
                 delta_numerator=num1 - num0, delta_denominator=d_den, detail=detail)
                 for detail in details]
     return violations
-
-
-def boundary_grid_check(pair: SpectrumPair) -> bool:
-    """True when the closed-form k tables equal the k1 + k2 = r grid boundary."""
-    tolF = 1e-10 * max(1.0, fg_scalars(pair).F)
-    for k in range(pair.r + 1):
-        for variant, closed_numden in (("max", q_upper_numden), ("min", q_lower_numden)):
-            num_g, den_g = _grid_value(pair, variant, k, pair.r - k)
-            num_c, den_c = closed_numden(pair, k)
-            if abs(num_g - num_c) > tolF or abs(den_g - den_c) > tolF:
-                return False
-    return True

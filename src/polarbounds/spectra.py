@@ -11,9 +11,9 @@ into [0.5, 2), which is exact wherever the quotients are normal doubles, and
 forms F, G and D and the four sums AM-GM and Cauchy-Schwarz read in one
 pass. A degree-0 constant is a ratio of such sums: its squares and fourth
 powers neither overflow nor underflow, and scaling both spectra by 4**k
-leaves its bits unchanged wherever the scaled values are normal doubles. `SpectrumPair.scalars` is the same F, G and
-D times 4**e, at the pair's own scale, for the q tables, the witness checks
-and the oracle's grid check.
+leaves its bits unchanged wherever the scaled values are normal doubles.
+`SpectrumPair.scalars` is the same F, G and D times 4**e, at the pair's own
+scale, for the witness checks and the oracle's directional-move check.
 """
 
 from __future__ import annotations
@@ -102,7 +102,8 @@ class SpectrumPair:
 
     @cached_property
     def scalars(self) -> FGScalars:
-        """F, G and D at the pair's own scale: the unit sums times 4**e,
+        """F, G and D at the pair's own scale, for the witness checks and
+        the oracle's directional-move check: the unit sums times 4**e,
         exact where the product is a normal double, inf or 0 where it
         leaves the double range."""
         u = self.unit_sums

@@ -4,6 +4,23 @@ import pytest
 from polarbounds.spectra import validate_eigen_pair, validate_spectrum_pair
 
 
+def format_spectra(records) -> str:
+    """Spectra records as the text `fileio.parse_spectra_text` reads, every
+    value at 17 significant digits."""
+    def number(z):
+        return f"({z.real:.17g}{z.imag:+.17g}j)"
+
+    lines = []
+    for rec in records:
+        lines.append(f"record {rec.id}")
+        lines.append("sigma " + " ".join(f"{v:.17g}" for v in rec.sigma))
+        lines.append("sigma_tilde " + " ".join(f"{v:.17g}" for v in rec.sigma_tilde))
+        if rec.eigen is not None:
+            lines.append("eigen " + " ".join(number(z) for z in rec.eigen))
+            lines.append("eigen_hat " + " ".join(number(z) for z in rec.eigen_hat))
+    return "\n".join(lines) + "\n"
+
+
 def random_pair(rng, r_max=3, s_max=4, lo=0.1, hi=10.0, equal_ranks=None):
     """Random validated spectrum pair with r <= s."""
     r = int(rng.integers(1, r_max + 1))

@@ -1,6 +1,9 @@
 import ast
+import importlib
+import inspect
 import math
 import os
+import re
 from decimal import Decimal, localcontext
 import subprocess
 import sys
@@ -32,6 +35,8 @@ from polarbounds.bounds import (
 from polarbounds.spectra import NumericalRangeError, validate_eigen_pair, validate_spectrum_pair
 
 from conftest import random_pair
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TABLE1_ROWS = [
     ([8.7559, 6.1282, 5.0602], [7.3693, 5.7829, 3.2958, 2.5156],
@@ -519,8 +524,7 @@ class TestRangeErrors:
 
     def test_closed_forms_and_oracles_import_apart(self):
         # a closed form and its oracle share no code, so one bug cannot pass
-        # both; oracle.py reads only the q numerators and denominators, whose
-        # sign claims directional_move_check tests
+        # both
         package = Path(polarbounds.__file__).resolve().parent
         imports = {}
         for path in sorted(package.glob("*.py")):
@@ -536,7 +540,7 @@ class TestRangeErrors:
                             found.setdefault(alias.name.split(".")[1], set()).add("*")
         assert not {"oracle", "kittaneh_oracle", "enumeration"} & set(imports["bounds"])
         assert not {"bounds", "oracle"} & set(imports["kittaneh_oracle"])
-        assert imports["oracle"]["bounds"] == {"q_lower_numden", "q_upper_numden"}
+        assert "bounds" not in imports["oracle"]
 
     def test_spectrum_sums_have_one_owner(self):
         # the degree-0 constants read the sums SpectrumPair.unit_sums forms
@@ -595,3 +599,88 @@ class TestRangeErrors:
                 if not referenced.get(node.name, set()) - own:
                     found.append(f"{module}:{node.lineno} {node.name}")
         assert found == []
+
+    def test_no_public_name_read_only_by_tests(self):
+        # a public module-level function or class, or a public method, that
+        # is not in __all__ and that nothing in the package, perfbench/ or
+        # demos/ reads, other than its own body, serves only tests, which
+        # keep their own copy. A read is a name, an attribute, an imported
+        # name or a string constant (a CLI handler, a perfbench target).
+        # __init__.py's imports and strings are __all__ itself. A method that
+        # overrides a base-class method is read by the base class
+        package = Path(polarbounds.__file__).resolve().parent
+        modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+        readers = modules + sorted(ROOT.joinpath("perfbench").glob("*.py")) \
+            + sorted(ROOT.joinpath("demos").glob("*.py"))
+        trees = {path: ast.parse(path.read_text()) for path in readers}
+        reads = {}    # name -> ids of the nodes that read it
+        for tree in trees.values():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value.replace(".", "_").isidentifier():
+                    names = node.value.split(".")
+                else:
+                    continue
+                for name in names:
+                    reads.setdefault(name, set()).add(id(node))
+
+        def unread(node):
+            return not reads.get(node.name, set()) - {id(inner) for inner in ast.walk(node)}
+
+        found = []
+        for path in modules:
+            module = importlib.import_module(f"polarbounds.{path.stem}")
+            for node in trees[path].body:
+                if isinstance(node, ast.ClassDef):
+                    bases = getattr(module, node.name).__mro__[1:]
+                    found += [f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                              for item in node.body if isinstance(item, ast.FunctionDef)
+                              and not item.name.startswith("_")
+                              and not any(hasattr(base, item.name) for base in bases)
+                              and unread(item)]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                        and not node.name.startswith("_") \
+                        and node.name not in polarbounds.__all__ and unread(node):
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+        assert found == []
+
+    def test_all_is_explicit_and_documented(self):
+        # __all__ is a literal list of the functions and classes __init__
+        # imports, no module among them, and README's "Public API" section
+        # names the same ones
+        init = ast.parse(Path(polarbounds.__file__).read_text())
+        [value] = [node.value for node in init.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__all__"]]
+        assert isinstance(value, ast.List)
+        assert all(isinstance(e, ast.Constant) for e in value.elts)
+        names = polarbounds.__all__
+        assert len(names) == len(set(names)) == 35
+        assert set(names) == {alias.asname or alias.name for node in init.body
+                              if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not [name for name in names if inspect.ismodule(getattr(polarbounds, name))]
+        readme = ROOT.joinpath("README.md").read_text()
+        section = readme.split("\n## Public API\n", 1)[1].split("\n## ", 1)[0]
+        items = [item.split("\n\n", 1)[0] for item in section.split("\n- ")[1:]]
+        documented = [name for item in items
+                      for name in re.findall(r"`(\w+)`", item.split(": ", 1)[1])]
+        assert sorted(documented) == sorted(names)
+
+    def test_import_loads_no_undeclared_package(self):
+        # scipy, sympy and mpmath may be installed beside numpy, the one
+        # declared dependency: importing one would pass every test on such a
+        # host and fail on a clean install
+        code = ("import sys\n"
+                "import polarbounds, polarbounds.cli\n"
+                "print(sorted({'scipy', 'sympy', 'mpmath'}\n"
+                "             & {name.partition('.')[0] for name in sys.modules}))\n")
+        src = str(Path(polarbounds.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"

@@ -290,6 +290,17 @@ class TestWitness:
         assert main(["witness", path, "missing", "q-upper",
                      "--out", str(tmp_path / "w")]) == 64
 
+    @pytest.mark.parametrize("record_id", ["../escaped", "sub/dir"])
+    def test_record_id_with_separator_usage_error(self, tmp_path, capsys, record_id):
+        # the id names the matrix files: "../escaped" wrote them beside --out
+        work = tmp_path / "work"
+        work.mkdir()
+        path = write(work, "in.spectra", f"record {record_id}\nsigma 2 1\nsigma_tilde 3 2 1\n")
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["witness", path, record_id, "q-upper", "--out", str(work / "out")]) == 64
+        assert "path separator" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestOracle:
     def test_agreement(self, tmp_path, capsys):
@@ -311,6 +322,13 @@ class TestOracle:
         path = write(tmp_path, "in.spectra",
                      "record a\nsigma 2 1\nsigma_tilde 3 2 1\n")
         assert main(["oracle", path, "--budget", "3"]) == 4
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_below_one_usage_error(self, tmp_path, capsys, budget):
+        path = write(tmp_path, "in.spectra",
+                     "record a\nsigma 2 1\nsigma_tilde 3 2 1\n")
+        assert main(["oracle", path, "--budget", budget]) == 64
+        assert capsys.readouterr().err.startswith("usage error: --budget must be at least 1")
 
     @pytest.mark.parametrize("name,factor", [("q_upper_coeff", 1.01), ("q_lower_coeff", 0.99)])
     def test_one_percent_fault_found_at_every_scale(self, tmp_path, capsys, monkeypatch,

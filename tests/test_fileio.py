@@ -7,11 +7,12 @@ from polarbounds.fileio import (
     MATRIX_MAGIC,
     SpectraParseError,
     SpectraRecord,
-    format_spectra,
     parse_spectra_text,
     read_matrix_text,
     write_matrix_text,
 )
+
+from conftest import format_spectra
 
 
 class TestSpectraFormat:

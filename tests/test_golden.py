@@ -16,14 +16,14 @@ import pytest
 from polarbounds.bounds import kittaneh_lower_coeff, kittaneh_upper_coeff
 from polarbounds.cli import main
 from polarbounds.extremal import BOUND_IDS, ExtremalWitness, make_witness, verify_witness
-from polarbounds.fileio import SpectraRecord, format_spectra, read_matrix_text, write_matrix_text
+from polarbounds.fileio import SpectraRecord, read_matrix_text, write_matrix_text
 from polarbounds.linalg import haar_random_unitary
 from polarbounds.montecarlo import EnsembleConfig, run_verification_suite
 from polarbounds.oracle import brute_force_kittaneh
 from polarbounds.spectra import validate_spectrum_pair
 
 from conftest import (WIDE_ORACLE_FAMILIES, WIDE_ORACLE_SIZES, WIDE_SIZES, eigenvalues,
-                      seeded_eigen_pairs, wide_eigen_pairs)
+                      format_spectra, seeded_eigen_pairs, wide_eigen_pairs)
 
 CAMPAIGN_DIGESTS = {
     "complex": "bc00f8fe6dca10c530b60b429249c7d4075d292dfc351182c9f439c78f547a24",

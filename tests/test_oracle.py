@@ -19,11 +19,9 @@ from polarbounds.oracle import (
     DirectionalMove,
     FEvaluation,
     SignedSubPermutation,
-    boundary_grid_check,
     brute_force_f_extrema,
     brute_force_kittaneh,
     directional_move_check,
-    enumerate_extreme_points,
     evaluate_f,
     extreme_point_count,
 )
@@ -37,6 +35,7 @@ from polarbounds.spectra import (
 )
 
 from conftest import WIDE_FAMILIES, WIDE_SIZES, random_pair, wide_eigen_pairs
+from test_q_kernel import reference_lower_numden, reference_upper_numden
 
 
 def scalar_f_extrema(pair):
@@ -149,37 +148,54 @@ FAMILIES = ("generic", "near-identical", "all-equal", "integer-ties", "zero-over
             "scaled-1e100", "scaled-1e-100")
 
 
+def extreme_points(r, s, budget=enumeration.DEFAULT_BUDGET):
+    """Every extreme point once, in the oracle's order: its index blocks
+    walked point by point."""
+    for rows, cols, _, signs in oracle._index_blocks(r, s, budget):
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            for sg in signs.tolist():
+                yield SignedSubPermutation(rows=s, cols=r, support=tuple(zip(i, j, sg)))
+
+
+def _dense(point):
+    """The point as an s x r array of 0 and +-1."""
+    x = np.zeros((point.rows, point.cols))
+    for i, j, sg in point.support:
+        x[i, j] = sg
+    return x
+
+
 class TestEnumeration:
     def test_count_1x1(self):
-        pts = list(enumerate_extreme_points(1, 1))
+        pts = list(extreme_points(1, 1))
         assert len(pts) == 3
-        dense = sorted(tuple(p.dense().ravel()) for p in pts)
+        dense = sorted(tuple(_dense(p).ravel()) for p in pts)
         assert dense == [(-1.0,), (0.0,), (1.0,)]
 
     def test_count_1x2(self):
-        assert len(list(enumerate_extreme_points(1, 2))) == 5
+        assert len(list(extreme_points(1, 2))) == 5
 
     def test_count_2x2(self):
-        assert len(list(enumerate_extreme_points(2, 2))) == 17
+        assert len(list(extreme_points(2, 2))) == 17
 
     @pytest.mark.parametrize("r,s", [(r, s) for s in range(1, 6)
                                      for r in range(1, s + 1)])
     def test_count_matches_closed_form(self, r, s):
-        pts = list(enumerate_extreme_points(r, s))
+        pts = list(extreme_points(r, s))
         assert len(pts) == extreme_point_count(r, s)
         # exactly once: supports are hashable and distinct
         assert len({p.support for p in pts}) == len(pts)
 
     def test_membership(self):
-        for p in enumerate_extreme_points(3, 4):
-            x = p.dense()
+        for p in extreme_points(3, 4):
+            x = _dense(p)
             assert np.all(np.abs(x).sum(axis=0) <= 1)
             assert np.all(np.abs(x).sum(axis=1) <= 1)
             assert p.k <= 3
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError) as exc:
-            list(enumerate_extreme_points(6, 6, budget=100))
+            list(extreme_points(6, 6, budget=100))
         assert exc.value.exact_count == extreme_point_count(6, 6)
 
     def test_budget_before_any_evaluation(self, monkeypatch):
@@ -192,8 +208,8 @@ class TestEnumeration:
         assert exc.value.exact_count == extreme_point_count(6, 6)
 
     def test_deterministic_order(self):
-        a = [p.support for p in enumerate_extreme_points(2, 3)]
-        b = [p.support for p in enumerate_extreme_points(2, 3)]
+        a = [p.support for p in extreme_points(2, 3)]
+        b = [p.support for p in extreme_points(2, 3)]
         assert a == b
         ks = [len(s) for s in a]
         assert ks == sorted(ks)
@@ -235,7 +251,7 @@ class TestArrayPath:
         # num exact and den within the stated bound at every point
         for family in FAMILIES:
             pair = _family_pair(family, rng, r, s)
-            points = enumerate_extreme_points(r, s)
+            points = extreme_points(r, s)
             for rows, cols, signs, num, den, err in oracle._ratio_blocks(pair, 10 ** 7):
                 for p, q in itertools.product(range(len(rows)), range(len(signs))):
                     ev = evaluate_f(pair, next(points))
@@ -458,8 +474,19 @@ class TestDirectionalMoves:
             assert directional_move_check(pair, variant) == records
 
     def test_boundary_grid(self, rng):
+        # at k1 + k2 = r the reduced grid is the closed forms' k table:
+        # (k, r - k) on the max grid is q-upper's k, on the min grid
+        # q-lower's, against test_q_kernel's per-k sums rather than bounds'
         for _ in range(40):
-            assert boundary_grid_check(random_pair(rng))
+            pair = random_pair(rng)
+            tol = 1e-10 * max(1.0, fg_scalars(pair).F)
+            for k in range(pair.r + 1):
+                for variant, numden in (("max", reference_upper_numden),
+                                        ("min", reference_lower_numden)):
+                    num_g, den_g = oracle._grid_value(pair, variant, k, pair.r - k)
+                    num_c, den_c = numden(pair, k)
+                    assert num_g == num_c
+                    assert abs(den_g - den_c) <= tol, (variant, k)
 
 
 class TestKittanehCross:
